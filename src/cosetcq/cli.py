@@ -32,7 +32,6 @@ from .regions import (
     example_separation_witness,
     theorem1_region,
     theorem3_region,
-    usb_region,
 )
 from .specfile import parse_channel_file
 

@@ -27,9 +27,8 @@ HERMITIAN_ATOL = 1e-10
 
 
 def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, (HermitianOperator, DensityOperator)):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
+    """The complex matrix of an array or of anything with a ``matrix`` attribute."""
+    return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
 def _check_square_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:

@@ -1,30 +1,42 @@
 """Exact finite-blocklength projectors and square-root decoders.
 
-Everything here is dense and exact: spectral typical projectors, their
-conditional variants, the coset-code point-to-point decoder, the receiver-1
+Everything here is exact: spectral typical projectors, their conditional
+variants, the coset-code point-to-point decoder, the receiver-1
 sum-decoder, and the pinching-overlap sweep.  Spaces are capped at dimension
-2**12; constructions refuse to run beyond that.
+2**12 and a decoder's factors at MEMORY_BUDGET bytes; constructions refuse
+to run beyond that.
 
 Eigenvalue-label sequences are kept when their sample surprisal
 -(1/n) log2 prod(eigenvalue) sits within delta of the (average) von Neumann
 entropy; labels on zero eigenvalues never pass.  Classical codeword
 indicators use the relative letter-frequency flavor, matching codeword
 selection.
+
+Projectors are held as their ranges: the kept label sequences select
+orthonormal columns of a product eigenbasis, so overlaps between two
+projectors and compressions of product states are products of per-letter
+d x d blocks.  Square-root decoders live in the rank-r range of the typical
+projector pi_rho: each element is E_i = (U B_i)(U B_i)^dagger with U the
+range basis and B_i an r x r_i factor, and exact error probabilities are
+traces of r x r matrices.  Dense D x D elements are built only on request.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConsistencyError
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
-from .linalg import eig_hermitian, trace_norm
+from .linalg import _as_matrix, eig_hermitian, trace_norm
 from .typicality import is_relative_typical, pair_sequence
 
 __all__ = [
     "DIM_BUDGET",
+    "MEMORY_BUDGET",
     "TypicalProjector",
     "Povm",
     "Rx1Setup",
@@ -41,17 +53,8 @@ __all__ = [
 ]
 
 DIM_BUDGET = 2**12
-
-
-def _as_matrix(op) -> np.ndarray:
-    return np.asarray(getattr(op, "matrix", op), dtype=complex)
-
-
-def _kron_chain(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+# Bytes that one decoder's factors and working arrays may hold (see _check_memory).
+MEMORY_BUDGET = 2**30
 
 
 def _check_dim_budget(dim: int, n: int, budget: int) -> int:
@@ -63,18 +66,102 @@ def _check_dim_budget(dim: int, n: int, budget: int) -> int:
     return total
 
 
+def _check_memory(frame: "TypicalProjector", ranks) -> None:
+    """Refuse a decoder whose factors would not fit in MEMORY_BUDGET bytes.
+
+    Counted from the projector ranks alone, before anything is allocated,
+    as complex entries: the r x r_i factors (r sum r_i), the Gram matrix,
+    its inverse square root and the completion block (3 r^2), and the range
+    basis U that dense elements are built from (D r).
+    """
+    r = frame.rank
+    entries = r * int(sum(ranks)) + 3 * r * r + frame.dim * r
+    if 16 * entries > MEMORY_BUDGET:
+        raise BudgetExceededError(
+            f"decoder factors need {16 * entries} bytes, exceeding budget {MEMORY_BUDGET}"
+        )
+
+
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as a real array when its imaginary part is exactly zero.
+
+    Real letter states keep every factor real, and real products cost a
+    quarter of complex ones for the same values.
+    """
+    return mat.real if np.iscomplexobj(mat) and not mat.imag.any() else mat
+
+
+def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Block of the Kronecker product of per-position d x d matrices ``letters``.
+
+    Rows and columns are given as label sequences (one digit per position),
+    so entry (i, j) is prod_t letters[t][rows[i, t], cols[j, t]].  Runs of
+    positions are merged into Kronecker tables of side at most 64, so each
+    run costs one gather.
+    """
+    letters = [_real_if_exact(m) for m in letters]
+    d = letters[0].shape[0]
+    step = 1
+    while step < len(letters) and d ** (step + 1) <= 64:
+        step += 1
+    out = np.ones((rows.shape[0], cols.shape[0]), dtype=np.result_type(*letters))
+    for start in range(0, len(letters), step):
+        run = letters[start:start + step]
+        table = run[0]
+        for mat in run[1:]:
+            table = np.kron(table, mat)
+        place = d ** np.arange(len(run) - 1, -1, -1)
+        stop = start + len(run)
+        out *= table[np.ix_(rows[:, start:stop] @ place, cols[:, start:stop] @ place)]
+    return out
+
+
 @dataclass(frozen=True)
 class TypicalProjector:
-    """An orthogonal projector onto a typical subspace of a product space."""
+    """An orthogonal projector onto a typical subspace of a product space.
+
+    The projector is held as its range: row ``j`` of ``seqs`` selects the
+    product basis vector bases[0][:, seqs[j, 0]] x ... x bases[n-1][:, seqs[j, n-1]],
+    and these orthonormal vectors are the columns of ``cols``.
+    """
 
     n: int
     delta: float
     kind: str
-    matrix: np.ndarray
+    bases: tuple
+    seqs: np.ndarray
 
     @property
     def rank(self) -> int:
-        return int(round(np.trace(self.matrix).real))
+        return self.seqs.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.bases[0].shape[0] ** self.n
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """(dim, rank) orthonormal basis of the range."""
+        out = np.ones((self.rank, 1), dtype=complex)
+        for t, basis in enumerate(self.bases):
+            picked = basis[:, self.seqs[:, t]].T
+            out = out[:, :, None] * picked[:, None, :]
+            out = out.reshape(self.rank, out.shape[1] * out.shape[2])
+        return out.T
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.cols @ self.cols.conj().T
+
+    def overlap(self, other: "TypicalProjector") -> np.ndarray:
+        """cols^dagger . other.cols, without forming either basis."""
+        letters = [b.conj().T @ c for b, c in zip(self.bases, other.bases)]
+        return _product_block(letters, self.seqs, other.seqs)
+
+    def compress(self, mats) -> np.ndarray:
+        """cols^dagger . (mats[0] x ... x mats[n-1]) . cols for letter operators ``mats``."""
+        letters = [b.conj().T @ m @ b for b, m in zip(self.bases, mats)]
+        return _product_block(letters, self.seqs, self.seqs)
 
 
 def typical_projector(
@@ -103,9 +190,7 @@ def typical_projector(
     spectrum = np.clip(w, 0.0, None)
     seqs = field_vectors_any(dim, n)
     mask = _entropy_mask(seqs, spectrum, delta)
-    basis = _kron_chain([v] * n)
-    cols = basis[:, mask]
-    return TypicalProjector(n, delta, "state", cols @ cols.conj().T)
+    return TypicalProjector(n, delta, "state", (v,) * n, seqs[mask])
 
 
 def field_vectors_any(alphabet: int, length: int) -> np.ndarray:
@@ -162,9 +247,10 @@ def conditional_typical_projector(
     dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise ValueError("letter states must share one dimension")
-    total = _check_dim_budget(dim, n, budget)
+    _check_dim_budget(dim, n, budget)
     if pmf is not None and not is_relative_typical(vn, np.asarray(pmf, float), delta):
-        return TypicalProjector(n, delta, "conditional", np.zeros((total, total), dtype=complex))
+        empty = np.zeros((0, n), dtype=np.int64)
+        return TypicalProjector(n, delta, "conditional", (np.eye(dim, dtype=complex),) * n, empty)
     eigs = {}
     for v in np.unique(vn):
         w, basis = eig_hermitian(mats[v])
@@ -174,28 +260,82 @@ def conditional_typical_projector(
     sample = surpr[np.arange(n)[None, :], seqs].mean(axis=1)
     target = float(np.mean([_spectrum_entropy(eigs[int(v)][0]) for v in vn]))
     mask = np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
-    basis = _kron_chain([eigs[int(v)][1] for v in vn])
-    cols = basis[:, mask]
-    return TypicalProjector(n, delta, "conditional", cols @ cols.conj().T)
+    bases = tuple(eigs[int(v)][1] for v in vn)
+    return TypicalProjector(n, delta, "conditional", bases, seqs[mask])
+
+
+class _FactoredElements(Sequence):
+    """Dense elements of a square-root measurement held in a projector's range.
+
+    With U the range basis of ``frame``, element i is (U B_i)(U B_i)^dagger
+    for ``factors[i]`` = B_i, and the last one, the completion, is
+    U C U^dagger + (I - U U^dagger) for the r x r block ``completion`` = C.
+    Indexing builds the D x D element; no D x D array is kept.
+    """
+
+    def __init__(self, frame: TypicalProjector, factors: list, completion: np.ndarray):
+        self.frame = frame
+        self.factors = factors
+        self.completion = completion
+
+    @property
+    def dim(self) -> int:
+        return self.frame.dim
+
+    def __len__(self) -> int:
+        return len(self.factors) + 1
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        index = range(len(self))[index]
+        u = self.frame.cols
+        if index == len(self.factors):
+            block = np.eye(self.frame.rank) - self.completion
+            return np.eye(self.dim, dtype=complex) - u @ block @ u.conj().T
+        w = u @ self.factors[index]
+        return w @ w.conj().T
 
 
 @dataclass(frozen=True)
 class Povm:
     """A labeled POVM; the completion element carries the label ``None``.
 
-    Construction verifies positivity of every element (eigenvalues above
-    -1e-8) and that the elements sum to the identity within 1e-8 entrywise.
+    ``elements`` is either a tuple of dense matrices or, for the square-root
+    decoders built here, a factored sequence that builds each dense element
+    on request.  Construction verifies positivity of every element
+    (eigenvalues above -1e-8) and that the elements sum to the identity
+    within 1e-8: entrywise for dense elements; for factored ones, whose
+    decoding elements are Gram matrices and positive by construction, in
+    operator norm and through the spectrum of the completion block, both
+    in the r-dimensional range.
     """
 
     labels: tuple
-    elements: tuple
+    elements: Sequence
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.elements):
             raise ValueError("labels and elements must have equal length")
-        dim = self.elements[0].shape[0]
+        els = self.elements
+        if isinstance(els, _FactoredElements):
+            if self.labels[-1] is not None:
+                raise ValueError("the completion element must come last, labeled None")
+            block = els.completion
+            if not block.size:
+                return
+            residual = block - np.eye(block.shape[0])
+            for b in els.factors:
+                residual = residual + b @ b.conj().T
+            if np.linalg.norm(residual, 2) > 1e-8:
+                raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
+            wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+            if wmin < -1e-8:
+                raise ConsistencyError(
+                    f"POVM element None has eigenvalue {wmin:.3e} below -1e-8"
+                )
+            return
+        dim = els[0].shape[0]
         total = np.zeros((dim, dim), dtype=complex)
-        for label, el in zip(self.labels, self.elements):
+        for label, el in zip(self.labels, els):
             if el.shape != (dim, dim):
                 raise ValueError(f"element {label} has shape {el.shape}")
             wmin = float(np.linalg.eigvalsh(0.5 * (el + el.conj().T)).min())
@@ -207,11 +347,17 @@ class Povm:
         if np.abs(total - np.eye(dim)).max() > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
 
+    @cached_property
+    def _position(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def element(self, label) -> np.ndarray:
-        return self.elements[self.labels.index(label)]
+        return self.elements[self._position[label]]
 
     @property
     def dim(self) -> int:
+        if isinstance(self.elements, _FactoredElements):
+            return self.elements.dim
         return self.elements[0].shape[0]
 
 
@@ -219,6 +365,29 @@ def _inverse_sqrt_on_support(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarr
     w, v = eig_hermitian(mat)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
+
+
+def _square_root_povm(labels: list, frame: TypicalProjector, factors: list) -> Povm:
+    """Square-root measurement of the operators U A_i A_i^dagger U^dagger.
+
+    ``frame`` gives the range basis U (D x r) of pi_rho and ``factors`` the
+    r x r_i matrices A_i = U^dagger . (projector chain) . C_i.  With
+    S = sum_i A_i A_i^dagger, the decoding factors are B_i = S^{-1/2} A_i
+    (inverse square root on the support of S), so E_i = (U B_i)(U B_i)^dagger
+    equals N Gamma_i N for Gamma_i = U A_i A_i^dagger U^dagger and
+    N = (sum_i Gamma_i)^{-1/2}.  The completion block is
+    I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.  ``factors`` is
+    overwritten with the B_i, so only one set of factors is held at a time.
+    """
+    r = frame.rank
+    gram = np.zeros((r, r))
+    for a in factors:
+        gram = gram + a @ a.conj().T
+    norm = _real_if_exact(_inverse_sqrt_on_support(gram))
+    for i, a in enumerate(factors):
+        factors[i] = norm @ a
+    completion = np.eye(r) - norm @ gram @ norm
+    return Povm(tuple(labels) + (None,), _FactoredElements(frame, factors, completion))
 
 
 def build_ptp_povm(
@@ -235,7 +404,8 @@ def build_ptp_povm(
     pi_rho . Pi_{v(a,m)} . pi_rho, zeroed when the word is not relative
     delta-typical for the code pmf; square-root normalization and an
     off-support completion element make the collection a POVM with labels
-    (a, m) plus ``None``.
+    (a, m) plus ``None``.  The elements are held factored in the range of
+    pi_rho (see the module docstring).
     """
     q = code.field.q
     mats = [_as_matrix(s) for s in states]
@@ -247,27 +417,20 @@ def build_ptp_povm(
         raise BudgetExceededError(
             f"{total_labels} POVM labels exceed budget {label_budget}"
         )
-    total_dim = _check_dim_budget(dim, code.n, budget)
+    _check_dim_budget(dim, code.n, budget)
     pmf = encoder.pmf
     rho_bar = sum(p * m for p, m in zip(pmf, mats))
-    pi_rho = typical_projector(rho_bar, code.n, delta, budget).matrix
-    gammas = []
+    pi_rho = typical_projector(rho_bar, code.n, delta, budget)
+    projs = []
     labels = []
     for a in field_vectors(q, code.k):
         for m in code.messages():
             word = code.codeword(a, m)
-            proj = conditional_typical_projector(
-                mats, word, delta, pmf=pmf, budget=budget
-            ).matrix
-            gammas.append(pi_rho @ proj @ pi_rho)
+            projs.append(conditional_typical_projector(mats, word, delta, pmf=pmf, budget=budget))
             labels.append((tuple(int(x) for x in a), tuple(int(x) for x in m)))
-    total = sum(gammas)
-    norm = _inverse_sqrt_on_support(total)
-    elements = [norm @ g @ norm for g in gammas]
-    completion = np.eye(total_dim, dtype=complex) - sum(elements)
-    labels.append(None)
-    elements.append(completion)
-    return Povm(tuple(labels), tuple(elements))
+    _check_memory(pi_rho, [p.rank for p in projs])
+    factors = [pi_rho.overlap(p) for p in projs]
+    return _square_root_povm(labels, pi_rho, factors)
 
 
 def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
@@ -275,25 +438,23 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
 
     Messages are uniform; the channel maps the selected word to the tensor
     product of letter states.  The decoder succeeds on any outcome (a, m)
-    with the correct message part.
+    with the correct message part.  ``povm`` must come from
+    ``build_ptp_povm``: each success trace tr(B^dagger U^dagger rho U B) is
+    taken in the range of pi_rho.
     """
     code = encoder.code
-    q = code.field.q
     mats = [_as_matrix(s) for s in states]
-    message_elements: dict = {}
-    for label, el in zip(povm.labels, povm.elements):
-        if label is None:
-            continue
-        _, m = label
-        message_elements[m] = message_elements.get(m, 0) + el
+    els = povm.elements
+    received: dict = {}
     success = 0.0
-    messages = code.messages()
-    for m in messages:
-        key = tuple(int(x) for x in m)
-        word = encoder.codeword_for(m)
-        rho = _kron_chain([mats[int(v)] for v in word])
-        success += float(np.trace(message_elements[key] @ rho).real)
-    return 1.0 - success / len(messages)
+    for (_, m), b in zip(povm.labels, els.factors):
+        if not b.shape[1]:
+            continue
+        if m not in received:
+            word = encoder.codeword_for(m)
+            received[m] = els.frame.compress([mats[int(v)] for v in word])
+        success += float(np.vdot(b, received[m] @ b).real)
+    return 1.0 - success / len(code.messages())
 
 
 @dataclass(frozen=True)
@@ -380,14 +541,15 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
     projector built from the average state, the middle one conditioned on
     sender 1's word alone, and the inner one conditioned on the
     (x1, u) pair sequence; pairs that are not relative delta-typical for
-    p_x1 x p_u contribute zero.
+    p_x1 x p_u contribute zero.  The elements are held factored in the
+    range of pi_rho.
     """
     code = setup.sum_code
     q = code.field.q
     n = code.n
     n_x1 = setup.p_x1.size
     dim = next(iter(setup.cond_states.values())).shape[0]
-    total_dim = _check_dim_budget(dim, n, budget)
+    _check_dim_budget(dim, n, budget)
     labels_total = len(setup.codebook1) * q ** (code.k + code.l)
     if labels_total > 2**16:
         raise BudgetExceededError(f"{labels_total} receiver-1 labels exceed budget")
@@ -398,7 +560,7 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
     for (x1, u), mat in setup.cond_states.items():
         rho_bar += setup.p_x1[x1] * setup.p_u[u] * mat
         rho_x1[x1] += setup.p_u[u] * mat
-    pi_rho = typical_projector(rho_bar, n, delta, budget).matrix
+    pi_rho = typical_projector(rho_bar, n, delta, budget)
 
     # Pair-conditioned family: condition alphabet is (x1, u) flattened.
     pair_states = [
@@ -410,21 +572,21 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
         [setup.p_x1[x1] * setup.p_u for x1 in range(n_x1)]
     )
 
-    gammas = []
+    chains = []
     labels = []
     a_all = field_vectors(q, code.k)
     w_all = code.messages()
     for m1, x1_word in enumerate(setup.codebook1):
-        pi_m1 = conditional_typical_projector(rho_x1, x1_word, delta, budget=budget).matrix
-        outer = pi_rho @ pi_m1
+        middle = conditional_typical_projector(rho_x1, x1_word, delta, budget=budget)
+        inners = []
         for a in a_all:
             for w in w_all:
-                u_word = code.codeword(a, w)
-                pair_seq = x1_word * q + u_word
-                inner = conditional_typical_projector(
-                    pair_states, pair_seq, delta, pmf=pair_pmf, budget=budget
-                ).matrix
-                gammas.append(outer @ inner @ outer.conj().T)
+                pair_seq = x1_word * q + code.codeword(a, w)
+                inners.append(
+                    conditional_typical_projector(
+                        pair_states, pair_seq, delta, pmf=pair_pmf, budget=budget
+                    )
+                )
                 labels.append(
                     (
                         m1,
@@ -432,13 +594,13 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
                         tuple(int(x) for x in w),
                     )
                 )
-    total = sum(gammas)
-    norm = _inverse_sqrt_on_support(total)
-    elements = [norm @ g @ norm for g in gammas]
-    completion = np.eye(total_dim, dtype=complex) - sum(elements)
-    labels.append(None)
-    elements.append(completion)
-    return Povm(tuple(labels), tuple(elements))
+        chains.append((middle, inners))
+    _check_memory(pi_rho, [p.rank for _, inners in chains for p in inners])
+    factors = []
+    for middle, inners in chains:
+        outer = pi_rho.overlap(middle)
+        factors.extend(outer @ middle.overlap(inner) for inner in inners)
+    return _square_root_povm(labels, pi_rho, factors)
 
 
 def rx1_success_probability(
@@ -452,11 +614,12 @@ def rx1_success_probability(
     Messages of all three senders are uniform.  The correct label packs the
     sum of the two encoders' chosen inner indices and the message sum; the
     corresponding interference word automatically equals the sum of the two
-    transmitted words.
+    transmitted words.  ``povm`` must come from ``build_rx1_povm``; message
+    triples that share a label and a received word are traced once.
     """
     q = setup.sum_code.field.q
     code2, code3 = enc2.code, enc3.code
-    success = 0.0
+    hits: dict = {}
     combos = 0
     for m1, x1_word in enumerate(setup.codebook1):
         for m2 in code2.messages():
@@ -466,19 +629,23 @@ def rx1_success_probability(
                 v3 = enc3.codeword_for(m3)
                 a3 = enc3.chosen[tuple(int(x) for x in m3)]
                 u_word = (v2 + v3) % q
-                rho = _kron_chain(
-                    [
-                        setup.cond_states[(int(x1), int(u))]
-                        for x1, u in zip(x1_word, u_word)
-                    ]
-                )
                 label = (
                     m1,
                     tuple(int(x) for x in (a2 + a3) % q),
                     tuple(int(x) for x in (m2 + m3) % q),
                 )
-                success += float(np.trace(povm.element(label) @ rho).real)
+                key = (label, tuple(int(u) for u in u_word))
+                hits[key] = hits.get(key, 0) + 1
                 combos += 1
+    els = povm.elements
+    success = 0.0
+    for (label, u_word), count in hits.items():
+        x1_word = setup.codebook1[label[0]]
+        rho = els.frame.compress(
+            [setup.cond_states[(int(x1), u)] for x1, u in zip(x1_word, u_word)]
+        )
+        b = els.factors[povm._position[label]]
+        success += count * float(np.vdot(b, rho @ b).real)
     return success / combos
 
 
@@ -503,6 +670,8 @@ def verify_pinching(
     built, and the quantity tr(Pi_rho Pi_{a^n} Pi_rho rho_{b^n}) evaluated
     with both projectors at slack ``delta``.  Rows report the trace and its
     deficiency 1 - trace, which the bound drives to zero exponentially.
+    With U the range basis of Pi_rho and A = U^dagger . range(Pi_{a^n}), the
+    trace is tr(A^dagger U^dagger rho_{b^n} U A).
     """
     p_ab = np.asarray(p_ab, dtype=float)
     if p_ab.ndim != 2 or p_ab.min() < 0 or abs(p_ab.sum() - 1.0) > 1e-9:
@@ -522,11 +691,12 @@ def verify_pinching(
     rows = []
     for n in n_list:
         a_seq, b_seq = pair_sequence(p_ab, int(n), delta / 4.0)
-        pi_rho = typical_projector(rho_bar, int(n), delta, budget).matrix
-        pi_a = conditional_typical_projector(cond_states, a_seq, delta, budget=budget).matrix
-        rho_bn = _kron_chain([mats[int(b)] for b in b_seq])
-        sandwich = pi_rho @ pi_a @ pi_rho
-        trace = float(np.trace(sandwich @ rho_bn).real)
+        pi_rho = typical_projector(rho_bar, int(n), delta, budget)
+        pi_a = conditional_typical_projector(cond_states, a_seq, delta, budget=budget)
+        _check_memory(pi_rho, [pi_a.rank])
+        overlap = pi_rho.overlap(pi_a)
+        rho_bn = pi_rho.compress([mats[int(b)] for b in b_seq])
+        trace = float(np.vdot(overlap, rho_bn @ overlap).real)
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
     return rows
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from cosetcq.errors import BudgetExceededError, ConsistencyError, ModelViolation
 from cosetcq.field_codes import NestedCosetCode, PrimeField, select_typical
 from cosetcq.linalg import DensityOperator, random_density
 from cosetcq.povm import (
+    MEMORY_BUDGET,
     Povm,
+    _FactoredElements,
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
@@ -116,6 +120,23 @@ def test_povm_invariants():
         Povm((0, 1), (np.diag([0.4, 0.4]), np.diag([0.4, 0.4])))
 
 
+def test_factored_povm_validation():
+    frame = typical_projector(np.eye(2) / 2, 1, 0.0)
+    b = np.array([[1.0], [0.0]])
+    good = Povm((0, None), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+    assert good.dim == 2
+    np.testing.assert_allclose(good.element(0), frame.cols @ np.diag([1.0, 0.0]) @ frame.cols.T)
+    np.testing.assert_allclose(good.elements[0] + good.elements[-1], np.eye(2), atol=1e-15)
+    with pytest.raises(ConsistencyError, match="identity"):
+        Povm((0, None), _FactoredElements(frame, [b], np.eye(2)))
+    # a factor of norm above one forces a negative completion block
+    big = np.sqrt(1.5) * b
+    with pytest.raises(ConsistencyError, match="below"):
+        Povm((0, None), _FactoredElements(frame, [big], np.diag([-0.5, 1.0])))
+    with pytest.raises(ValueError, match="last"):
+        Povm((None, 0), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+
+
 def _ptp_instance(states, delta, rng_seed=0):
     code = NestedCosetCode(F2, 2, 1, 1, [[1, 0]], [[0, 1]], [0, 0])
     enc = select_typical(code, UNIFORM, 1.0, np.random.default_rng(rng_seed))
@@ -173,6 +194,26 @@ def test_ptp_povm_label_budget():
     enc = select_typical(code, UNIFORM, 1.0, np.random.default_rng(0))
     with pytest.raises(BudgetExceededError, match="labels"):
         build_ptp_povm(code, enc, states, 0.5, label_budget=3)
+
+
+def test_ptp_povm_memory_budget_checked_before_allocation():
+    """n = 12 with 32 labels passes the dimension and label caps but not memory.
+
+    The request is refused from the projector ranks alone, before any
+    factor or D x D array exists, so it fails fast.
+    """
+    rng = np.random.default_rng(3)
+    code = NestedCosetCode(
+        F2, 12, 2, 3,
+        rng.integers(0, 2, size=(2, 12)),
+        rng.integers(0, 2, size=(3, 12)),
+        rng.integers(0, 2, size=12),
+    )
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"budget {MEMORY_BUDGET}"):
+        build_ptp_povm(code, enc, [example2_mix(0.9), example2_mix(0.1)], 0.3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rx1_decoder_on_nearly_clean_parity_channel():
@@ -299,3 +340,5 @@ def test_gentle_measurement_check():
     eps, disturbance, ok = gentle_measurement_check(big, proj.matrix)
     assert ok
     assert disturbance <= 2.0 * np.sqrt(eps) + 1e-6
+    # the projector object itself is accepted in place of its matrix
+    assert gentle_measurement_check(big, proj) == (eps, disturbance, ok)
