@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "InputDistribution",
     "SplitInputDistribution",
     "is_3to1",
+    "aux_average",
     "sigma1",
     "sigma2",
     "split_sigma1",
@@ -109,9 +111,32 @@ class CqChannel:
     def inputs(self):
         return itertools.product(*(range(s) for s in self.input_sizes))
 
+    @cached_property
+    def marginals(self) -> tuple:
+        """Per receiver j, the reduced output states as a read-only
+        (|X1|, |X2|, |X3|, d_j, d_j) array, traced out once on first use."""
+        out = []
+        for j, d in enumerate(self.output_dims):
+            arr = np.empty(self.input_sizes + (d, d), dtype=complex)
+            for x in self.inputs():
+                arr[x] = partial_trace(self.states[x].matrix, self.output_dims, [j])
+            arr.setflags(write=False)
+            out.append(arr)
+        return tuple(out)
+
+    @cached_property
+    def three_to_one(self) -> tuple:
+        """The verdict of ``is_3to1`` at its default tolerance, found once."""
+        return is_3to1(self)
+
     def output_marginal(self, x: tuple, receiver: int) -> np.ndarray:
         """Reduced output state at one receiver (0-based index) for input x."""
-        return partial_trace(self.states[tuple(x)].matrix, self.output_dims, [receiver])
+        return self.marginals[receiver][tuple(x)]
+
+    def expected_costs(self, p_x1, p_x2, p_x3) -> np.ndarray:
+        """E[cost_j(X_j)] for the three senders under the given input pmfs."""
+        pmfs = (p_x1, p_x2, p_x3)
+        return np.array([float(p @ c) for p, c in zip(pmfs, self.costs)])
 
 
 def is_3to1(channel: CqChannel, tol: float = 1e-9):
@@ -280,6 +305,16 @@ def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple) -> float:
     )
 
 
+def _cyclic_sum_pmf(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
+    """Distribution of a + b mod q for independent a ~ p_a, b ~ p_b over Z_q."""
+    q = len(p_a)
+    out = np.zeros(q)
+    for i in range(q):
+        for j in range(q):
+            out[(i + j) % q] += p_a[i] * p_b[j]
+    return out
+
+
 def _check_pmf(arr: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-9:
@@ -323,22 +358,12 @@ class InputDistribution:
 
     def p_u(self) -> np.ndarray:
         """Distribution of u = v2 + v3 mod q."""
-        out = np.zeros(self.q)
-        for v2 in range(self.q):
-            for v3 in range(self.q):
-                out[(v2 + v3) % self.q] += self.p_v2[v2] * self.p_v3[v3]
-        return out
+        return _cyclic_sum_pmf(self.p_v2, self.p_v3)
 
     def cost_expectations(self, channel: CqChannel) -> np.ndarray:
         """E[cost_j(X_j)] for the three senders under this distribution."""
-        p_x2 = self.p_v2x2.sum(axis=0)
-        p_x3 = self.p_v3x3.sum(axis=0)
-        return np.array(
-            [
-                float(self.p_x1 @ channel.costs[0]),
-                float(p_x2 @ channel.costs[1]),
-                float(p_x3 @ channel.costs[2]),
-            ]
+        return channel.expected_costs(
+            self.p_x1, self.p_v2x2.sum(axis=0), self.p_v3x3.sum(axis=0)
         )
 
 
@@ -373,32 +398,62 @@ class SplitInputDistribution:
         return arr.sum(axis=1)
 
     def p_w(self) -> np.ndarray:
-        out = np.zeros(self.q)
-        pu2, pu3 = self.p_uj(2), self.p_uj(3)
-        for u2 in range(self.q):
-            for u3 in range(self.q):
-                out[(u2 + u3) % self.q] += pu2[u2] * pu3[u3]
-        return out
+        """Distribution of w = u2 + u3 mod q."""
+        return _cyclic_sum_pmf(self.p_uj(2), self.p_uj(3))
 
     def cost_expectations(self, channel: CqChannel) -> np.ndarray:
-        p_x2 = self.p_u2v2x2.sum(axis=(0, 1))
-        p_x3 = self.p_u3v3x3.sum(axis=(0, 1))
-        return np.array(
-            [
-                float(self.p_x1 @ channel.costs[0]),
-                float(p_x2 @ channel.costs[1]),
-                float(p_x3 @ channel.costs[2]),
-            ]
+        return channel.expected_costs(
+            self.p_x1, self.p_u2v2x2.sum(axis=(0, 1)), self.p_u3v3x3.sum(axis=(0, 1))
         )
 
 
 def _require_3to1(channel: CqChannel) -> None:
-    ok, witness = is_3to1(channel)
+    ok, witness = channel.three_to_one
     if not ok:
         raise ModelViolationError(
             f"channel is not 3-to-1: receiver {witness[0]} distinguishes "
             f"inputs {witness[1]} and {witness[2]}"
         )
+
+
+def aux_average(
+    channel: CqChannel, x1: int, p_a2x2: np.ndarray, p_a3x3: np.ndarray, s: int
+) -> np.ndarray:
+    """Receiver-1 state at input x1 summed over auxiliary pairs with one sum.
+
+    Returns the unnormalised sum over a2 + a3 = s (mod q) and (x2, x3) of
+    p(a2, x2) p(a3, x3) rho_Y1(x1, x2, x3), q the row count of ``p_a2x2``.
+    Terms are added in (a2, x2, x3) order, zero weights skipped.
+    """
+    q = len(p_a2x2)
+    rho1 = channel.marginals[0][x1]
+    dim1 = channel.output_dims[0]
+    acc = np.zeros((dim1, dim1), dtype=complex)
+    for a2 in range(q):
+        a3 = (s - a2) % q
+        for x2 in range(channel.input_sizes[1]):
+            for x3 in range(channel.input_sizes[2]):
+                w = p_a2x2[a2, x2] * p_a3x3[a3, x3]
+                if w <= 0.0:
+                    continue
+                acc += w * rho1[x2, x3]
+    return acc
+
+
+def _sum_state(channel, p_x1, p_a2x2, p_a3x3, p_s, registers) -> CqState:
+    """Receiver-1 state with registers (x1, s), s the auxiliary sum mod q."""
+    _require_3to1(channel)
+    blocks: dict = {}
+    for x1 in range(channel.input_sizes[0]):
+        p1 = p_x1[x1]
+        if p1 <= 0.0:
+            continue
+        for s in range(len(p_s)):
+            if p_s[s] <= 0.0:
+                continue
+            acc = aux_average(channel, x1, p_a2x2, p_a3x3, s)
+            blocks[(x1, s)] = (p1 * p_s[s], acc / p_s[s])
+    return CqState(registers, (channel.output_dims[0],), blocks)
 
 
 def sigma1(channel: CqChannel, dist: InputDistribution) -> CqState:
@@ -408,29 +463,9 @@ def sigma1(channel: CqChannel, dist: InputDistribution) -> CqState:
     over (v2, x2, v3, x3) conditioned on v2 + v3 = u, weighted by
     p(x1) p_U(u).  Labels with p_U(u) = 0 are omitted.
     """
-    _require_3to1(channel)
-    q = dist.q
-    p_u = dist.p_u()
-    dim1 = channel.output_dims[0]
-    blocks: dict = {}
-    for x1 in range(channel.input_sizes[0]):
-        p1 = dist.p_x1[x1]
-        if p1 <= 0.0:
-            continue
-        for u in range(q):
-            if p_u[u] <= 0.0:
-                continue
-            acc = np.zeros((dim1, dim1), dtype=complex)
-            for v2 in range(q):
-                v3 = (u - v2) % q
-                for x2 in range(channel.input_sizes[1]):
-                    for x3 in range(channel.input_sizes[2]):
-                        w = dist.p_v2x2[v2, x2] * dist.p_v3x3[v3, x3]
-                        if w <= 0.0:
-                            continue
-                        acc += w * channel.output_marginal((x1, x2, x3), 0)
-            blocks[(x1, u)] = (p1 * p_u[u], acc / p_u[u])
-    return CqState(("x1", "u"), (dim1,), blocks)
+    return _sum_state(
+        channel, dist.p_x1, dist.p_v2x2, dist.p_v3x3, dist.p_u(), ("x1", "u")
+    )
 
 
 def sigma2(channel: CqChannel, dist: InputDistribution) -> CqState:
@@ -467,31 +502,9 @@ def sigma2(channel: CqChannel, dist: InputDistribution) -> CqState:
 
 def split_sigma1(channel: CqChannel, dist: SplitInputDistribution) -> CqState:
     """Receiver-1 state with classical registers (x1, w), w = u2 + u3 mod q."""
-    _require_3to1(channel)
-    q = dist.q
-    dim1 = channel.output_dims[0]
-    p_w = dist.p_w()
-    p_u2x2 = dist.p_u2v2x2.sum(axis=1)
-    p_u3x3 = dist.p_u3v3x3.sum(axis=1)
-    blocks: dict = {}
-    for x1 in range(channel.input_sizes[0]):
-        p1 = dist.p_x1[x1]
-        if p1 <= 0.0:
-            continue
-        for w in range(q):
-            if p_w[w] <= 0.0:
-                continue
-            acc = np.zeros((dim1, dim1), dtype=complex)
-            for u2 in range(q):
-                u3 = (w - u2) % q
-                for x2 in range(channel.input_sizes[1]):
-                    for x3 in range(channel.input_sizes[2]):
-                        weight = p_u2x2[u2, x2] * p_u3x3[u3, x3]
-                        if weight <= 0.0:
-                            continue
-                        acc += weight * channel.output_marginal((x1, x2, x3), 0)
-            blocks[(x1, w)] = (p1 * p_w[w], acc / p_w[w])
-    return CqState(("x1", "w"), (dim1,), blocks)
+    return _sum_state(
+        channel, dist.p_x1, dist.p_ujxj(2), dist.p_ujxj(3), dist.p_w(), ("x1", "w")
+    )
 
 
 def split_sigma_receiver(

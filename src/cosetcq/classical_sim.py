@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+# Trials drawn per batch of messages and noise.
+BATCH_TRIALS = 2048
+# Most entries in one (trials x candidates) distance table: 4 MiB of uint64.
+TABLE_ENTRIES = 2**19
+
+
 def _popcount(arr: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(arr)
@@ -177,6 +183,79 @@ def _ml_errors(
     return err
 
 
+def _decode_errors(received, candidates, groups, truth, bands, decoder, rng) -> list:
+    """Decoding errors of one batch at each receiver, in receiver order.
+
+    Each argument but ``decoder`` and ``rng`` holds one entry per receiver:
+    packed received words, packed candidate masks, the decoded-value index
+    of every candidate, the transmitted values and the typicality band.
+    Distances are tabulated a slice of trials at a time, at most
+    ``TABLE_ENTRIES`` entries per table (or one trial's row, if larger);
+    slices run in trial order, so ML tie-break draws come in the same order
+    at any slice size.
+    """
+    errors = []
+    for y, cands, grp, true, band in zip(received, candidates, groups, truth, bands):
+        n_groups = int(grp.max()) + 1
+        rows = max(1, TABLE_ENTRIES // cands.size)
+        count = 0
+        for lo in range(0, y.size, rows):
+            w = _popcount(y[lo : lo + rows, None] ^ cands[None, :])
+            if decoder == "typicality":
+                table = _decode_counts(w, grp, n_groups, band)
+                count += int(_ambiguity_errors(table, true[lo : lo + rows]).sum())
+            else:
+                count += int(_ml_errors(w, grp, true[lo : lo + rows], rng).sum())
+        errors.append(count)
+    return errors
+
+
+def _count_errors(
+    instance, trials, rng, words, sums, side, side_groups, decoder, dec_delta
+) -> tuple:
+    """Error counts at the three receivers over ``trials`` random messages.
+
+    ``words`` holds the packed codebooks of senders 1, 2 and 3, indexed by
+    message.  Receiver 1 tests every (sender-1 word, interference word) pair
+    with the interference in ``sums``; every transmitted interference sum
+    must lie there, else ConsistencyError.  Receivers 2 and 3 test their
+    packed candidates ``side``, whose decoded values are ``side_groups``.
+    """
+    pair_masks = (words[0][:, None] ^ sums[None, :]).reshape(-1)
+    pair_groups = np.repeat(np.arange(len(words[0])), sums.size)
+    band23 = _weight_band(instance.n, instance.delta, dec_delta)
+    bands = (_weight_band(instance.n, instance.delta1, dec_delta), band23, band23)
+    errors = (0, 0, 0)
+    done = 0
+    while done < trials:
+        batch = min(BATCH_TRIALS, trials - done)
+        m1, m2, m3 = (rng.integers(len(w), size=batch) for w in words)
+        noise = [
+            _pack_bits(rng.random((batch, instance.n)) < bias)
+            for bias in (instance.delta1, instance.delta, instance.delta)
+        ]
+        tx_sum = words[1][m2] ^ words[2][m3]
+        if not np.isin(tx_sum, sums).all():
+            raise ConsistencyError("transmitted interference sum left the coset-sum range")
+        received = (
+            words[0][m1] ^ tx_sum ^ noise[0],
+            words[1][m2] ^ noise[1],
+            words[2][m3] ^ noise[2],
+        )
+        batch_errors = _decode_errors(
+            received,
+            (pair_masks, *side),
+            (pair_groups, side_groups, side_groups),
+            (m1, m2, m3),
+            bands,
+            decoder,
+            rng,
+        )
+        errors = tuple(e + b for e, b in zip(errors, batch_errors))
+        done += batch
+    return errors
+
+
 def simulate(
     instance: ClassicalIcInstance,
     trials: int,
@@ -184,7 +263,6 @@ def simulate(
     enc_delta: float = 0.25,
     dec_delta: float = 0.5,
     decoder: str = "typicality",
-    chunk: int = 2048,
 ) -> SimReport:
     """Run the structured (coset-sum decoding) simulation.
 
@@ -200,7 +278,6 @@ def simulate(
     """
     if decoder not in ("typicality", "ml"):
         raise ValueError(f"unknown decoder {decoder!r}")
-    n = instance.n
     uniform = np.array([0.5, 0.5])
     enc2 = select_typical(instance.code2, uniform, enc_delta, rng)
     enc3 = select_typical(instance.code3, uniform, enc_delta, rng)
@@ -209,16 +286,7 @@ def simulate(
     words3 = np.stack([enc3.codeword_for(m) for m in msgs2])
     sum_code = coset_sum(instance.code2, instance.code3)
     sum_words = sum_code.range_words()
-    sum_packed = np.sort(_pack_bits(sum_words))
-
-    book1 = np.stack(instance.codebook1)
-    packed1 = _pack_bits(book1)
-    packed2 = _pack_bits(words2)
-    packed3 = _pack_bits(words3)
-
-    # Receiver-1 candidate pairs (x1 candidate, interference candidate).
-    pair_masks = (packed1[:, None] ^ _pack_bits(sum_words)[None, :]).reshape(-1)
-    pair_groups = np.repeat(np.arange(len(packed1)), sum_words.shape[0])
+    packed1 = _pack_bits(np.stack(instance.codebook1))
     # Receivers 2/3 search their full code range, grouped by message.
     range23 = []
     group23 = []
@@ -234,48 +302,22 @@ def simulate(
     offset23 = _pack_bits(instance.code3.dither) ^ _pack_bits(instance.code2.dither)
     cands3 = cands2 ^ offset23  # same generators, shifted dither
 
-    band1 = _weight_band(n, instance.delta1, dec_delta)
-    band23 = _weight_band(n, instance.delta, dec_delta)
-
-    n_msgs = len(msgs2)
-    errors = [0, 0, 0]
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        m1 = rng.integers(len(packed1), size=batch)
-        m2 = rng.integers(n_msgs, size=batch)
-        m3 = rng.integers(n_msgs, size=batch)
-        noise1 = _pack_bits(rng.random((batch, n)) < instance.delta1)
-        noise2 = _pack_bits(rng.random((batch, n)) < instance.delta)
-        noise3 = _pack_bits(rng.random((batch, n)) < instance.delta)
-        tx_sum = packed2[m2] ^ packed3[m3]
-        missing = ~np.isin(tx_sum, sum_packed)
-        if missing.any():
-            raise ConsistencyError("transmitted interference sum left the coset-sum range")
-        y1 = packed1[m1] ^ tx_sum ^ noise1
-        y2 = packed2[m2] ^ noise2
-        y3 = packed3[m3] ^ noise3
-
-        w1 = _popcount(y1[:, None] ^ pair_masks[None, :])
-        w2 = _popcount(y2[:, None] ^ cands2[None, :])
-        w3 = _popcount(y3[:, None] ^ cands3[None, :])
-        if decoder == "typicality":
-            t1 = _decode_counts(w1, pair_groups, len(packed1), band1)
-            t2 = _decode_counts(w2, groups2, n_msgs, band23)
-            t3 = _decode_counts(w3, groups2, n_msgs, band23)
-            errors[0] += int(_ambiguity_errors(t1, m1).sum())
-            errors[1] += int(_ambiguity_errors(t2, m2).sum())
-            errors[2] += int(_ambiguity_errors(t3, m3).sum())
-        else:
-            errors[0] += int(_ml_errors(w1, pair_groups, m1, rng).sum())
-            errors[1] += int(_ml_errors(w2, groups2, m2, rng).sum())
-            errors[2] += int(_ml_errors(w3, groups2, m3, rng).sum())
-        done += batch
+    errors = _count_errors(
+        instance,
+        trials,
+        rng,
+        (packed1, _pack_bits(words2), _pack_bits(words3)),
+        _pack_bits(sum_words),
+        (cands2, cands3),
+        groups2,
+        decoder,
+        dec_delta,
+    )
     config = {
         "mode": "structured",
         "decoder": decoder,
         "trials": trials,
-        "n": n,
+        "n": instance.n,
         "delta1": instance.delta1,
         "delta": instance.delta,
         "tau": instance.tau,
@@ -283,7 +325,7 @@ def simulate(
         "dec_delta": dec_delta,
         "sum_candidates": int(sum_words.shape[0]),
     }
-    return SimReport(trials, tuple(errors), config)
+    return SimReport(trials, errors, config)
 
 
 def simulate_independent(
@@ -292,7 +334,6 @@ def simulate_independent(
     rng: np.random.Generator,
     dec_delta: float = 0.5,
     decoder: str = "typicality",
-    chunk: int = 2048,
 ) -> SimReport:
     """Baseline run with unstructured i.i.d. codebooks for senders 2 and 3.
 
@@ -305,49 +346,22 @@ def simulate_independent(
         raise ValueError(f"unknown decoder {decoder!r}")
     n = instance.n
     n_msgs = 2**instance.code2.l
-    book2 = rng.integers(0, 2, size=(n_msgs, n))
-    book3 = rng.integers(0, 2, size=(n_msgs, n))
-    packed2 = _pack_bits(book2)
-    packed3 = _pack_bits(book3)
-    book1 = np.stack(instance.codebook1)
-    packed1 = _pack_bits(book1)
+    packed2 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
+    packed3 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
+    packed1 = _pack_bits(np.stack(instance.codebook1))
 
     sums = np.unique((packed2[:, None] ^ packed3[None, :]).reshape(-1))
-    pair_masks = (packed1[:, None] ^ sums[None, :]).reshape(-1)
-    pair_groups = np.repeat(np.arange(len(packed1)), sums.size)
-
-    band1 = _weight_band(n, instance.delta1, dec_delta)
-    band23 = _weight_band(n, instance.delta, dec_delta)
-    groups23 = np.arange(n_msgs)
-
-    errors = [0, 0, 0]
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        m1 = rng.integers(len(packed1), size=batch)
-        m2 = rng.integers(n_msgs, size=batch)
-        m3 = rng.integers(n_msgs, size=batch)
-        noise1 = _pack_bits(rng.random((batch, n)) < instance.delta1)
-        noise2 = _pack_bits(rng.random((batch, n)) < instance.delta)
-        noise3 = _pack_bits(rng.random((batch, n)) < instance.delta)
-        y1 = packed1[m1] ^ packed2[m2] ^ packed3[m3] ^ noise1
-        y2 = packed2[m2] ^ noise2
-        y3 = packed3[m3] ^ noise3
-        w1 = _popcount(y1[:, None] ^ pair_masks[None, :])
-        w2 = _popcount(y2[:, None] ^ packed2[None, :])
-        w3 = _popcount(y3[:, None] ^ packed3[None, :])
-        if decoder == "typicality":
-            t1 = _decode_counts(w1, pair_groups, len(packed1), band1)
-            t2 = _decode_counts(w2, groups23, n_msgs, band23)
-            t3 = _decode_counts(w3, groups23, n_msgs, band23)
-            errors[0] += int(_ambiguity_errors(t1, m1).sum())
-            errors[1] += int(_ambiguity_errors(t2, m2).sum())
-            errors[2] += int(_ambiguity_errors(t3, m3).sum())
-        else:
-            errors[0] += int(_ml_errors(w1, pair_groups, m1, rng).sum())
-            errors[1] += int(_ml_errors(w2, groups23, m2, rng).sum())
-            errors[2] += int(_ml_errors(w3, groups23, m3, rng).sum())
-        done += batch
+    errors = _count_errors(
+        instance,
+        trials,
+        rng,
+        (packed1, packed2, packed3),
+        sums,
+        (packed2, packed3),
+        np.arange(n_msgs),
+        decoder,
+        dec_delta,
+    )
     config = {
         "mode": "independent",
         "decoder": decoder,
@@ -359,7 +373,7 @@ def simulate_independent(
         "dec_delta": dec_delta,
         "sum_candidates": int(sums.size),
     }
-    return SimReport(trials, tuple(errors), config)
+    return SimReport(trials, errors, config)
 
 
 def capacity_report(delta1: float, delta: float, tau: float) -> dict:

@@ -188,21 +188,9 @@ def typical_projector(
     _check_dim_budget(dim, n, budget)
     w, v = eig_hermitian(mat)
     spectrum = np.clip(w, 0.0, None)
-    seqs = field_vectors_any(dim, n)
+    seqs = field_vectors(dim, n)
     mask = _entropy_mask(seqs, spectrum, delta)
     return TypicalProjector(n, delta, "state", (v,) * n, seqs[mask])
-
-
-def field_vectors_any(alphabet: int, length: int) -> np.ndarray:
-    """All label sequences over an arbitrary (not necessarily prime) alphabet."""
-    if alphabet == 1:
-        return np.zeros((1, length), dtype=np.int64)
-    idx = np.arange(alphabet**length, dtype=np.int64)
-    out = np.empty((alphabet**length, length), dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        out[:, pos] = idx % alphabet
-        idx //= alphabet
-    return out
 
 
 def _surprisal(spectrum: np.ndarray) -> np.ndarray:
@@ -255,7 +243,7 @@ def conditional_typical_projector(
     for v in np.unique(vn):
         w, basis = eig_hermitian(mats[v])
         eigs[int(v)] = (np.clip(w, 0.0, None), basis)
-    seqs = field_vectors_any(dim, n)
+    seqs = field_vectors(dim, n)
     surpr = np.stack([_surprisal(eigs[int(v)][0]) for v in vn])
     sample = surpr[np.arange(n)[None, :], seqs].mean(axis=1)
     target = float(np.mean([_spectrum_entropy(eigs[int(v)][0]) for v in vn]))
@@ -491,7 +479,7 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     per-letter states indexed by (x1, u) describe the channel exactly; this
     is verified and a ModelViolationError raised otherwise.
     """
-    from .channels import sigma1
+    from .channels import aux_average, sigma1
     from .errors import ModelViolationError
     from .linalg import trace_distance
 
@@ -500,24 +488,16 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     cond = {lab: mat for lab, (_, mat) in s1.blocks.items()}
     # Sufficiency of the sum: every (v2, v3) with one sum must induce the
     # same receiver-1 letter state as the sum-conditioned average.
-    dim1 = channel.output_dims[0]
     for x1 in range(channel.input_sizes[0]):
         for v2 in range(q):
             for v3 in range(q):
                 u = (v2 + v3) % q
-                if (x1, u) not in cond:
+                weight = dist.p_v2x2[v2].sum() * dist.p_v3x3[v3].sum()
+                if (x1, u) not in cond or weight <= 0.0:
                     continue
-                acc = np.zeros((dim1, dim1), dtype=complex)
-                weight = 0.0
-                for x2 in range(channel.input_sizes[1]):
-                    for x3 in range(channel.input_sizes[2]):
-                        wgt = dist.p_v2x2[v2, x2] * dist.p_v3x3[v3, x3]
-                        if wgt <= 0.0:
-                            continue
-                        acc += wgt * channel.output_marginal((x1, x2, x3), 0)
-                        weight += wgt
-                if weight <= 0.0:
-                    continue
+                acc = aux_average(
+                    channel, x1, dist.p_v2x2[v2 : v2 + 1], dist.p_v3x3[v3 : v3 + 1], 0
+                )
                 if trace_distance(acc / weight, cond[(x1, u)]) > 1e-9:
                     raise ModelViolationError(
                         "receiver-1 reduction is not a function of the "

@@ -12,6 +12,7 @@ from .channels import (
     CqChannel,
     InputDistribution,
     SplitInputDistribution,
+    aux_average,
     binary_input_distribution,
     classical_conditional_entropy,
     classical_quantum_mi,
@@ -72,6 +73,14 @@ def shannon(pmf) -> float:
         raise ValueError("not a probability vector")
     p = p[p > 0.0]
     return float(-(p @ np.log2(p)))
+
+
+def _holevo(pmf, states) -> float:
+    """Holevo information (bits) of the ensemble {pmf[i], states[i]}."""
+    avg = sum(p * s for p, s in zip(pmf, states))
+    return von_neumann_entropy(avg) - sum(
+        p * von_neumann_entropy(s) for p, s in zip(pmf, states) if p > 0.0
+    )
 
 
 @dataclass(frozen=True)
@@ -262,10 +271,7 @@ def theorem2_bounds(params: NccRateParams, states) -> Theorem2Bounds:
     if len(mats) != params.q:
         raise ValueError(f"expected {params.q} channel states, got {len(mats)}")
     h_v = shannon(params.p_v)
-    avg = sum(p * m for p, m in zip(params.p_v, mats))
-    holevo = von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(m) for p, m in zip(params.p_v, mats) if p > 0.0
-    )
+    holevo = _holevo(params.p_v, mats)
     log_q = float(np.log2(params.q))
     inner_ok = (params.k / params.n) * log_q > log_q - h_v
     total_ok = ((params.k + params.l) / params.n) * log_q < log_q - h_v + holevo
@@ -314,40 +320,31 @@ def theorem3_region(channel: CqChannel, dist: SplitInputDistribution) -> RegionS
 def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
     """Unstructured baseline region from per-receiver Holevo informations.
 
-    Computed directly from output marginal mixtures, independently of the
+    Computed directly from output marginal mixtures, without the
     block-diagonal state machinery, so it can serve as a cross-check for
-    the message-splitting region with degenerate structured letters.
+    the message-splitting region with degenerate structured letters.  The
+    receiver-1 average is the shared ``aux_average``, which the tests check
+    against its definition.
     """
     pmfs = [np.asarray(p, float) for p in (p_x1, p_x2, p_x3)]
     for j, p in enumerate(pmfs):
-        if p.shape != (channel.input_sizes[j],) or abs(p.sum() - 1.0) > 1e-9:
+        shape_ok = p.shape == (channel.input_sizes[j],)
+        if not shape_ok or p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"bad input pmf for sender {j + 1}")
-    # Receiver 1 sees x1 against the product background of the other senders.
-    dim1 = channel.output_dims[0]
-    rho1 = {}
-    for x1 in range(channel.input_sizes[0]):
-        acc = np.zeros((dim1, dim1), dtype=complex)
-        for x2 in range(channel.input_sizes[1]):
-            for x3 in range(channel.input_sizes[2]):
-                acc += pmfs[1][x2] * pmfs[2][x3] * channel.output_marginal(
-                    (x1, x2, x3), 0
-                )
-        rho1[x1] = acc
-    info = np.zeros(3)
-    avg1 = sum(pmfs[0][x] * rho1[x] for x in rho1)
-    info[0] = von_neumann_entropy(avg1) - sum(
-        pmfs[0][x] * von_neumann_entropy(rho1[x]) for x in rho1 if pmfs[0][x] > 0
-    )
+    # Receiver 1 sees x1 against the product background of the other senders:
+    # a single auxiliary letter on each side, so every pair has sum 0.
+    rho1 = [
+        aux_average(channel, x1, pmfs[1][None, :], pmfs[2][None, :], 0)
+        for x1 in range(channel.input_sizes[0])
+    ]
+    info = [_holevo(pmfs[0], rho1)]
     for j in (1, 2):
         probe = [0, 0, 0]
         states = []
         for x in range(channel.input_sizes[j]):
             probe[j] = x
             states.append(channel.output_marginal(tuple(probe), j))
-        avg = sum(p * s for p, s in zip(pmfs[j], states))
-        info[j] = von_neumann_entropy(avg) - sum(
-            p * von_neumann_entropy(s) for p, s in zip(pmfs[j], states) if p > 0
-        )
+        info.append(_holevo(pmfs[j], states))
     constraints = (
         _make_constraint("r1", (1, 0, 0), info[0]),
         _make_constraint("r2", (0, 1, 0), info[1]),
@@ -355,12 +352,7 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
         _make_constraint("r1_plus_r2", (1, 1, 0), info[0] + info[1]),
         _make_constraint("r1_plus_r3", (1, 0, 1), info[0] + info[2]),
     )
-    costs = (
-        float(pmfs[0] @ channel.costs[0]),
-        float(pmfs[1] @ channel.costs[1]),
-        float(pmfs[2] @ channel.costs[2]),
-    )
-    return RegionSpec(constraints, costs)
+    return RegionSpec(constraints, tuple(channel.expected_costs(*pmfs)))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,165 @@
+"""Generated-input checks of the receiver-marginal layer of ``channels``.
+
+Channels are random 3-to-1 product channels with ternary inputs,
+rho(x1, x2, x3) = A(x1, x2, x3) (x) B(x2) (x) C(x3) on three qubits, and the
+auxiliary letters live in F_3, so the cyclic sum wraps with non-diagonal
+pmfs.  Every cached or averaged quantity is compared with its definition
+written over fresh partial traces.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cosetcq.channels import (
+    CqChannel,
+    InputDistribution,
+    SplitInputDistribution,
+    sigma1,
+    split_sigma1,
+)
+from cosetcq.linalg import DensityOperator, partial_trace, random_density
+from cosetcq.regions import theorem3_region, usb_region
+
+Q = 3
+SIZES = (3, 3, 3)
+DIMS = (2, 2, 2)
+PROPERTY = settings(max_examples=20, deadline=None)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _random_channel(rng) -> CqChannel:
+    rx1 = {x: random_density(2, rng).matrix for x in itertools.product(range(3), repeat=3)}
+    rx2 = [random_density(2, rng).matrix for _ in range(3)]
+    rx3 = [random_density(2, rng).matrix for _ in range(3)]
+    states = {
+        x: DensityOperator(np.kron(np.kron(rx1[x], rx2[x[1]]), rx3[x[2]]))
+        for x in rx1
+    }
+    costs = tuple(rng.random(3) for _ in range(3))
+    return CqChannel(SIZES, DIMS, states, costs)
+
+
+def _random_pmf(rng, shape, sparse: bool) -> np.ndarray:
+    """A random pmf; ``sparse`` zeroes about a third of the entries."""
+    p = rng.random(shape)
+    if sparse:
+        p[rng.random(shape) < 0.35] = 0.0
+        p.flat[rng.integers(p.size)] = 1.0
+    return p / p.sum()
+
+
+def _rx1_tensor(chan) -> np.ndarray:
+    """rho_Y1(x1, x2, x3) from fresh partial traces, shape (3, 3, 3, 2, 2)."""
+    out = np.empty(SIZES + (2, 2), dtype=complex)
+    for x in chan.inputs():
+        out[x] = partial_trace(chan.states[x].matrix, DIMS, [0])
+    return out
+
+
+def _sum_mask() -> np.ndarray:
+    """mask[a2, a3, s] = 1 when a2 + a3 = s mod q."""
+    mask = np.zeros((Q, Q, Q))
+    for a2, a3 in itertools.product(range(Q), repeat=2):
+        mask[a2, a3, (a2 + a3) % Q] = 1.0
+    return mask
+
+
+def _check_sum_blocks(state, p_x1, p_a2x2, p_a3x3, rho1) -> None:
+    """Blocks (x1, s) against p(x1) p(s) and the einsum of their definition."""
+    joint = np.einsum("abs,ax,by,ixyjk->isjk", _sum_mask(), p_a2x2, p_a3x3, rho1)
+    p_s = np.einsum("abs,ax,by->s", _sum_mask(), p_a2x2, p_a3x3)
+    labels = {
+        (x1, s) for x1 in range(3) for s in range(Q) if p_x1[x1] > 0 and p_s[s] > 0
+    }
+    assert set(state.blocks) == labels
+    for (x1, s), (p, mat) in state.blocks.items():
+        assert p == pytest.approx(p_x1[x1] * p_s[s], abs=1e-12)
+        np.testing.assert_allclose(mat, joint[x1, s] / p_s[s], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_sigma1_blocks_match_definition(seed, sparse):
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    dist = InputDistribution(
+        Q,
+        _random_pmf(rng, 3, sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+    )
+    _check_sum_blocks(
+        sigma1(chan, dist), dist.p_x1, dist.p_v2x2, dist.p_v3x3, _rx1_tensor(chan)
+    )
+
+
+@PROPERTY
+@given(seeds, st.booleans(), st.integers(1, 3))
+def test_split_sigma1_blocks_match_definition(seed, sparse, n_v):
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    dist = SplitInputDistribution(
+        Q,
+        _random_pmf(rng, 3, sparse),
+        _random_pmf(rng, (Q, n_v, 3), sparse),
+        _random_pmf(rng, (Q, n_v, 3), sparse),
+    )
+    _check_sum_blocks(
+        split_sigma1(chan, dist),
+        dist.p_x1,
+        dist.p_u2v2x2.sum(axis=1),
+        dist.p_u3v3x3.sum(axis=1),
+        _rx1_tensor(chan),
+    )
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_degenerate_split_region_equals_usb(seed, sparse):
+    """With u2 = u3 = 0 (so w = 0) the splitting region is the baseline."""
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    p_x = [_random_pmf(rng, 3, sparse) for _ in range(3)]
+    split = []
+    for p in p_x[1:]:
+        p_uvx = np.zeros((Q, 3, 3))
+        p_uvx[0, np.arange(3), np.arange(3)] = p  # v_j = x_j, u_j degenerate
+        split.append(p_uvx)
+    structured = theorem3_region(chan, SplitInputDistribution(Q, p_x[0], *split))
+    baseline = usb_region(chan, *p_x)
+    assert [c.name for c in structured.constraints] == [
+        c.name for c in baseline.constraints
+    ]
+    for got, want in zip(structured.constraints, baseline.constraints):
+        assert got.coeffs == want.coeffs
+        assert got.rhs == pytest.approx(want.rhs, abs=1e-12)
+    np.testing.assert_allclose(
+        structured.cost_expectations, baseline.cost_expectations, rtol=0, atol=1e-12
+    )
+
+
+@PROPERTY
+@given(seeds)
+def test_cached_marginals_equal_partial_traces(seed):
+    chan = _random_channel(np.random.default_rng(seed))
+    for x in chan.inputs():
+        for j in range(3):
+            want = partial_trace(chan.states[x].matrix, DIMS, [j])
+            np.testing.assert_array_equal(chan.output_marginal(x, j), want)
+    assert chan.three_to_one == (True, None)
+
+
+def test_marginals_are_read_only():
+    chan = _random_channel(np.random.default_rng(0))
+    for arr in chan.marginals:
+        assert arr.shape == SIZES + (2, 2)
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        chan.output_marginal((0, 0, 0), 1)[0, 0] = 1.0
+    assert chan.marginals is chan.marginals

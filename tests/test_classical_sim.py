@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cosetcq import classical_sim
 from cosetcq.classical_sim import (
     ClassicalIcInstance,
     capacity_report,
@@ -127,6 +128,38 @@ def test_structured_beats_independent_codebooks():
     # confined to a small coset-sum range
     assert structured.interval(1)[1] < independent.interval(1)[0]
     assert independent.config["sum_candidates"] > structured.config["sum_candidates"]
+
+
+def test_sliced_distance_tables_keep_reports(monkeypatch):
+    """Bounded popcount tables give the same reports, ML tie draws included."""
+    inst = _frozen_instance(delta1=0.2, delta=0.3)
+    cases = [
+        (run, decoder)
+        for run in (simulate, simulate_independent)
+        for decoder in ("typicality", "ml")
+    ]
+
+    def run_all():
+        return [
+            run(inst, 2500, np.random.default_rng(seed), decoder=decoder)
+            for seed, (run, decoder) in enumerate(cases)
+        ]
+
+    default = run_all()
+    bound = 4096
+    sizes = []
+    popcount = classical_sim._popcount
+
+    def recording_popcount(arr):
+        sizes.append(arr.size)
+        return popcount(arr)
+
+    monkeypatch.setattr(classical_sim, "TABLE_ENTRIES", bound)
+    monkeypatch.setattr(classical_sim, "_popcount", recording_popcount)
+    assert run_all() == default
+    assert max(sizes) <= bound
+    # more tables than one per receiver and batch: the bound did slice them
+    assert len(sizes) > len(default) * 2 * 3
 
 
 def test_capacity_report_closed_forms():

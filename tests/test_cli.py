@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,27 @@ def test_simulate_out_file(tmp_path, capsys):
     ) == 0
     assert capsys.readouterr().out == ""
     assert path.read_text().startswith("# cosetcq simulate\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["region", "--example", "2", "--theorem", th], f"region_example2_theorem{th}")
+        for th in ("1", "3", "usb")
+    ]
+    + [
+        (
+            ["simulate", "--seed", "7", "--trials", "2000", "--baseline",
+             "--decoder", dec],
+            f"simulate_seed7_baseline_{dec}",
+        )
+        for dec in ("typicality", "ml")
+    ],
+)
+def test_output_matches_golden_bytes(argv, name, capsys):
+    """Right-hand sides are printed with repr, so any reordering of a sum shows."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()

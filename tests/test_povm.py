@@ -10,7 +10,7 @@ from cosetcq.channels import (
     example2_mix,
 )
 from cosetcq.errors import BudgetExceededError, ConsistencyError, ModelViolationError
-from cosetcq.field_codes import NestedCosetCode, PrimeField, select_typical
+from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
 from cosetcq.linalg import DensityOperator, random_density
 from cosetcq.povm import (
     MEMORY_BUDGET,
@@ -19,7 +19,6 @@ from cosetcq.povm import (
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
-    field_vectors_any,
     gentle_measurement_check,
     ptp_block_error,
     rx1_setup_from_channel,
@@ -34,11 +33,12 @@ UNIFORM = np.array([0.5, 0.5])
 
 
 def test_field_vectors_any_enumeration():
-    vecs = field_vectors_any(4, 2)
+    # label sequences over any alphabet size, as the typical projectors use them
+    vecs = field_vectors(4, 2)
     assert vecs.shape == (16, 2)
     np.testing.assert_array_equal(vecs[0], [0, 0])
     np.testing.assert_array_equal(vecs[5], [1, 1])
-    np.testing.assert_array_equal(field_vectors_any(1, 3), [[0, 0, 0]])
+    np.testing.assert_array_equal(field_vectors(1, 3), [[0, 0, 0]])
 
 
 def test_typical_projector_pure_state():

@@ -222,8 +222,8 @@ def _degenerate_split(rng):
 def test_theorem3_degenerate_u_matches_unstructured_baseline():
     """With constant structured letters the two regions must coincide.
 
-    The baseline is computed straight from output marginals, a genuinely
-    different code path.
+    The baseline is computed straight from output marginals, without the
+    block-diagonal state machinery (both share the receiver-1 average).
     """
     chan = example2_channel(0.05, 0.2)
     rng = np.random.default_rng(42)
@@ -240,6 +240,14 @@ def test_theorem3_degenerate_u_matches_unstructured_baseline():
             assert t3.constraint(c.name).rhs == pytest.approx(
                 c.rhs, abs=1e-9
             ), c.name
+
+
+def test_usb_region_rejects_bad_pmfs():
+    chan = example2_channel(0.05, 0.2)
+    good = np.array([0.5, 0.5])
+    for bad in ([1.0], [0.7, 0.7], [1.5, -0.5]):
+        with pytest.raises(ValueError, match="sender 2"):
+            usb_region(chan, good, np.array(bad), good)
 
 
 def test_theorem3_structured_mode_bounds():
