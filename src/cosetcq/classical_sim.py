@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
-from .regions import conv, hb
+from .regions import _example1_closed_forms, conv
 
 __all__ = [
     "ClassicalIcInstance",
@@ -134,22 +134,29 @@ def _weight_band(n: int, bias: float, slack: float) -> tuple:
     return max(lo, 0), min(hi, n)
 
 
-def _decode_counts(
-    noise_weights: np.ndarray, group_ids: np.ndarray, n_groups: int, band: tuple
-) -> np.ndarray:
+def _group_starts(group_ids: np.ndarray) -> np.ndarray:
+    """First column of each group in a candidate list sorted by decoded value.
+
+    ``group_ids`` must run 0, 1, ..., G-1 in non-decreasing order with every
+    id present, so each group is one run of columns; anything else would
+    shift the reduced columns, so it raises ValueError.
+    """
+    ids = np.asarray(group_ids)
+    steps = np.diff(ids, prepend=-1)
+    if ids.ndim != 1 or ids.size == 0 or ((steps != 0) & (steps != 1)).any():
+        raise ValueError("group ids must run 0..G-1, non-decreasing, every id present")
+    return np.flatnonzero(steps)
+
+
+def _decode_counts(noise_weights: np.ndarray, starts: np.ndarray, band: tuple) -> np.ndarray:
     """Per-trial bitmask of groups owning at least one in-band candidate.
 
     noise_weights : (trials, candidates) Hamming weights
-    group_ids : (candidates,) decoded-value index of each candidate
+    starts : first column of each group (see ``_group_starts``)
     Returns a boolean (trials, n_groups) table.
     """
     in_band = (noise_weights >= band[0]) & (noise_weights <= band[1])
-    table = np.zeros((noise_weights.shape[0], n_groups), dtype=bool)
-    for g in range(n_groups):
-        cols = group_ids == g
-        if cols.any():
-            table[:, g] = in_band[:, cols].any(axis=1)
-    return table
+    return np.logical_or.reduceat(in_band, starts, axis=1)
 
 
 def _ambiguity_errors(table: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -162,7 +169,7 @@ def _ambiguity_errors(table: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def _ml_errors(
     noise_weights: np.ndarray,
-    group_ids: np.ndarray,
+    starts: np.ndarray,
     truth: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -170,42 +177,43 @@ def _ml_errors(
 
     Random tie-breaking keeps the useless-channel limit honest: at flip
     bias 1/2 the output carries no information and the error rate sits at
-    1 - 1/n_groups instead of saturating to 1.
+    1 - 1/n_groups instead of saturating to 1.  Only tied trials draw, one
+    bounded integer each and in trial order, all in one call: the same
+    stream as one ``rng.choice`` over the sorted winning groups per tie.
     """
-    best = noise_weights.min(axis=1)
-    is_best = noise_weights == best[:, None]
-    groups = np.asarray(group_ids)
-    err = np.zeros(noise_weights.shape[0], dtype=bool)
-    for t in range(noise_weights.shape[0]):
-        winners = np.unique(groups[is_best[t]])
-        pick = winners[0] if winners.size == 1 else rng.choice(winners)
-        err[t] = pick != truth[t]
-    return err
+    group_best = np.minimum.reduceat(noise_weights, starts, axis=1)
+    is_best = group_best == group_best.min(axis=1, keepdims=True)
+    pick = is_best.argmax(axis=1)
+    ties = is_best.sum(axis=1)
+    tied = ties > 1
+    draw = rng.integers(0, ties[tied])
+    pick[tied] = (is_best[tied].cumsum(axis=1) > draw[:, None]).argmax(axis=1)
+    return pick != truth
 
 
-def _decode_errors(received, candidates, groups, truth, bands, decoder, rng) -> list:
+def _decode_errors(received, candidates, starts, truth, bands, decoder, rng) -> list:
     """Decoding errors of one batch at each receiver, in receiver order.
 
     Each argument but ``decoder`` and ``rng`` holds one entry per receiver:
-    packed received words, packed candidate masks, the decoded-value index
-    of every candidate, the transmitted values and the typicality band.
+    packed received words, packed candidate masks sorted by decoded value,
+    the first column of each value's run of candidates (``_group_starts``),
+    the transmitted values and the typicality band.
     Distances are tabulated a slice of trials at a time, at most
     ``TABLE_ENTRIES`` entries per table (or one trial's row, if larger);
     slices run in trial order, so ML tie-break draws come in the same order
     at any slice size.
     """
     errors = []
-    for y, cands, grp, true, band in zip(received, candidates, groups, truth, bands):
-        n_groups = int(grp.max()) + 1
+    for y, cands, first, true, band in zip(received, candidates, starts, truth, bands):
         rows = max(1, TABLE_ENTRIES // cands.size)
         count = 0
         for lo in range(0, y.size, rows):
             w = _popcount(y[lo : lo + rows, None] ^ cands[None, :])
             if decoder == "typicality":
-                table = _decode_counts(w, grp, n_groups, band)
+                table = _decode_counts(w, first, band)
                 count += int(_ambiguity_errors(table, true[lo : lo + rows]).sum())
             else:
-                count += int(_ml_errors(w, grp, true[lo : lo + rows], rng).sum())
+                count += int(_ml_errors(w, first, true[lo : lo + rows], rng).sum())
         errors.append(count)
     return errors
 
@@ -219,10 +227,12 @@ def _count_errors(
     message.  Receiver 1 tests every (sender-1 word, interference word) pair
     with the interference in ``sums``; every transmitted interference sum
     must lie there, else ConsistencyError.  Receivers 2 and 3 test their
-    packed candidates ``side``, whose decoded values are ``side_groups``.
+    packed candidates ``side``, whose decoded values are ``side_groups``
+    (non-decreasing and contiguous, else ValueError).
     """
     pair_masks = (words[0][:, None] ^ sums[None, :]).reshape(-1)
-    pair_groups = np.repeat(np.arange(len(words[0])), sums.size)
+    pair_starts = _group_starts(np.repeat(np.arange(len(words[0])), sums.size))
+    side_starts = _group_starts(side_groups)
     band23 = _weight_band(instance.n, instance.delta, dec_delta)
     bands = (_weight_band(instance.n, instance.delta1, dec_delta), band23, band23)
     errors = (0, 0, 0)
@@ -245,7 +255,7 @@ def _count_errors(
         batch_errors = _decode_errors(
             received,
             (pair_masks, *side),
-            (pair_groups, side_groups, side_groups),
+            (pair_starts, side_starts, side_starts),
             (m1, m2, m3),
             bands,
             decoder,
@@ -384,10 +394,8 @@ def capacity_report(delta1: float, delta: float, tau: float) -> dict:
     structured feasibility asks that sender 1's effective bias stays below
     the side receivers' bias, conv(tau, delta1) < delta < 1/2.
     """
-    cap1 = hb(conv(tau, delta1)) - hb(delta1)
-    capj = 1.0 - hb(delta)
+    cap1, capj, rhs = _example1_closed_forms(delta1, delta, tau)
     lhs = cap1 + 2.0 * capj
-    rhs = 1.0 - hb(delta1)
     return {
         "tx1_capacity": cap1,
         "ptp_capacity": capj,

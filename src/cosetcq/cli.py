@@ -11,7 +11,6 @@ overruns.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .typicality import is_relative_typical
 
 __all__ = [
     "PrimeField",

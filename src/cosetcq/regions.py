@@ -4,7 +4,7 @@ message splitting, and the unstructured baseline."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -375,6 +375,16 @@ class SeparationReport:
         return self.unstructured_lhs - self.unstructured_rhs
 
 
+def _example1_closed_forms(delta1: float, delta: float, tau: float) -> tuple:
+    """(cap1, capj, rhs) of the commuting example 1, in bits.
+
+    cap1 = h(tau * delta1) - h(delta1) is sender 1's capacity at input bias
+    tau, capj = 1 - h(delta) each side link's, and rhs = 1 - h(delta1) the
+    receiver-1 bound with the interference uniformly random.
+    """
+    return hb(conv(tau, delta1)) - hb(delta1), 1.0 - hb(delta), 1.0 - hb(delta1)
+
+
 def example_separation_witness(
     example: int, delta1: float, delta: float, tau: float = None
 ) -> SeparationReport:
@@ -396,9 +406,7 @@ def example_separation_witness(
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if example == 1:
         channel = example1_channel(delta1, delta)
-        cap1 = hb(conv(tau, delta1)) - hb(delta1)
-        capj = 1.0 - hb(delta)
-        rhs = 1.0 - hb(delta1)
+        cap1, capj, rhs = _example1_closed_forms(delta1, delta, tau)
     else:
         channel = example2_channel(delta1, delta)
         s = lambda p: von_neumann_entropy(example2_mix(p))

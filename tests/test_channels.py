@@ -22,7 +22,7 @@ from cosetcq.channels import (
     split_sigma1,
     split_sigma_receiver,
 )
-from cosetcq.linalg import DensityOperator, von_neumann_entropy
+from cosetcq.linalg import DensityOperator
 from cosetcq.regions import conv, hb
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcq import classical_sim
 from cosetcq.classical_sim import (
@@ -160,6 +162,84 @@ def test_sliced_distance_tables_keep_reports(monkeypatch):
     assert max(sizes) <= bound
     # more tables than one per receiver and batch: the bound did slice them
     assert len(sizes) > len(default) * 2 * 3
+
+
+def _reference_decode_counts(noise_weights, group_ids, n_groups, band):
+    """Per-group column-mask loop the grouped typicality table replaced."""
+    in_band = (noise_weights >= band[0]) & (noise_weights <= band[1])
+    table = np.zeros((noise_weights.shape[0], n_groups), dtype=bool)
+    for g in range(n_groups):
+        cols = group_ids == g
+        if cols.any():
+            table[:, g] = in_band[:, cols].any(axis=1)
+    return table
+
+
+def _reference_ml_errors(noise_weights, group_ids, truth, rng):
+    """Per-trial minimum-distance loop the grouped ML decoder replaced."""
+    best = noise_weights.min(axis=1)
+    is_best = noise_weights == best[:, None]
+    err = np.zeros(noise_weights.shape[0], dtype=bool)
+    for t in range(noise_weights.shape[0]):
+        winners = np.unique(group_ids[is_best[t]])
+        pick = winners[0] if winners.size == 1 else rng.choice(winners)
+        err[t] = pick != truth[t]
+    return err
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    trials=st.integers(1, 40),
+    top=st.integers(0, 3),
+    band=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    dtype=st.sampled_from([np.uint8, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_decoders_match_per_trial_loops(sizes, trials, top, band, dtype, seed):
+    """Same tables, same errors and the same generator state as the loops.
+
+    Weights come from a range of at most four values, so cross-group ties
+    are common and the tie-break draws are exercised.
+    """
+    data = np.random.default_rng(seed)
+    group_ids = np.repeat(np.arange(len(sizes)), sizes)
+    weights = data.integers(0, top + 1, size=(trials, group_ids.size)).astype(dtype)
+    truth = data.integers(0, len(sizes), size=trials)
+    starts = classical_sim._group_starts(group_ids)
+    band = (band[0], band[0] + band[1])
+
+    table = classical_sim._decode_counts(weights, starts, band)
+    assert table.dtype == bool
+    assert np.array_equal(table, _reference_decode_counts(weights, group_ids, len(sizes), band))
+
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _reference_ml_errors(weights, group_ids, truth, ref_rng)
+    assert np.array_equal(classical_sim._ml_errors(weights, starts, truth, rng), expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "ids", [[1, 1, 2], [0, 2, 2], [0, 1, 1, 0], [0, 0, -1], [2, 1, 0], []]
+)
+def test_group_starts_reject_unsorted_or_gapped_ids(ids):
+    with pytest.raises(ValueError, match="group ids"):
+        classical_sim._group_starts(np.array(ids, dtype=np.int64))
+
+
+def test_popcount_fallback_matches_bitwise_count(monkeypatch):
+    """The byte-lookup branch for numpy < 2.0 counts the same bits."""
+    words = np.concatenate([
+        np.array([0, 1, 1 << 63, 2**64 - 1], dtype=np.uint64),
+        np.random.default_rng(0).integers(0, 2**64, size=60, dtype=np.uint64),
+    ]).reshape(8, 8)
+    expected = np.bitwise_count(words)
+    inst = _frozen_instance(delta1=0.2, delta=0.3)
+    report = simulate(inst, 3000, np.random.default_rng(6), decoder="ml")
+
+    monkeypatch.delattr(np, "bitwise_count")
+    assert np.array_equal(classical_sim._popcount(words), expected)
+    assert simulate(inst, 3000, np.random.default_rng(6), decoder="ml") == report
 
 
 def test_capacity_report_closed_forms():
