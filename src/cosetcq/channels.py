@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ModelViolationError
-from .linalg import DensityOperator, partial_trace, trace_distance, von_neumann_entropy
+from .linalg import DensityOperator, _entropies, partial_trace, trace_distance
 
 __all__ = [
     "CqChannel",
@@ -249,12 +249,9 @@ def cq_entropy(state: CqState, registers: tuple = None) -> float:
         registers = state.registers
     reduced = state.marginal_registers(tuple(registers))
     h_labels = label_entropy(reduced, reduced.registers)
-    avg = sum(
-        p * von_neumann_entropy(mat)
-        for p, mat in reduced.blocks.values()
-        if p > 0.0
-    )
-    return h_labels + avg
+    blocks = reduced.blocks.values()  # all of positive weight
+    ents = _entropies([mat for _, mat in blocks])
+    return h_labels + sum(p * h for (p, _), h in zip(blocks, ents))
 
 
 def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()) -> float:
@@ -269,22 +266,21 @@ def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()) -
     overlap = set(classical) & set(given)
     if overlap:
         raise ValueError(f"registers {overlap} appear on both sides")
-    joint = state.marginal_registers(given + classical)
-    n_given = len(given)
+    joint = state.marginal_registers(given + classical)  # drops zero weights
     groups: dict = {}
     for label, (p, mat) in joint.blocks.items():
-        if p <= 0.0:
-            continue
-        c, a = label[:n_given], label[n_given:]
-        groups.setdefault(c, {})[a] = (p, mat)
+        groups.setdefault(label[: len(given)], []).append((p, mat))
+    # Per group c: its average state, then its members; one stacked call.
+    stack = []
+    for sub in groups.values():
+        p_c = sum(p for p, _ in sub)
+        stack += [sum(p * mat for p, mat in sub) / p_c] + [mat for _, mat in sub]
+    ents = iter(_entropies(stack))
     total = 0.0
-    for c, sub in groups.items():
-        p_c = sum(p for p, _ in sub.values())
-        avg_state = sum(p * mat for p, mat in sub.values()) / p_c
-        inner = sum(
-            (p / p_c) * von_neumann_entropy(mat) for p, mat in sub.values()
-        )
-        total += p_c * (von_neumann_entropy(avg_state) - inner)
+    for sub in groups.values():
+        p_c = sum(p for p, _ in sub)
+        h_avg = next(ents)
+        total += p_c * (h_avg - sum((p / p_c) * next(ents) for p, _ in sub))
     return float(total)
 
 
@@ -541,40 +537,11 @@ def _check_biases(delta1: float, delta: float) -> None:
             raise ValueError(f"{name} must lie strictly inside (0, 0.5), got {val}")
 
 
-def example1_channel(delta1: float, delta: float) -> CqChannel:
-    """Binary-input channel with commuting (classical) qubit outputs.
-
-    Receiver 1 sees the parity x1 + x2 + x3 through a flip-probability
-    ``delta1`` symmetric channel embedded in the computational basis;
-    receivers 2 and 3 see their own inputs through bias ``delta``.
-    Sender 1 pays unit cost for the symbol 1.
-    """
+def _parity_channel(factor, delta1: float, delta: float) -> CqChannel:
+    """Binary channel with outputs factor(x1 + x2 + x3 mod 2, delta1) at
+    receiver 1 and factor(x_j, delta) at receiver j; sender 1 pays unit
+    cost for the symbol 1."""
     _check_biases(delta1, delta)
-    states = {}
-    for x1, x2, x3 in itertools.product(range(2), repeat=3):
-        parity = (x1 + x2 + x3) % 2
-        mat = np.kron(
-            np.kron(_classical_qubit(parity, delta1), _classical_qubit(x2, delta)),
-            _classical_qubit(x3, delta),
-        )
-        states[(x1, x2, x3)] = DensityOperator(mat)
-    costs = (np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
-    return CqChannel((2, 2, 2), (2, 2, 2), states, costs)
-
-
-def example2_channel(delta1: float, delta: float) -> CqChannel:
-    """Binary-input channel whose outputs mix the non-commuting qubit pair.
-
-    The receiver-1 factor is example2_mix(1 - delta1) when the input parity
-    is 0 and example2_mix(delta1) otherwise; receivers 2 and 3 get the same
-    construction from their own inputs at bias ``delta``.  Sender 1 pays
-    unit cost for the symbol 1.
-    """
-    _check_biases(delta1, delta)
-
-    def factor(bit: int, flip: float) -> np.ndarray:
-        return example2_mix(1.0 - flip) if bit == 0 else example2_mix(flip)
-
     states = {}
     for x1, x2, x3 in itertools.product(range(2), repeat=3):
         parity = (x1 + x2 + x3) % 2
@@ -585,6 +552,32 @@ def example2_channel(delta1: float, delta: float) -> CqChannel:
         states[(x1, x2, x3)] = DensityOperator(mat)
     costs = (np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
     return CqChannel((2, 2, 2), (2, 2, 2), states, costs)
+
+
+def example1_channel(delta1: float, delta: float) -> CqChannel:
+    """Binary-input channel with commuting (classical) qubit outputs.
+
+    Receiver 1 sees the parity x1 + x2 + x3 through a flip-probability
+    ``delta1`` symmetric channel embedded in the computational basis;
+    receivers 2 and 3 see their own inputs through bias ``delta``.
+    Sender 1 pays unit cost for the symbol 1.
+    """
+    return _parity_channel(_classical_qubit, delta1, delta)
+
+
+def _mixed_qubit(bit: int, flip: float) -> np.ndarray:
+    return example2_mix(1.0 - flip) if bit == 0 else example2_mix(flip)
+
+
+def example2_channel(delta1: float, delta: float) -> CqChannel:
+    """Binary-input channel whose outputs mix the non-commuting qubit pair.
+
+    The receiver-1 factor is example2_mix(1 - delta1) when the input parity
+    is 0 and example2_mix(delta1) otherwise; receivers 2 and 3 get the same
+    construction from their own inputs at bias ``delta``.  Sender 1 pays
+    unit cost for the symbol 1.
+    """
+    return _parity_channel(_mixed_qubit, delta1, delta)
 
 
 def binary_input_distribution(tau: float) -> InputDistribution:
@@ -608,8 +601,8 @@ def binary_split_distribution(tau: float, mode: str = "structured") -> SplitInpu
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    p = np.zeros((2, 1, 2)) if mode == "structured" else np.zeros((2, 2, 2))
     if mode == "structured":
+        p = np.zeros((2, 1, 2))
         p[0, 0, 0] = 0.5
         p[1, 0, 1] = 0.5
     elif mode == "usb":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
-from .regions import _example1_closed_forms, conv
+from .regions import _example1_closed_forms, _structured_feasible, conv
 
 __all__ = [
     "ClassicalIcInstance",
@@ -402,6 +402,6 @@ def capacity_report(delta1: float, delta: float, tau: float) -> dict:
         "unstructured_lhs": lhs,
         "unstructured_rhs": rhs,
         "unstructured_impossible": bool(lhs > rhs),
-        "structured_feasible": bool(conv(tau, delta1) <= delta + 1e-9 and delta < 0.5),
+        "structured_feasible": _structured_feasible(delta1, delta, tau),
         "effective_bias": conv(tau, delta1),
     }

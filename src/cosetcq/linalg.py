@@ -31,11 +31,12 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def _check_square_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def _check_square_hermitian(mat, atol: float = HERMITIAN_ATOL, ndim: int = 2) -> np.ndarray:
+    """``mat`` as a complex array of ``ndim`` axes, the last two a Hermitian square."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.conj().T, atol=atol, rtol=0):
+    if not np.allclose(mat, mat.conj().swapaxes(-1, -2), atol=atol, rtol=0):
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
 
@@ -111,15 +112,25 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
     Eigenvalues in (-1e-10, 0) are treated as exact zeros; anything more
     negative raises.
     """
+    return _entropies([_as_matrix(rho)], base)[0]
+
+
+def _entropies(stack, base: float = 2.0) -> list:
+    """Entropies (Python floats) of a stack of density matrices, in order.
+
+    The checks of ``von_neumann_entropy`` run once over the stack and one
+    ``eigvalsh`` diagonalises it; each entry equals the one-matrix result.
+    """
     if base <= 1.0:
         raise ValueError(f"entropy base must exceed 1, got {base}")
-    mat = _as_matrix(rho)
-    w = np.linalg.eigvalsh(_check_square_hermitian(mat))
+    w = np.linalg.eigvalsh(_check_square_hermitian(stack, ndim=3))
     if w.min() < -HERMITIAN_ATOL:
         raise ValueError(f"not positive semidefinite: eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    w = w[w > 0.0]
-    return float(-(w @ np.log(w)) / np.log(base))
+    out = []
+    for row in np.clip(w, 0.0, None):
+        row = row[row > 0.0]
+        out.append(float(-(row @ np.log(row)) / np.log(base)))
+    return out
 
 
 def tensor(a, b) -> np.ndarray:

@@ -3,8 +3,10 @@ message splitting, and the unstructured baseline."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from math import comb, prod
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .channels import (
     split_sigma_receiver,
 )
 from .errors import BudgetExceededError, ConsistencyError
-from .linalg import von_neumann_entropy
+from .linalg import _entropies, von_neumann_entropy
 
 __all__ = [
     "hb",
@@ -78,9 +80,9 @@ def shannon(pmf) -> float:
 def _holevo(pmf, states) -> float:
     """Holevo information (bits) of the ensemble {pmf[i], states[i]}."""
     avg = sum(p * s for p, s in zip(pmf, states))
-    return von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(s) for p, s in zip(pmf, states) if p > 0.0
-    )
+    kept = [(p, s) for p, s in zip(pmf, states) if p > 0.0]
+    h_avg, *ents = _entropies([avg] + [s for _, s in kept])
+    return h_avg - sum(p * h for (p, _), h in zip(kept, ents))
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,14 @@ def _make_constraint(name: str, coeffs: tuple, rhs: float) -> Constraint:
     return Constraint(name, coeffs, float(rhs))
 
 
+@functools.lru_cache(maxsize=None)
+def _plane_triples(planes: int) -> np.ndarray:
+    """Every 3-subset of ``range(planes)`` in combinations order, shape (T, 3)."""
+    trios = np.array(list(itertools.combinations(range(planes), 3)), dtype=np.intp)
+    trios.setflags(write=False)
+    return trios
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """A rate region cut out by linear constraints plus cost expectations.
@@ -157,30 +167,24 @@ class RegionSpec:
     def corner_points(self, tol: float = 1e-9) -> np.ndarray:
         """Vertices of the polytope (rates only), one per row.
 
-        Enumerates intersections of constraint-plane triples, including the
-        nonnegativity facets, and keeps the feasible ones.
+        Intersects every triple of constraint planes, including the
+        nonnegativity facets, in one batched solve and keeps the feasible
+        points.
         """
-        planes = [(np.asarray(c.coeffs, dtype=float), c.rhs) for c in self.constraints]
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = -1.0
-            planes.append((e, 0.0))
-        corners = []
-        for trio in itertools.combinations(range(len(planes)), 3):
-            a = np.stack([planes[i][0] for i in trio])
-            b = np.array([planes[i][1] for i in trio])
-            if abs(np.linalg.det(a)) < 1e-12:
-                continue
-            v = np.linalg.solve(a, b)
-            if v.min() < -tol:
-                continue
-            if any(float(np.dot(c.coeffs, v)) > c.rhs + tol for c in self.constraints):
-                continue
-            corners.append(np.clip(v, 0.0, None))
-        if not corners:
+        coeffs = np.array([c.coeffs for c in self.constraints], dtype=float).reshape(-1, 3)
+        rhs = np.array([c.rhs for c in self.constraints], dtype=float)
+        normals = np.vstack([coeffs, np.diag(-np.ones(3))])
+        offsets = np.concatenate([rhs, np.zeros(3)])
+        trios = _plane_triples(len(normals))
+        a, b = normals[trios], offsets[trios]
+        regular = ~(np.abs(np.linalg.det(a)) < 1e-12)
+        v = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
+        # Negated comparisons, as in a scalar skip test, so NaN rows survive.
+        feasible = ~(v.min(axis=1) < -tol)
+        feasible &= ~np.any(v @ coeffs.T > rhs + tol, axis=1)
+        if not feasible.any():
             return np.zeros((1, 3))
-        uniq = np.unique(np.round(np.array(corners), 9), axis=0)
-        return uniq
+        return np.unique(np.round(np.clip(v[feasible], 0.0, None), 9), axis=0)
 
     def max_weighted_sum(self, weights) -> tuple:
         """Maximum of weights . r over the region and the attaining corner."""
@@ -337,14 +341,9 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
         aux_average(channel, x1, pmfs[1][None, :], pmfs[2][None, :], 0)
         for x1 in range(channel.input_sizes[0])
     ]
-    info = [_holevo(pmfs[0], rho1)]
-    for j in (1, 2):
-        probe = [0, 0, 0]
-        states = []
-        for x in range(channel.input_sizes[j]):
-            probe[j] = x
-            states.append(channel.output_marginal(tuple(probe), j))
-        info.append(_holevo(pmfs[j], states))
+    # 3-to-1: receiver j's state depends on x_j alone, so hold the others at 0.
+    side = (channel.marginals[1][0, :, 0], channel.marginals[2][0, 0, :])
+    info = [_holevo(pmfs[0], rho1)] + [_holevo(p, s) for p, s in zip(pmfs[1:], side)]
     constraints = (
         _make_constraint("r1", (1, 0, 0), info[0]),
         _make_constraint("r2", (0, 1, 0), info[1]),
@@ -385,6 +384,12 @@ def _example1_closed_forms(delta1: float, delta: float, tau: float) -> tuple:
     return hb(conv(tau, delta1)) - hb(delta1), 1.0 - hb(delta), 1.0 - hb(delta1)
 
 
+def _structured_feasible(delta1: float, delta: float, tau: float) -> bool:
+    """Receiver 1 can decode the interference sum: conv(tau, delta1) <= delta
+    < 1/2, with 1e-9 slack because the canonical tau saturates the first."""
+    return bool(conv(tau, delta1) <= delta + 1e-9 and delta < 0.5)
+
+
 def example_separation_witness(
     example: int, delta1: float, delta: float, tau: float = None
 ) -> SeparationReport:
@@ -414,9 +419,7 @@ def example_separation_witness(
         capj = s(0.5) - s(delta)
         rhs = s(0.5) - s(delta1)
     lhs = cap1 + 2.0 * capj
-    # The aggregate decode at receiver 1 needs conv(tau, delta1) <= delta;
-    # the canonical tau saturates this, so compare with a small slack.
-    structured_ok = conv(tau, delta1) <= delta + 1e-9 and delta < 0.5
+    structured_ok = _structured_feasible(delta1, delta, tau)
     point = RatePoint(max(cap1, 0.0), capj, capj, tau, 0.0, 0.0)
     region = theorem1_region(channel, binary_input_distribution(tau))
     in_region = region.contains(point, tol=1e-9)
@@ -474,20 +477,12 @@ def grid_search(
     if w.shape != (3,):
         raise ValueError("objective must be a weight triple")
     n_x1, n_x2, n_x3 = channel.input_sizes
-
-    def count(atoms):
-        steps = resolution - 1
-        from math import comb
-
-        return comb(steps + atoms - 1, atoms - 1)
-
-    total = count(n_x1) * count(q * n_x2) * count(q * n_x3)
+    total = prod(comb(resolution + a - 2, a - 1) for a in (n_x1, q * n_x2, q * n_x3))
     if total > budget:
         raise BudgetExceededError(
             f"grid search would evaluate {total} regions, budget is {budget}"
         )
     best = None
-    evals = 0
     for p_x1 in simplex_grid(n_x1, resolution):
         for p22 in simplex_grid(q * n_x2, resolution):
             for p33 in simplex_grid(q * n_x3, resolution):
@@ -499,7 +494,6 @@ def grid_search(
                 )
                 region = theorem1_region(channel, dist)
                 value, corner = region.max_weighted_sum(w)
-                evals += 1
                 if best is None or value > best[0]:
                     best = (value, corner, dist)
-    return GridSearchResult(best[0], best[1], best[2], evals)
+    return GridSearchResult(*best, evaluations=total)

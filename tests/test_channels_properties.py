@@ -18,10 +18,18 @@ from cosetcq.channels import (
     CqChannel,
     InputDistribution,
     SplitInputDistribution,
+    cq_entropy,
+    cq_mutual_information,
+    label_entropy,
     sigma1,
     split_sigma1,
 )
-from cosetcq.linalg import DensityOperator, partial_trace, random_density
+from cosetcq.linalg import (
+    DensityOperator,
+    partial_trace,
+    random_density,
+    von_neumann_entropy,
+)
 from cosetcq.regions import theorem3_region, usb_region
 
 Q = 3
@@ -141,6 +149,51 @@ def test_degenerate_split_region_equals_usb(seed, sparse):
     np.testing.assert_allclose(
         structured.cost_expectations, baseline.cost_expectations, rtol=0, atol=1e-12
     )
+
+
+def _reference_cq_mi(state, classical, given=()):
+    """Holevo information with one ``von_neumann_entropy`` call per block."""
+    joint = state.marginal_registers(given + classical)
+    groups: dict = {}
+    for label, (p, mat) in joint.blocks.items():
+        if p > 0.0:
+            groups.setdefault(label[: len(given)], {})[label[len(given):]] = (p, mat)
+    total = 0.0
+    for sub in groups.values():
+        p_c = sum(p for p, _ in sub.values())
+        avg = sum(p * mat for p, mat in sub.values()) / p_c
+        inner = sum((p / p_c) * von_neumann_entropy(mat) for p, mat in sub.values())
+        total += p_c * (von_neumann_entropy(avg) - inner)
+    return float(total)
+
+
+def _reference_cq_entropy(state, registers):
+    reduced = state.marginal_registers(registers)
+    return label_entropy(reduced, reduced.registers) + sum(
+        p * von_neumann_entropy(mat) for p, mat in reduced.blocks.values() if p > 0.0
+    )
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_stacked_entropy_sums_equal_per_block_loops(seed, sparse):
+    """Same blocks, same summation order: the stacked kernel keeps every bit."""
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    dist = InputDistribution(
+        Q,
+        _random_pmf(rng, 3, sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+    )
+    state = sigma1(chan, dist)
+    for classical, given_ in ((("x1",), ("u",)), (("u",), ("x1",)), (("x1", "u"), ())):
+        got = cq_mutual_information(state, classical, given_)
+        assert got == _reference_cq_mi(state, classical, given_)
+    for registers in ((), ("x1",), ("u",), ("x1", "u")):
+        got = cq_entropy(state, registers)
+        want = _reference_cq_entropy(state, registers)
+        assert type(got) is type(want) and got == want
 
 
 @PROPERTY

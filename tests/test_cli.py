@@ -192,8 +192,16 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["region", "--example", "2", "--theorem", th], f"region_example2_theorem{th}")
+        (["region", "--example", ex, "--theorem", th], f"region_example{ex}_theorem{th}")
+        for ex in ("1", "2")
         for th in ("1", "3", "usb")
+    ]
+    + [
+        (
+            ["separation", "--example", ex, "--delta1", "0.01", "--delta", "0.1"],
+            f"separation_example{ex}",
+        )
+        for ex in ("1", "2")
     ]
     + [
         (

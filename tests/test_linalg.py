@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcq.linalg import (
     DensityOperator,
+    _entropies,
     HermitianOperator,
     eig_hermitian,
     partial_trace,
@@ -123,3 +126,51 @@ def test_random_density_is_a_state():
         assert rho.matrix.shape == (dim, dim)
         assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-10)
         assert rho.eigenvalues().min() >= -1e-12
+
+
+def _random_rank_state(dim, rank, rng):
+    """A density matrix of the given rank (rank < dim gives exact zero eigenvalues)."""
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    mat = g @ g.conj().T
+    mat /= np.trace(mat).real
+    return 0.5 * (mat + mat.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]), st.integers(1, 12))
+def test_stacked_entropies_equal_one_matrix_entropy(seed, dim, size):
+    rng = np.random.default_rng(seed)
+    stack = [_random_rank_state(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(size)]
+    got = _entropies(stack)
+    assert len(got) == size
+    for block, h in zip(stack, got):
+        assert type(h) is float
+        assert h == von_neumann_entropy(block)  # bit for bit, not approx
+    base_e = _entropies(np.array(stack), base=np.e)
+    assert base_e == [von_neumann_entropy(b, base=np.e) for b in stack]
+
+
+def test_stacked_entropies_keep_the_hermitian_check():
+    stack = np.array([np.eye(2) / 2] * 5, dtype=complex)
+    stack[3, 0, 1] = 0.25
+    stack[3, 1, 0] = 0.25 + 2e-10
+    with pytest.raises(ValueError, match="Hermitian"):
+        _entropies(stack)
+    stack[3, 1, 0] = 0.25 + 5e-11  # inside the unchanged 1e-10 tolerance
+    assert len(_entropies(stack)) == 5
+
+
+def test_stacked_entropies_keep_the_psd_check():
+    stack = np.array([np.eye(2) / 2] * 4, dtype=complex)
+    stack[2] = np.diag([1.0 + 2e-10, -2e-10])
+    with pytest.raises(ValueError, match="semidefinite"):
+        _entropies(stack)
+    stack[2] = np.diag([1.0 + 5e-11, -5e-11])  # rounding dip, treated as zero
+    assert _entropies(stack)[2] == von_neumann_entropy(stack[2])
+
+
+def test_stacked_entropies_reject_bad_shapes_and_base():
+    with pytest.raises(ValueError, match="square"):
+        _entropies(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="base"):
+        _entropies([np.eye(2) / 2], base=1.0)

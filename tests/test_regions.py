@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcq.channels import (
     InputDistribution,
@@ -103,6 +107,61 @@ def test_region_spec_sum_constraint_corner():
     assert value == pytest.approx(1.5)
     assert not region.contains(RatePoint(1.0, 1.0, 0.0))
     assert region.contains(RatePoint(1.0, 0.5, 0.0))
+
+
+def _reference_corner_points(region, tol=1e-9):
+    """The one-triple-at-a-time vertex enumeration the batched solve replaced."""
+    planes = [(np.asarray(c.coeffs, dtype=float), c.rhs) for c in region.constraints]
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = -1.0
+        planes.append((e, 0.0))
+    corners = []
+    for trio in itertools.combinations(range(len(planes)), 3):
+        a = np.stack([planes[i][0] for i in trio])
+        b = np.array([planes[i][1] for i in trio])
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        v = np.linalg.solve(a, b)
+        if v.min() < -tol:
+            continue
+        if any(float(np.dot(c.coeffs, v)) > c.rhs + tol for c in region.constraints):
+            continue
+        corners.append(np.clip(v, 0.0, None))
+    if not corners:
+        return np.zeros((1, 3))
+    return np.unique(np.round(np.array(corners), 9), axis=0)
+
+
+# Small integer coefficients and rhs values that often coincide, so singular
+# triples, repeated vertices and empty or unbounded regions are all common.
+constraint_lists = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(-1, 2)] * 3),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_lists, st.tuples(*[st.floats(-1.0, 2.0)] * 3))
+def test_batched_corners_equal_triple_loop(constraints, weights):
+    region = RegionSpec(
+        tuple(Constraint(f"c{i}", co, rhs) for i, (co, rhs) in enumerate(constraints)),
+        (0.0, 0.0, 0.0),
+    )
+    want = _reference_corner_points(region)
+    got = region.corner_points()
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # no -0.0 either
+    values = want @ np.asarray(weights)
+    best = int(np.argmax(values))
+    value, corner = region.max_weighted_sum(weights)
+    assert value == float(values[best])
+    assert np.array_equal(corner, want[best])
 
 
 def test_region_spec_cost_budgets():
