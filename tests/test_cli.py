@@ -192,16 +192,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["region", "--example", ex, "--theorem", th], f"region_example{ex}_theorem{th}")
-        for ex in ("1", "2")
+        (["region", "--example", "2", "--theorem", th], f"region_example2_theorem{th}")
         for th in ("1", "3", "usb")
-    ]
-    + [
-        (
-            ["separation", "--example", ex, "--delta1", "0.01", "--delta", "0.1"],
-            f"separation_example{ex}",
-        )
-        for ex in ("1", "2")
     ]
     + [
         (
@@ -210,6 +202,17 @@ GOLDEN = Path(__file__).parent / "golden"
             f"simulate_seed7_baseline_{dec}",
         )
         for dec in ("typicality", "ml")
+    ]
+    + [
+        (["region", "--example", "1", "--theorem", th], f"region_example1_theorem{th}")
+        for th in ("1", "3", "usb")
+    ]
+    + [
+        (
+            ["separation", "--example", ex, "--delta1", "0.01", "--delta", "0.1"],
+            f"separation_example{ex}",
+        )
+        for ex in ("1", "2")
     ],
 )
 def test_output_matches_golden_bytes(argv, name, capsys):
