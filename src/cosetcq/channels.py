@@ -5,9 +5,10 @@ the tensor product of three receiver spaces.  Channels of interest here are
 3-to-1: receivers 2 and 3 each see a reduced state depending only on their
 own input, so all interference lands on receiver 1.
 
-Classical-quantum states are kept block-diagonal: a ``CqState`` is a map
-from classical register labels to (probability, density matrix) pairs, never
-an explicit diagonal embedding.
+Classical-quantum states are kept block-diagonal: a ``CqState`` holds one
+weight and one density matrix per classical label, as arrays over the label
+grid with a leading axis over input pmfs, never an explicit diagonal
+embedding.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
 from .errors import ModelViolationError
-from .linalg import DensityOperator, _entropies, partial_trace, trace_distance
+from .linalg import DensityOperator, _entropies, _row_dots, partial_trace, trace_distance
 
 __all__ = [
     "CqChannel",
@@ -27,7 +29,6 @@ __all__ = [
     "InputDistribution",
     "SplitInputDistribution",
     "is_3to1",
-    "aux_average",
     "sigma1",
     "sigma2",
     "split_sigma1",
@@ -115,11 +116,10 @@ class CqChannel:
     def marginals(self) -> tuple:
         """Per receiver j, the reduced output states as a read-only
         (|X1|, |X2|, |X3|, d_j, d_j) array, traced out once on first use."""
+        states = np.stack([self.states[x].matrix for x in self.inputs()])
         out = []
         for j, d in enumerate(self.output_dims):
-            arr = np.empty(self.input_sizes + (d, d), dtype=complex)
-            for x in self.inputs():
-                arr[x] = partial_trace(self.states[x].matrix, self.output_dims, [j])
+            arr = partial_trace(states, self.output_dims, [j]).reshape(self.input_sizes + (d, d))
             arr.setflags(write=False)
             out.append(arr)
         return tuple(out)
@@ -160,85 +160,138 @@ def is_3to1(channel: CqChannel, tol: float = 1e-9):
     return True, None
 
 
-@dataclass(frozen=True)
 class CqState:
-    """Block-diagonal classical-quantum state.
+    """Block-diagonal classical-quantum state on a grid of register labels.
 
-    Attributes
-    ----------
-    registers : tuple of str
-        Names of the classical registers, in label order.
-    quantum_dims : tuple of int
-        Factor dimensions of the quantum part.
-    blocks : dict
-        label tuple -> (probability, density matrix ndarray).  Zero-weight
-        labels may be omitted; weights must sum to 1.
+    Held as arrays with a leading pmf axis of length B: ``weights``
+    (B, *label_sizes) and ``mats`` (B, *label_sizes, d, d), one block per
+    label; a label absent from the state has weight 0.  ``label_entropy``,
+    ``cq_entropy`` and ``cq_mutual_information`` answer with one value per
+    pmf, or a single number when B = 1.  Their sums run in label order from
+    +0 and also add the zero-weight terms, which changes no bit: x + 0 == x
+    unless x is -0.0, and a sum started at +0 never is.
+
+    ``CqState(registers, quantum_dims, blocks)`` builds a one-pmf state from
+    a dict mapping label tuples of non-negative ints to (probability,
+    density matrix).  Every pmf's weights must sum to 1.
     """
 
-    registers: tuple
-    quantum_dims: tuple
-    blocks: dict
-
-    def __post_init__(self) -> None:
-        total = sum(p for p, _ in self.blocks.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"block weights sum to {total!r}, expected 1")
-        dim = int(np.prod(self.quantum_dims))
-        for label, (p, mat) in self.blocks.items():
-            if len(label) != len(self.registers):
+    def __init__(self, registers, quantum_dims, blocks: dict) -> None:
+        dim = int(np.prod(quantum_dims))
+        sizes = [0] * len(registers)
+        for label, (_, mat) in blocks.items():
+            if len(label) != len(registers) or min(label, default=0) < 0:
                 raise ValueError(f"label {label} does not match registers")
-            if p < -1e-12:
-                raise ValueError(f"negative weight for label {label}")
-            if mat.shape != (dim, dim):
-                raise ValueError(f"block {label} has shape {mat.shape}")
+            if np.shape(mat) != (dim, dim):
+                raise ValueError(f"block {label} has shape {np.shape(mat)}")
+            sizes = [max(n, int(i) + 1) for n, i in zip(sizes, label)]
+        weights = np.zeros([1] + sizes)
+        mats = np.zeros([1] + sizes + [dim, dim], dtype=complex)
+        for label, (p, mat) in blocks.items():
+            weights[(0, *label)], mats[(0, *label)] = p, mat
+        self._fill(registers, quantum_dims, weights, mats)._check()
+
+    @classmethod
+    def _of(cls, registers, quantum_dims, weights, mats) -> "CqState":
+        """A state over given arrays, unchecked: only built states need ``_check``."""
+        return cls.__new__(cls)._fill(registers, quantum_dims, weights, mats)
+
+    def _fill(self, registers, quantum_dims, weights, mats) -> "CqState":
+        self.registers = tuple(registers)
+        self.quantum_dims = tuple(int(d) for d in quantum_dims)
+        self.weights, self.mats = weights, mats
+        return self
+
+    def _check(self) -> "CqState":
+        """Every pmf's weights sum to 1 within 1e-9; none is below -1e-12."""
+        totals = self.weights.reshape(len(self.weights), -1).sum(axis=1)
+        off = totals[np.abs(totals - 1.0) > 1e-9]
+        if len(off):
+            raise ValueError(f"block weights sum to {float(off[0])!r}, expected 1")
+        if self.weights.min() < -1e-12:
+            label = np.argwhere(self.weights < -1e-12)[0][1:]
+            raise ValueError(f"negative weight for label {tuple(label.tolist())}")
+        return self
+
+    @property
+    def blocks(self) -> dict:
+        """label -> (probability, block) for the labels of nonzero weight, in
+        label order; one-pmf states only."""
+        if len(self.weights) != 1:
+            raise ValueError(f"a state of {len(self.weights)} pmfs has a block dict per pmf")
+        labels = (tuple(label.tolist()) for label in np.argwhere(self.weights[0]))
+        return {label: (self.weights[0][label], self.mats[0][label]) for label in labels}
 
     def mixture(self) -> np.ndarray:
         """The unconditional quantum state (classical registers traced out)."""
-        dim = int(np.prod(self.quantum_dims))
-        out = np.zeros((dim, dim), dtype=complex)
-        for p, mat in self.blocks.values():
-            out += p * mat
-        return out
+        w = self.weights.reshape(len(self.weights), -1)
+        mats = self.mats.reshape(w.shape + self.mats.shape[-2:])
+        out = np.zeros((len(w),) + mats.shape[-2:], dtype=complex)
+        for k in range(w.shape[1]):
+            out += w[:, k, None, None] * mats[:, k]
+        return out if len(out) > 1 else out[0]
 
     def marginal_registers(self, keep: tuple) -> "CqState":
-        """Marginalize classical registers not named in ``keep``."""
-        idx = [self.registers.index(name) for name in keep]
-        merged: dict = {}
-        for label, (p, mat) in self.blocks.items():
-            if p <= 0.0:
-                continue
-            sub = tuple(label[i] for i in idx)
-            if sub in merged:
-                merged[sub][0] += p
-                merged[sub][1] += p * mat
-            else:
-                merged[sub] = [p, p * mat.copy()]
-        blocks = {lab: (p, mat / p) for lab, (p, mat) in merged.items()}
-        return CqState(tuple(keep), self.quantum_dims, blocks)
+        """Marginalize classical registers not named in ``keep``: the blocks
+        of one kept label give (p_1 rho_1 + p_2 rho_2 + ...) / (p_1 + p_2 + ...)
+        in label order, zero weights skipped."""
+        keep = tuple(keep)
+        w = _regroup(self.weights, self.registers, keep)
+        mats = _regroup(self.mats, self.registers, keep, 2)
+        weights = np.zeros(w.shape[:-1])
+        # -0.0 + x == x for every x, -0.0 included: a label's first block is
+        # taken exactly as it is
+        acc = np.full(weights.shape + mats.shape[-2:], complex(-0.0, -0.0))
+        for k in range(w.shape[-1]):
+            pos = w[..., k] > 0.0
+            term = w[..., k, None, None] * mats[..., k, :, :]
+            acc = np.where(pos[..., None, None], acc + term, acc)
+            weights = np.where(pos, weights + w[..., k], weights)
+        acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
+        return CqState._of(keep, self.quantum_dims, weights, acc)
 
     def reduce_quantum(self, keep) -> "CqState":
         """Partial-trace every block down to the given quantum factors."""
         keep = sorted(int(i) for i in keep)
-        blocks = {
-            lab: (p, partial_trace(mat, self.quantum_dims, keep))
-            for lab, (p, mat) in self.blocks.items()
-        }
-        new_dims = tuple(self.quantum_dims[i] for i in keep)
-        return CqState(self.registers, new_dims, blocks)
+        mats = partial_trace(self.mats, self.quantum_dims, keep)
+        dims = tuple(self.quantum_dims[i] for i in keep)
+        return CqState._of(self.registers, dims, self.weights, mats)
 
 
-def label_entropy(state: CqState, registers: tuple) -> float:
+def _regroup(arr: np.ndarray, registers: tuple, keep: tuple, trailing: int = 0) -> np.ndarray:
+    """``arr`` (B, *label_sizes, *trailing axes) with the ``keep`` registers'
+    axes first, in that order, then one axis over the other registers'
+    labels in label order."""
+    idx = [registers.index(name) for name in keep]
+    order = idx + [i for i in range(len(registers)) if i not in idx]
+    if order != sorted(order):
+        tail = list(range(1 + len(registers), arr.ndim))
+        arr = arr.transpose([0] + [1 + i for i in order] + tail)
+    return arr.reshape(arr.shape[: 1 + len(keep)] + (-1,) + arr.shape[arr.ndim - trailing :])
+
+
+def _per_pmf(values: np.ndarray, cast):
+    """``values``, one per pmf, or for a single pmf its entry as ``cast``."""
+    return values if len(values) > 1 else cast(values[0])
+
+
+def _shannon_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the positive entries of each row of ``p``, in order."""
+    pos = p > 0.0
+    return -_row_dots(np.where(pos, p, 0.0), np.log2(np.where(pos, p, 1.0)))
+
+
+def label_entropy(state: CqState, registers: tuple):
     """Shannon entropy (bits) of the named classical registers' marginal."""
-    idx = [state.registers.index(name) for name in registers]
-    pmf: dict = {}
-    for label, (p, _) in state.blocks.items():
-        key = tuple(label[i] for i in idx)
-        pmf[key] = pmf.get(key, 0.0) + p
-    probs = np.array([p for p in pmf.values() if p > 0.0])
-    return float(-(probs @ np.log2(probs)))
+    registers = sorted(registers, key=state.registers.index)  # sums in label order
+    w = _regroup(state.weights, state.registers, registers)
+    pmf = np.zeros(w.shape[:-1])
+    for k in range(w.shape[-1]):
+        pmf = pmf + w[..., k]
+    return _per_pmf(_shannon_bits(pmf.reshape(len(pmf), -1)), float)
 
 
-def cq_entropy(state: CqState, registers: tuple = None) -> float:
+def cq_entropy(state: CqState, registers: tuple = None):
     """Von Neumann entropy (bits) of the state with only ``registers`` kept.
 
     ``registers=None`` keeps every classical register; ``()`` gives the
@@ -247,49 +300,53 @@ def cq_entropy(state: CqState, registers: tuple = None) -> float:
     """
     if registers is None:
         registers = state.registers
-    reduced = state.marginal_registers(tuple(registers))
-    h_labels = label_entropy(reduced, reduced.registers)
-    blocks = reduced.blocks.values()  # all of positive weight
-    ents = _entropies([mat for _, mat in blocks])
-    return h_labels + sum(p * h for (p, _), h in zip(blocks, ents))
+    reduced = state.marginal_registers(sorted(registers, key=state.registers.index))
+    w = reduced.weights.reshape(len(reduced.weights), -1)
+    ents = np.reshape(_entropies(reduced.mats), w.shape)
+    avg = np.zeros(len(w))
+    for k in range(w.shape[1]):
+        avg = avg + w[:, k] * ents[:, k]
+    return _per_pmf(label_entropy(reduced, reduced.registers) + avg, np.float64)
 
 
-def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()) -> float:
+def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()):
     """Holevo information I(quantum ; classical | given) in bits.
 
     Computed as sum_c p(c) [ S(rho_c) - sum_a p(a|c) S(rho_{a,c}) ] where
     ``a`` runs over the ``classical`` registers and ``c`` over ``given``.
-    Zero-probability conditioning labels are skipped.
     """
-    classical = tuple(classical)
-    given = tuple(given)
+    classical, given = tuple(classical), tuple(given)
     overlap = set(classical) & set(given)
     if overlap:
         raise ValueError(f"registers {overlap} appear on both sides")
-    joint = state.marginal_registers(given + classical)  # drops zero weights
-    groups: dict = {}
-    for label, (p, mat) in joint.blocks.items():
-        groups.setdefault(label[: len(given)], []).append((p, mat))
-    # Per group c: its average state, then its members; one stacked call.
-    stack = []
-    for sub in groups.values():
-        p_c = sum(p for p, _ in sub)
-        stack += [sum(p * mat for p, mat in sub) / p_c] + [mat for _, mat in sub]
-    ents = iter(_entropies(stack))
-    total = 0.0
-    for sub in groups.values():
-        p_c = sum(p for p, _ in sub)
-        h_avg = next(ents)
-        total += p_c * (h_avg - sum((p / p_c) * next(ents) for p, _ in sub))
-    return float(total)
+    joint = state.marginal_registers(given + classical)
+    groups = prod(joint.weights.shape[1 : 1 + len(given)])
+    w = joint.weights.reshape(len(joint.weights), groups, -1)
+    mats = joint.mats.reshape(w.shape + joint.mats.shape[-2:])
+    p_c = np.zeros(w.shape[:2])
+    avg = np.zeros(p_c.shape + mats.shape[-2:], dtype=complex)
+    for a in range(w.shape[2]):
+        p_c = p_c + w[:, :, a]
+        avg = avg + w[:, :, a, None, None] * mats[:, :, a]
+    safe = np.where(p_c > 0.0, p_c, 1.0)
+    # Per group c its average state, then its members: one stacked call.
+    stack = np.concatenate([(avg / safe[..., None, None])[:, :, None], mats], axis=2)
+    ents = np.reshape(_entropies(stack), stack.shape[:3])
+    inner = np.zeros(p_c.shape)
+    for a in range(w.shape[2]):
+        inner = inner + (w[:, :, a] / safe) * ents[:, :, 1 + a]
+    total = np.zeros(len(w))
+    for c in range(groups):
+        total = total + p_c[:, c] * (ents[:, c, 0] - inner[:, c])
+    return _per_pmf(total, float)
 
 
-def classical_conditional_entropy(state: CqState, registers: tuple) -> float:
+def classical_conditional_entropy(state: CqState, registers: tuple):
     """H(registers | quantum part) in bits, other registers marginalized."""
     return cq_entropy(state, tuple(registers)) - cq_entropy(state, ())
 
 
-def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple) -> float:
+def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple):
     """I(A ; B, quantum) in bits for disjoint classical register sets A, B."""
     a_regs, b_regs = tuple(a_regs), tuple(b_regs)
     if set(a_regs) & set(b_regs):
@@ -302,12 +359,13 @@ def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple) -> float:
 
 
 def _cyclic_sum_pmf(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
-    """Distribution of a + b mod q for independent a ~ p_a, b ~ p_b over Z_q."""
-    q = len(p_a)
-    out = np.zeros(q)
+    """Distribution of a + b mod q for independent a ~ p_a, b ~ p_b over Z_q,
+    along the last axis (leading axes index pmfs)."""
+    q = p_a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(p_a.shape, p_b.shape))
     for i in range(q):
         for j in range(q):
-            out[(i + j) % q] += p_a[i] * p_b[j]
+            out[..., (i + j) % q] += p_a[..., i] * p_b[..., j]
     return out
 
 
@@ -346,11 +404,11 @@ class InputDistribution:
 
     @property
     def p_v2(self) -> np.ndarray:
-        return self.p_v2x2.sum(axis=1)
+        return self.p_v2x2.sum(axis=-1)
 
     @property
     def p_v3(self) -> np.ndarray:
-        return self.p_v3x3.sum(axis=1)
+        return self.p_v3x3.sum(axis=-1)
 
     def p_u(self) -> np.ndarray:
         """Distribution of u = v2 + v3 mod q."""
@@ -412,44 +470,33 @@ def _require_3to1(channel: CqChannel) -> None:
         )
 
 
-def aux_average(
-    channel: CqChannel, x1: int, p_a2x2: np.ndarray, p_a3x3: np.ndarray, s: int
-) -> np.ndarray:
-    """Receiver-1 state at input x1 summed over auxiliary pairs with one sum.
-
-    Returns the unnormalised sum over a2 + a3 = s (mod q) and (x2, x3) of
-    p(a2, x2) p(a3, x3) rho_Y1(x1, x2, x3), q the row count of ``p_a2x2``.
-    Terms are added in (a2, x2, x3) order, zero weights skipped.
-    """
-    q = len(p_a2x2)
-    rho1 = channel.marginals[0][x1]
-    dim1 = channel.output_dims[0]
-    acc = np.zeros((dim1, dim1), dtype=complex)
+def _aux_sums(channel: CqChannel, p_a2x2: np.ndarray, p_a3x3: np.ndarray) -> np.ndarray:
+    """For B pmfs ``p_a2x2`` (B, q, |X2|) and ``p_a3x3`` (B, q, |X3|), entry
+    [b, x1, s] of the (B, |X1|, q, d1, d1) result is the sum over a2 + a3 = s
+    (mod q) and (x2, x3) of p(a2, x2) p(a3, x3) rho_Y1(x1, x2, x3), added in
+    (a2, x2, x3) order: receiver 1's states with the auxiliary sum fixed."""
+    n_b, q = p_a2x2.shape[:2]
+    rho1 = channel.marginals[0]
+    sums = np.arange(q)
+    acc = np.zeros((n_b,) + rho1.shape[:1] + (q,) + rho1.shape[-2:], dtype=complex)
     for a2 in range(q):
-        a3 = (s - a2) % q
+        a3 = (sums - a2) % q
         for x2 in range(channel.input_sizes[1]):
             for x3 in range(channel.input_sizes[2]):
-                w = p_a2x2[a2, x2] * p_a3x3[a3, x3]
-                if w <= 0.0:
-                    continue
-                acc += w * rho1[x2, x3]
+                w = (p_a2x2[:, a2, x2, None] * p_a3x3[:, a3, x3])[:, None, :, None, None]
+                acc += w * rho1[None, :, None, x2, x3]
     return acc
 
 
 def _sum_state(channel, p_x1, p_a2x2, p_a3x3, p_s, registers) -> CqState:
-    """Receiver-1 state with registers (x1, s), s the auxiliary sum mod q."""
+    """Batched receiver-1 state with registers (x1, s), s the auxiliary sum
+    mod q: block (x1, s) is ``_aux_sums`` over p(s), of weight p(x1) p(s).
+    Arrays carry a leading pmf axis."""
     _require_3to1(channel)
-    blocks: dict = {}
-    for x1 in range(channel.input_sizes[0]):
-        p1 = p_x1[x1]
-        if p1 <= 0.0:
-            continue
-        for s in range(len(p_s)):
-            if p_s[s] <= 0.0:
-                continue
-            acc = aux_average(channel, x1, p_a2x2, p_a3x3, s)
-            blocks[(x1, s)] = (p1 * p_s[s], acc / p_s[s])
-    return CqState(registers, (channel.output_dims[0],), blocks)
+    weights = p_x1[:, :, None] * p_s[:, None, :]
+    mats = _aux_sums(channel, p_a2x2, p_a3x3)
+    mats /= np.where(p_s > 0.0, p_s, 1.0)[:, None, :, None, None]
+    return CqState._of(registers, (channel.output_dims[0],), weights, mats)._check()
 
 
 def sigma1(channel: CqChannel, dist: InputDistribution) -> CqState:
@@ -459,9 +506,22 @@ def sigma1(channel: CqChannel, dist: InputDistribution) -> CqState:
     over (v2, x2, v3, x3) conditioned on v2 + v3 = u, weighted by
     p(x1) p_U(u).  Labels with p_U(u) = 0 are omitted.
     """
-    return _sum_state(
-        channel, dist.p_x1, dist.p_v2x2, dist.p_v3x3, dist.p_u(), ("x1", "u")
-    )
+    pmfs = (dist.p_x1, dist.p_v2x2, dist.p_v3x3, dist.p_u())
+    return _sum_state(channel, *(p[None] for p in pmfs), ("x1", "u"))
+
+
+def _joint_state(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> CqState:
+    """``sigma2`` for B pmfs: block (v2, v3) adds p(x1) p(v2, x2) p(v3, x3)
+    rho(x1, x2, x3) over the inputs in order and divides by p(v2) p(v3)."""
+    _require_3to1(channel)
+    weights = p_v2x2.sum(axis=-1)[:, :, None] * p_v3x3.sum(axis=-1)[:, None, :]
+    dim = prod(channel.output_dims)
+    acc = np.zeros(weights.shape + (dim, dim), dtype=complex)
+    for x1, x2, x3 in channel.inputs():
+        w = (p_x1[:, x1, None, None] * p_v2x2[:, :, x2, None]) * p_v3x3[:, None, :, x3]
+        acc += w[..., None, None] * channel.states[(x1, x2, x3)].matrix
+    acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
+    return CqState._of(("v2", "v3"), channel.output_dims, weights, acc)._check()
 
 
 def sigma2(channel: CqChannel, dist: InputDistribution) -> CqState:
@@ -470,37 +530,14 @@ def sigma2(channel: CqChannel, dist: InputDistribution) -> CqState:
     Block (v2, v3) is the full three-receiver output averaged over x1 and
     over x2, x3 conditioned on the auxiliaries.
     """
-    _require_3to1(channel)
-    q = dist.q
-    dim = int(np.prod(channel.output_dims))
-    p_v2, p_v3 = dist.p_v2, dist.p_v3
-    blocks: dict = {}
-    for v2 in range(q):
-        for v3 in range(q):
-            weight = p_v2[v2] * p_v3[v3]
-            if weight <= 0.0:
-                continue
-            acc = np.zeros((dim, dim), dtype=complex)
-            for x1 in range(channel.input_sizes[0]):
-                for x2 in range(channel.input_sizes[1]):
-                    for x3 in range(channel.input_sizes[2]):
-                        w = (
-                            dist.p_x1[x1]
-                            * dist.p_v2x2[v2, x2]
-                            * dist.p_v3x3[v3, x3]
-                        )
-                        if w <= 0.0:
-                            continue
-                        acc += w * channel.states[(x1, x2, x3)].matrix
-            blocks[(v2, v3)] = (weight, acc / weight)
-    return CqState(("v2", "v3"), channel.output_dims, blocks)
+    pmfs = (dist.p_x1, dist.p_v2x2, dist.p_v3x3)
+    return _joint_state(channel, *(p[None] for p in pmfs))
 
 
 def split_sigma1(channel: CqChannel, dist: SplitInputDistribution) -> CqState:
     """Receiver-1 state with classical registers (x1, w), w = u2 + u3 mod q."""
-    return _sum_state(
-        channel, dist.p_x1, dist.p_ujxj(2), dist.p_ujxj(3), dist.p_w(), ("x1", "w")
-    )
+    pmfs = (dist.p_x1, dist.p_ujxj(2), dist.p_ujxj(3), dist.p_w())
+    return _sum_state(channel, *(p[None] for p in pmfs), ("x1", "w"))
 
 
 def split_sigma_receiver(
@@ -510,18 +547,12 @@ def split_sigma_receiver(
     _require_3to1(channel)
     if j not in (2, 3):
         raise ValueError(f"receiver index must be 2 or 3, got {j}")
-    p_ux = dist.p_ujxj(j)
-    blocks: dict = {}
-    for u in range(dist.q):
-        for x in range(channel.input_sizes[j - 1]):
-            weight = p_ux[u, x]
-            if weight <= 0.0:
-                continue
-            probe = [0, 0, 0]
-            probe[j - 1] = x
-            # 3-to-1 structure: the Y_j reduction depends on x_j alone.
-            blocks[(u, x)] = (weight, channel.output_marginal(tuple(probe), j - 1))
-    return CqState(("u", "x"), (channel.output_dims[j - 1],), blocks)
+    p_ux = dist.p_ujxj(j)[None]
+    # 3-to-1 structure: the Y_j reduction depends on x_j alone.
+    own = channel.marginals[j - 1][(0, slice(None), 0) if j == 2 else (0, 0)]
+    mats = np.broadcast_to(own, p_ux.shape + own.shape[1:])
+    dims = (channel.output_dims[j - 1],)
+    return CqState._of(("u", "x"), dims, p_ux, mats)._check()
 
 
 def _classical_qubit(b: int, flip: float) -> np.ndarray:

@@ -31,12 +31,15 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def _check_square_hermitian(mat, atol: float = HERMITIAN_ATOL, ndim: int = 2) -> np.ndarray:
-    """``mat`` as a complex array of ``ndim`` axes, the last two a Hermitian square."""
-    mat = np.asarray(mat, dtype=complex)
+def _check_square_hermitian(
+    mat, atol: float = HERMITIAN_ATOL, ndim: int = 2, dtype=complex
+) -> np.ndarray:
+    """``mat`` as a ``dtype`` array of ``ndim`` axes, the last two a Hermitian square."""
+    mat = np.asarray(mat, dtype=dtype)
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.conj().swapaxes(-1, -2), atol=atol, rtol=0):
+    # |m - m^dagger| <= atol entrywise, as allclose(rtol=0) tests, NaN failing
+    if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= atol).all():
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
 
@@ -116,21 +119,27 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
 
 
 def _entropies(stack, base: float = 2.0) -> list:
-    """Entropies (Python floats) of a stack of density matrices, in order.
+    """Entropies (Python floats) of a stack of density matrices, in order;
+    several leading axes are read in C order.
 
     The checks of ``von_neumann_entropy`` run once over the stack and one
     ``eigvalsh`` diagonalises it; each entry equals the one-matrix result.
     """
     if base <= 1.0:
         raise ValueError(f"entropy base must exceed 1, got {base}")
-    w = np.linalg.eigvalsh(_check_square_hermitian(stack, ndim=3))
+    stack = np.asarray(stack, dtype=complex)
+    w = np.linalg.eigvalsh(_check_square_hermitian(stack.reshape((-1,) + stack.shape[-2:]), ndim=3))
     if w.min() < -HERMITIAN_ATOL:
         raise ValueError(f"not positive semidefinite: eigenvalue {w.min():.3e}")
-    out = []
-    for row in np.clip(w, 0.0, None):
-        row = row[row > 0.0]
-        out.append(float(-(row @ np.log(row)) / np.log(base)))
-    return out
+    positive = w > 0.0
+    logs = np.log(np.where(positive, w, 1.0))
+    return (-_row_dots(np.where(positive, w, 0.0), logs) / np.log(base)).tolist()
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis), each the one a 1-D ``a @ b``
+    gives; zero terms in between leave it unchanged."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -144,7 +153,8 @@ def partial_trace(rho, dims, keep):
     Parameters
     ----------
     rho : DensityOperator or ndarray
-        Operator on a tensor product of spaces with dimensions ``dims``.
+        Operator on a tensor product of spaces with dimensions ``dims``; an
+        ndarray may carry leading axes, each of its matrices traced alike.
     dims : sequence of int
         Factor dimensions, in tensor order.
     keep : sequence of int
@@ -159,20 +169,21 @@ def partial_trace(rho, dims, keep):
     mat = _as_matrix(rho)
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
-    if mat.shape != (total, total):
+    if mat.ndim < 2 or mat.shape[-2:] != (total, total):
         raise ValueError(f"shape {mat.shape} does not match factor dims {dims}")
     keep = sorted(set(int(i) for i in keep))
     if any(i < 0 or i >= len(dims) for i in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
+    lead = mat.shape[:-2]
     n = len(dims)
-    tens = mat.reshape(dims + dims)
+    tens = mat.reshape(lead + tuple(dims + dims))
     # contract traced-out row/column axis pairs, from the highest axis down
     for i in reversed(range(n)):
         if i not in keep:
-            tens = np.trace(tens, axis1=i, axis2=i + n)
+            tens = np.trace(tens, axis1=len(lead) + i, axis2=len(lead) + i + n)
             n -= 1
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    out = tens.reshape(d_keep, d_keep)
+    out = tens.reshape(lead + (d_keep, d_keep))
     return DensityOperator(out) if wrap else out
 
 

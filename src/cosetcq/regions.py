@@ -14,7 +14,12 @@ from .channels import (
     CqChannel,
     InputDistribution,
     SplitInputDistribution,
-    aux_average,
+    _aux_sums,
+    _check_pmf,
+    _cyclic_sum_pmf,
+    _joint_state,
+    _shannon_bits,
+    _sum_state,
     binary_input_distribution,
     classical_conditional_entropy,
     classical_quantum_mi,
@@ -22,8 +27,6 @@ from .channels import (
     example1_channel,
     example2_channel,
     example2_mix,
-    sigma1,
-    sigma2,
     split_sigma1,
     split_sigma_receiver,
 )
@@ -73,8 +76,7 @@ def shannon(pmf) -> float:
     p = np.asarray(pmf, dtype=float)
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("not a probability vector")
-    p = p[p > 0.0]
-    return float(-(p @ np.log2(p)))
+    return float(_shannon_bits(p[None])[0])
 
 
 def _holevo(pmf, states) -> float:
@@ -122,18 +124,37 @@ class Constraint:
     clamped: bool = False
 
 
-def _make_constraint(name: str, coeffs: tuple, rhs: float) -> Constraint:
-    if rhs < 0.0:
-        return Constraint(name, coeffs, 0.0, clamped=True)
-    return Constraint(name, coeffs, float(rhs))
+# Coefficients of the named rate lines; Theorem 1 uses all seven, in order.
+_LINES = {
+    "r1": (1, 0, 0), "r2": (0, 1, 0), "r3": (0, 0, 1), "r2_coset": (0, 1, 0),
+    "r3_coset": (0, 0, 1), "r1_plus_r2": (1, 1, 0), "r1_plus_r3": (1, 0, 1),
+}
 
 
-@functools.lru_cache(maxsize=None)
-def _plane_triples(planes: int) -> np.ndarray:
-    """Every 3-subset of ``range(planes)`` in combinations order, shape (T, 3)."""
-    trios = np.array(list(itertools.combinations(range(planes), 3)), dtype=np.intp)
+def _region(rhs: dict, costs) -> "RegionSpec":
+    """The region of the named lines; a negative right-hand side is clamped
+    to zero and tagged."""
+    lines = tuple(
+        Constraint(name, _LINES[name], 0.0, clamped=True) if r < 0.0
+        else Constraint(name, _LINES[name], float(r))
+        for name, r in rhs.items()
+    )
+    return RegionSpec(lines, tuple(costs))
+
+
+@functools.lru_cache(maxsize=256)
+def _plane_triples(coeffs: tuple) -> tuple:
+    """For the normals ``coeffs`` plus the three nonnegativity facets, the
+    triples of planes (in combinations order) that meet in one point: their
+    indices (T, 3) and normal matrices (T, 3, 3), both read-only."""
+    normals = np.vstack([np.array(coeffs, dtype=float).reshape(-1, 3), np.diag(-np.ones(3))])
+    trios = np.array(list(itertools.combinations(range(len(normals)), 3)), dtype=np.intp)
+    a = normals[trios]
+    regular = ~(np.abs(np.linalg.det(a)) < 1e-12)
+    trios, a = trios[regular], a[regular]
     trios.setflags(write=False)
-    return trios
+    a.setflags(write=False)
+    return trios, a
 
 
 @dataclass(frozen=True)
@@ -165,26 +186,15 @@ class RegionSpec:
         raise KeyError(f"no constraint named {name!r}")
 
     def corner_points(self, tol: float = 1e-9) -> np.ndarray:
-        """Vertices of the polytope (rates only), one per row.
-
-        Intersects every triple of constraint planes, including the
-        nonnegativity facets, in one batched solve and keeps the feasible
-        points.
-        """
-        coeffs = np.array([c.coeffs for c in self.constraints], dtype=float).reshape(-1, 3)
+        """Vertices of the polytope (rates only), one per row, sorted; the
+        feasible intersections of every three constraint planes, the
+        nonnegativity facets included (``_vertices``)."""
+        coeffs = tuple(tuple(c.coeffs) for c in self.constraints)
         rhs = np.array([c.rhs for c in self.constraints], dtype=float)
-        normals = np.vstack([coeffs, np.diag(-np.ones(3))])
-        offsets = np.concatenate([rhs, np.zeros(3)])
-        trios = _plane_triples(len(normals))
-        a, b = normals[trios], offsets[trios]
-        regular = ~(np.abs(np.linalg.det(a)) < 1e-12)
-        v = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
-        # Negated comparisons, as in a scalar skip test, so NaN rows survive.
-        feasible = ~(v.min(axis=1) < -tol)
-        feasible &= ~np.any(v @ coeffs.T > rhs + tol, axis=1)
-        if not feasible.any():
+        points, _ = _vertices(coeffs, rhs[None], tol)
+        if not len(points):
             return np.zeros((1, 3))
-        return np.unique(np.round(np.clip(v[feasible], 0.0, None), 9), axis=0)
+        return np.unique(points, axis=0)
 
     def max_weighted_sum(self, weights) -> tuple:
         """Maximum of weights . r over the region and the attaining corner."""
@@ -195,6 +205,58 @@ class RegionSpec:
         return float(values[best]), corners[best]
 
 
+def _vertices(coeffs: tuple, rhs: np.ndarray, tol: float = 1e-9) -> tuple:
+    """Vertices of B polytopes {r >= 0 : coeffs r <= rhs[b]} as ``(points,
+    feasible)``: every feasible intersection of three planes, clipped at 0
+    and rounded to 9 decimals (duplicates kept), polytope by polytope, and
+    the (B, T) mask that picked them.  One batched ``solve`` finds them all."""
+    trios, a = _plane_triples(coeffs)
+    offsets = np.concatenate([rhs, np.zeros((len(rhs), 3))], axis=1)
+    v = np.linalg.solve(a, offsets[:, trios][..., None])[..., 0]
+    # Negated comparisons, as in a scalar skip test, so NaN rows survive.
+    feasible = ~(v.min(axis=-1) < -tol)
+    normals = np.array(coeffs, dtype=float).reshape(-1, 3)
+    feasible &= ~np.any(v @ normals.T > rhs[:, None, :] + tol, axis=-1)
+    return np.round(np.clip(v[feasible], 0.0, None), 9), feasible
+
+
+def _best_vertices(points: np.ndarray, rows: np.ndarray, w: np.ndarray) -> tuple:
+    """Per polytope, the maximum of w . r over its vertices and the first
+    vertex in sorted order attaining it: ``max_weighted_sum`` for every
+    polytope of ``_vertices``, each of which must have a vertex; ``rows``
+    gives each point's polytope, ascending."""
+    values = points @ w
+    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0], rows))
+    points, rows, values = points[order], rows[order], values[order]
+    top = np.maximum.reduceat(values, np.flatnonzero(np.diff(rows, prepend=-1)))
+    hits = np.flatnonzero(values == top[rows])
+    first = hits[np.diff(rows[hits], prepend=-1) > 0]
+    return values[first], points[first]
+
+
+def _theorem1_rhs(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> np.ndarray:
+    """Right-hand sides (B, 7) of Theorem 1's lines, before clamping, for
+    B pmfs given as arrays (B, |X1|), (B, q, |X2|), (B, q, |X3|)."""
+    p_v2, p_v3 = p_v2x2.sum(axis=-1), p_v3x3.sum(axis=-1)
+    p_u = _cyclic_sum_pmf(p_v2, p_v3)
+    s1 = _sum_state(channel, p_x1, p_v2x2, p_v3x3, p_u, ("x1", "u"))
+    s2 = _joint_state(channel, p_x1, p_v2x2, p_v3x3)
+    i_x1_given_u = cq_mutual_information(s1, ("x1",), ("u",))
+    i_u_given_x1 = cq_mutual_information(s1, ("u",), ("x1",))
+    i_x1u = cq_mutual_information(s1, ("x1", "u"))
+    h_u = _shannon_bits(p_u)
+    h_v2, h_v3 = _shannon_bits(p_v2), _shannon_bits(p_v3)
+    min_hv = np.where(h_v3 < h_v2, h_v3, h_v2)  # min(h_v2, h_v3), ties to h_v2
+    direct = [
+        cq_mutual_information(s2.reduce_quantum([j - 1]), (reg,))
+        for j, reg in ((2, "v2"), (3, "v3"))
+    ]
+    coset_rhs = min_hv - h_u + i_u_given_x1
+    sum_rhs = min_hv - h_u + i_x1u
+    # one pmf gives floats: column_stack takes those as well as (B,) arrays
+    return np.column_stack([i_x1_given_u, *direct, coset_rhs, coset_rhs, sum_rhs, sum_rhs])
+
+
 def theorem1_region(channel: CqChannel, dist: InputDistribution) -> RegionSpec:
     """Coset-code inner bound for a 3-to-1 channel at one input pmf.
 
@@ -202,31 +264,11 @@ def theorem1_region(channel: CqChannel, dist: InputDistribution) -> RegionSpec:
     {2, 3} a direct line, a coset-density line, and a sum line covering the
     interference decoded at receiver 1.  Negative right-hand sides (possible
     when the coset-density penalty exceeds the mutual information) are
-    clamped to zero and tagged.
+    clamped to zero and tagged.  Evaluated as a batch of one pmf.
     """
-    s1 = sigma1(channel, dist)
-    s2 = sigma2(channel, dist)
-    i_x1_given_u = cq_mutual_information(s1, ("x1",), ("u",))
-    i_u_given_x1 = cq_mutual_information(s1, ("u",), ("x1",))
-    i_x1u = cq_mutual_information(s1, ("x1", "u"))
-    h_u = shannon(dist.p_u())
-    min_hv = min(shannon(dist.p_v2), shannon(dist.p_v3))
-    direct = {}
-    for j, reg in ((2, "v2"), (3, "v3")):
-        reduced = s2.reduce_quantum([j - 1])
-        direct[j] = cq_mutual_information(reduced, (reg,))
-    coset_rhs = min_hv - h_u + i_u_given_x1
-    sum_rhs = min_hv - h_u + i_x1u
-    constraints = (
-        _make_constraint("r1", (1, 0, 0), i_x1_given_u),
-        _make_constraint("r2", (0, 1, 0), direct[2]),
-        _make_constraint("r3", (0, 0, 1), direct[3]),
-        _make_constraint("r2_coset", (0, 1, 0), coset_rhs),
-        _make_constraint("r3_coset", (0, 0, 1), coset_rhs),
-        _make_constraint("r1_plus_r2", (1, 1, 0), sum_rhs),
-        _make_constraint("r1_plus_r3", (1, 0, 1), sum_rhs),
-    )
-    return RegionSpec(constraints, tuple(dist.cost_expectations(channel)))
+    pmfs = (dist.p_x1, dist.p_v2x2, dist.p_v3x3)
+    rhs = _theorem1_rhs(channel, *(p[None] for p in pmfs))[0]
+    return _region(dict(zip(_LINES, rhs)), dist.cost_expectations(channel))
 
 
 @dataclass(frozen=True)
@@ -304,21 +346,14 @@ def theorem3_region(channel: CqChannel, dist: SplitInputDistribution) -> RegionS
         sj = split_sigma_receiver(channel, dist, j)
         direct[j] = cq_mutual_information(sj, ("u", "x"))
         cond[j] = cq_mutual_information(sj, ("x",), ("u",))
-    r1_rhs = (
-        min(0.0, h_u[2] - h_w_given_y1, h_u[3] - h_w_given_y1) + i_x1_wy1
-    )
-    constraints = (
-        _make_constraint("r1", (1, 0, 0), r1_rhs),
-        _make_constraint("r2", (0, 1, 0), direct[2]),
-        _make_constraint("r3", (0, 0, 1), direct[3]),
-        _make_constraint(
-            "r1_plus_r2", (1, 1, 0), cond[2] + i_x1_wy1 + h_u[2] - h_w_given_y1
-        ),
-        _make_constraint(
-            "r1_plus_r3", (1, 0, 1), cond[3] + i_x1_wy1 + h_u[3] - h_w_given_y1
-        ),
-    )
-    return RegionSpec(constraints, tuple(dist.cost_expectations(channel)))
+    rhs = {
+        "r1": min(0.0, h_u[2] - h_w_given_y1, h_u[3] - h_w_given_y1) + i_x1_wy1,
+        "r2": direct[2],
+        "r3": direct[3],
+        "r1_plus_r2": cond[2] + i_x1_wy1 + h_u[2] - h_w_given_y1,
+        "r1_plus_r3": cond[3] + i_x1_wy1 + h_u[3] - h_w_given_y1,
+    }
+    return _region(rhs, dist.cost_expectations(channel))
 
 
 def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
@@ -327,8 +362,8 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
     Computed directly from output marginal mixtures, without the
     block-diagonal state machinery, so it can serve as a cross-check for
     the message-splitting region with degenerate structured letters.  The
-    receiver-1 average is the shared ``aux_average``, which the tests check
-    against its definition.
+    receiver-1 average is the shared ``channels._aux_sums``, which the tests
+    check against its definition.
     """
     pmfs = [np.asarray(p, float) for p in (p_x1, p_x2, p_x3)]
     for j, p in enumerate(pmfs):
@@ -337,21 +372,12 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
             raise ValueError(f"bad input pmf for sender {j + 1}")
     # Receiver 1 sees x1 against the product background of the other senders:
     # a single auxiliary letter on each side, so every pair has sum 0.
-    rho1 = [
-        aux_average(channel, x1, pmfs[1][None, :], pmfs[2][None, :], 0)
-        for x1 in range(channel.input_sizes[0])
-    ]
+    rho1 = _aux_sums(channel, pmfs[1][None, None], pmfs[2][None, None])[0, :, 0]
     # 3-to-1: receiver j's state depends on x_j alone, so hold the others at 0.
     side = (channel.marginals[1][0, :, 0], channel.marginals[2][0, 0, :])
-    info = [_holevo(pmfs[0], rho1)] + [_holevo(p, s) for p, s in zip(pmfs[1:], side)]
-    constraints = (
-        _make_constraint("r1", (1, 0, 0), info[0]),
-        _make_constraint("r2", (0, 1, 0), info[1]),
-        _make_constraint("r3", (0, 0, 1), info[2]),
-        _make_constraint("r1_plus_r2", (1, 1, 0), info[0] + info[1]),
-        _make_constraint("r1_plus_r3", (1, 0, 1), info[0] + info[2]),
-    )
-    return RegionSpec(constraints, tuple(channel.expected_costs(*pmfs)))
+    i1, i2, i3 = [_holevo(pmfs[0], rho1)] + [_holevo(p, s) for p, s in zip(pmfs[1:], side)]
+    rhs = {"r1": i1, "r2": i2, "r3": i3, "r1_plus_r2": i1 + i2, "r1_plus_r3": i1 + i3}
+    return _region(rhs, channel.expected_costs(*pmfs))
 
 
 @dataclass(frozen=True)
@@ -447,6 +473,10 @@ def simplex_grid(atoms: int, resolution: int):
         yield counts / steps
 
 
+# Pmfs per batched region evaluation in ``grid_search``.
+GRID_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     best_value: float
@@ -466,7 +496,9 @@ def grid_search(
 
     Scans product distributions p(x1) p(v2, x2) p(v3, x3) on a simplex grid,
     evaluates the coset-code region at each, and maximizes
-    ``objective . corner`` over region corners.
+    ``objective . corner`` over region corners; the first pmf in scan order
+    attaining the maximum wins.  The grid is evaluated ``GRID_CHUNK`` pmfs
+    at a time, each chunk as one batch.
 
     Raises
     ------
@@ -482,18 +514,23 @@ def grid_search(
         raise BudgetExceededError(
             f"grid search would evaluate {total} regions, budget is {budget}"
         )
+    grids = [
+        np.array([_check_pmf(p, "grid pmf") for p in simplex_grid(a, resolution)])
+        for a in (n_x1, q * n_x2, q * n_x3)
+    ]
     best = None
-    for p_x1 in simplex_grid(n_x1, resolution):
-        for p22 in simplex_grid(q * n_x2, resolution):
-            for p33 in simplex_grid(q * n_x3, resolution):
-                dist = InputDistribution(
-                    q=q,
-                    p_x1=p_x1,
-                    p_v2x2=p22.reshape(q, n_x2),
-                    p_v3x3=p33.reshape(q, n_x3),
-                )
-                region = theorem1_region(channel, dist)
-                value, corner = region.max_weighted_sum(w)
-                if best is None or value > best[0]:
-                    best = (value, corner, dist)
+    for start in range(0, total, GRID_CHUNK):
+        picks = np.unravel_index(
+            np.arange(start, min(start + GRID_CHUNK, total)), [len(g) for g in grids]
+        )
+        p_x1, p22, p33 = (g[i] for g, i in zip(grids, picks))
+        p22, p33 = p22.reshape(-1, q, n_x2), p33.reshape(-1, q, n_x3)
+        rhs = _theorem1_rhs(channel, p_x1, p22, p33)
+        # Clamped right-hand sides are >= 0, so the origin is a vertex of each.
+        points, feasible = _vertices(tuple(_LINES.values()), np.where(rhs < 0.0, 0.0, rhs))
+        values, corners = _best_vertices(points, np.nonzero(feasible)[0], w)
+        k = int(np.argmax(values))
+        if best is None or values[k] > best[0]:
+            dist = InputDistribution(q=q, p_x1=p_x1[k], p_v2x2=p22[k], p_v3x3=p33[k])
+            best = (float(values[k]), corners[k], dist)
     return GridSearchResult(*best, evaluations=total)

@@ -18,11 +18,15 @@ from cosetcq.channels import (
     CqChannel,
     InputDistribution,
     SplitInputDistribution,
+    _joint_state,
+    _sum_state,
     cq_entropy,
     cq_mutual_information,
     label_entropy,
     sigma1,
+    sigma2,
     split_sigma1,
+    split_sigma_receiver,
 )
 from cosetcq.linalg import (
     DensityOperator,
@@ -30,7 +34,7 @@ from cosetcq.linalg import (
     random_density,
     von_neumann_entropy,
 )
-from cosetcq.regions import theorem3_region, usb_region
+from cosetcq.regions import _theorem1_rhs, theorem1_region, theorem3_region, usb_region
 
 Q = 3
 SIZES = (3, 3, 3)
@@ -216,3 +220,110 @@ def test_marginals_are_read_only():
     with pytest.raises(ValueError):
         chan.output_marginal((0, 0, 0), 1)[0, 0] = 1.0
     assert chan.marginals is chan.marginals
+
+
+def _random_dist(rng, sparse: bool) -> InputDistribution:
+    return InputDistribution(
+        Q,
+        _random_pmf(rng, 3, sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+        _random_pmf(rng, (Q, 3), sparse),
+    )
+
+
+def _reference_marginal(state, keep) -> dict:
+    """``marginal_registers`` as a dict merge: blocks added in label order."""
+    idx = [state.registers.index(name) for name in keep]
+    merged: dict = {}
+    for label, (p, mat) in state.blocks.items():
+        sub = tuple(label[i] for i in idx)
+        if sub in merged:
+            merged[sub][0] += p
+            merged[sub][1] += p * mat
+        else:
+            merged[sub] = [p, p * mat.copy()]
+    return {lab: (p, mat / p) for lab, (p, mat) in merged.items()}
+
+
+def _assert_same_blocks(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for label, (p, mat) in want.items():
+        assert got[label][0] == p and got[label][1].tobytes() == mat.tobytes()
+
+
+def _assert_state_functions_match_references(state, register_sets, mi_cases) -> None:
+    for keep in register_sets:
+        _assert_same_blocks(state.marginal_registers(keep).blocks, _reference_marginal(state, keep))
+        got = cq_entropy(state, keep)
+        want = _reference_cq_entropy(state, keep)
+        assert type(got) is type(want) and got == want
+    for classical, given_ in mi_cases:
+        assert cq_mutual_information(state, classical, given_) == _reference_cq_mi(
+            state, classical, given_
+        )
+
+
+@PROPERTY
+@given(seeds, st.booleans(), st.integers(1, 3))
+def test_split_states_match_per_block_references(seed, sparse, n_v):
+    """theorem3_region's states: receiver 1's (x1, w) and receivers 2, 3's (u, x)."""
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    dist = SplitInputDistribution(
+        Q,
+        _random_pmf(rng, 3, sparse),
+        _random_pmf(rng, (Q, n_v, 3), sparse),
+        _random_pmf(rng, (Q, n_v, 3), sparse),
+    )
+    _assert_state_functions_match_references(
+        split_sigma1(chan, dist),
+        ((), ("x1",), ("w",), ("x1", "w")),
+        ((("x1",), ("w",)), (("w",), ("x1",)), (("x1", "w"), ())),
+    )
+    for j in (2, 3):
+        _assert_state_functions_match_references(
+            split_sigma_receiver(chan, dist, j),
+            ((), ("u",), ("x",), ("u", "x")),
+            ((("u", "x"), ()), (("x",), ("u",))),
+        )
+
+
+@PROPERTY
+@given(seeds, st.lists(st.booleans(), min_size=2, max_size=5))
+def test_batch_rows_equal_one_pmf_results(seed, sparse_flags):
+    """States of several pmfs at once: every row == its one-pmf result."""
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng)
+    dists = [_random_dist(rng, sparse) for sparse in sparse_flags]
+    p_x1, p_v2x2, p_v3x3 = (
+        np.stack([getattr(d, name) for d in dists]) for name in ("p_x1", "p_v2x2", "p_v3x3")
+    )
+    p_u = np.stack([d.p_u() for d in dists])
+    batch = _sum_state(chan, p_x1, p_v2x2, p_v3x3, p_u, ("x1", "u"))
+    joint = _joint_state(chan, p_x1, p_v2x2, p_v3x3)
+    ones = [sigma1(chan, d) for d in dists]
+    for state in ones:
+        _assert_state_functions_match_references(
+            state,
+            ((), ("x1",), ("u",), ("x1", "u")),
+            ((("x1",), ("u",)), (("u",), ("x1",)), (("x1", "u"), ())),
+        )
+    for classical, given_ in ((("x1",), ("u",)), (("u",), ("x1",)), (("x1", "u"), ())):
+        rows = cq_mutual_information(batch, classical, given_)
+        assert rows.shape == (len(dists),)
+        assert rows.tolist() == [cq_mutual_information(s, classical, given_) for s in ones]
+    for registers in ((), ("x1",), ("u",), ("x1", "u")):
+        rows = cq_entropy(batch, registers)
+        assert rows.tolist() == [cq_entropy(s, registers) for s in ones]
+        if registers:
+            rows = label_entropy(batch, registers)
+            assert rows.tolist() == [label_entropy(s, registers) for s in ones]
+    for factor, reg in ((1, "v2"), (2, "v3")):
+        rows = cq_mutual_information(joint.reduce_quantum([factor]), (reg,))
+        want = [cq_mutual_information(sigma2(chan, d).reduce_quantum([factor]), (reg,)) for d in dists]
+        assert rows.tolist() == want
+    # Theorem 1's right-hand sides row by row, as theorem1_region reports them.
+    rhs = _theorem1_rhs(chan, p_x1, p_v2x2, p_v3x3)
+    for row, dist in zip(rhs, dists):
+        region = theorem1_region(chan, dist)
+        assert [max(r, 0.0) for r in row.tolist()] == [c.rhs for c in region.constraints]

@@ -213,6 +213,12 @@ GOLDEN = Path(__file__).parent / "golden"
             f"separation_example{ex}",
         )
         for ex in ("1", "2")
+    ]
+    + [
+        (["povm-sweep"], "povm_sweep"),
+        (["povm-sweep", "--family", "example2", "--delta", "0.2"], "povm_sweep_example2_delta0.2"),
+        (["povm-sweep", "--mode", "ptp-error", "--delta", "0.6"], "povm_sweep_ptp_error_delta0.6"),
+        (["povm-sweep", "--mode", "ptp-error", "--seed", "5"], "povm_sweep_ptp_error_seed5"),
     ],
 )
 def test_output_matches_golden_bytes(argv, name, capsys):

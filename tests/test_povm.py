@@ -342,3 +342,70 @@ def test_gentle_measurement_check():
     assert disturbance <= 2.0 * np.sqrt(eps) + 1e-6
     # the projector object itself is accepted in place of its matrix
     assert gentle_measurement_check(big, proj) == (eps, disturbance, ok)
+
+
+def test_inverse_sqrt_real_path_matches_complex_path():
+    """A real Gram matrix goes through a real eigh: same result within 1e-12."""
+    from cosetcq.povm import _inverse_sqrt_on_support
+
+    rng = np.random.default_rng(4)
+    for r, rank in ((6, 6), (9, 4), (40, 23)):
+        g = rng.normal(size=(r, rank)) / np.sqrt(rank)
+        gram = g @ g.T
+        got = _inverse_sqrt_on_support(gram)
+        assert got.dtype == np.float64
+        want = _inverse_sqrt_on_support(gram.astype(complex))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    skew = np.eye(3)
+    skew[0, 1] = 2e-10
+    with pytest.raises(ValueError, match="Hermitian"):
+        _inverse_sqrt_on_support(skew)
+
+
+def _reference_ptp_block_error(povm, encoder, states) -> float:
+    """Every message's compressed state kept in a dict, traces added in label order."""
+    mats = [np.asarray(getattr(s, "matrix", s), dtype=complex) for s in states]
+    els = povm.elements
+    received: dict = {}
+    success = 0.0
+    for (_, m), b in zip(povm.labels, els.factors):
+        if not b.shape[1]:
+            continue
+        if m not in received:
+            word = encoder.codeword_for(m)
+            received[m] = els.frame.compress([mats[int(v)] for v in word])
+        success += float(np.vdot(b, received[m] @ b).real)
+    return 1.0 - success / len(encoder.code.messages())
+
+
+def test_ptp_block_error_holds_one_compressed_state(monkeypatch):
+    import weakref
+
+    from cosetcq.povm import TypicalProjector
+
+    rng = np.random.default_rng(21)
+    states = [random_density(2, rng).matrix, random_density(2, rng).matrix]
+    code = NestedCosetCode(
+        F2, 6, 1, 2, rng.integers(0, 2, (1, 6)), rng.integers(0, 2, (2, 6)),
+        rng.integers(0, 2, 6),
+    )
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    povm = build_ptp_povm(code, enc, states, 0.3)
+    want = _reference_ptp_block_error(povm, enc, states)
+
+    alive, seen_alive = [0], []
+    compress = TypicalProjector.compress
+
+    def counted(self, mats):
+        seen_alive.append(alive[0])  # compressed states still alive at this call
+        out = compress(self, mats)
+        alive[0] += 1
+        weakref.finalize(out, lambda: alive.__setitem__(0, alive[0] - 1))
+        return out
+
+    monkeypatch.setattr(TypicalProjector, "compress", counted)
+    got = ptp_block_error(povm, enc, states)
+    assert got == want  # same bits: traces added in label order
+    traced = {m for (_, m), b in zip(povm.labels, povm.elements.factors) if b.shape[1]}
+    assert len(traced) >= 2
+    assert len(seen_alive) == len(traced) and max(seen_alive) == 0

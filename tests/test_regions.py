@@ -16,6 +16,8 @@ from cosetcq.channels import (
 )
 from cosetcq.errors import BudgetExceededError
 from cosetcq.linalg import von_neumann_entropy
+from test_channels_properties import _random_channel
+
 from cosetcq.regions import (
     Constraint,
     NccRateParams,
@@ -375,3 +377,94 @@ def test_grid_search_budget():
     chan = example1_channel(0.05, 0.1)
     with pytest.raises(BudgetExceededError, match="budget"):
         grid_search(chan, (1.0, 1.0, 1.0), resolution=3, budget=100)
+
+
+# grid_search(example, resolution=3) at delta1 = 0.01, delta = 0.1, captured
+# before the grid was evaluated in batches: repr of best_value, best_corner
+# and the best pmf's three arrays, then the evaluation count.
+GRID_GOLDEN = {
+    (1, (1.0, 1.0, 1.0)): ("1.45021127", "[0.388202458, 0.531004406, 0.531004406]",
+                           "[0.5, 0.5]", "[[0.5, 0.0], [0.0, 0.5]]", "[[0.5, 0.0], [0.0, 0.5]]", 300),
+    (1, (0.2, 0.5, 0.3)): ("0.5024440163999999", "[0.388202458, 0.531004406, 0.531004406]",
+                           "[0.5, 0.5]", "[[0.5, 0.0], [0.0, 0.5]]", "[[0.5, 0.0], [0.0, 0.5]]", 300),
+    (2, (1.0, 1.0, 1.0)): ("0.065905024", "[0.013295794, 0.026304615, 0.026304615]",
+                           "[0.5, 0.5]", "[[0.5, 0.0], [0.0, 0.5]]", "[[0.5, 0.0], [0.0, 0.5]]", 300),
+    (2, (0.2, 0.5, 0.3)): ("0.0237028508", "[0.013295794, 0.026304615, 0.026304615]",
+                           "[0.5, 0.5]", "[[0.5, 0.0], [0.0, 0.5]]", "[[0.5, 0.0], [0.0, 0.5]]", 300),
+}
+
+
+def _grid_record(result) -> tuple:
+    d = result.best_dist
+    return (repr(result.best_value), repr(result.best_corner.tolist()), repr(d.p_x1.tolist()),
+            repr(d.p_v2x2.tolist()), repr(d.p_v3x3.tolist()), result.evaluations)
+
+
+@pytest.mark.parametrize("example, weights", list(GRID_GOLDEN))
+def test_grid_search_matches_golden(example, weights):
+    chan = (example1_channel if example == 1 else example2_channel)(0.01, 0.1)
+    assert _grid_record(grid_search(chan, weights, 3)) == GRID_GOLDEN[(example, weights)]
+
+
+def _reference_grid_search(chan, w, resolution, q):
+    """The per-pmf scan: one ``theorem1_region`` per grid point, first maximiser."""
+    n_x1, n_x2, n_x3 = chan.input_sizes
+    best = None
+    for p_x1 in simplex_grid(n_x1, resolution):
+        for p22 in simplex_grid(q * n_x2, resolution):
+            for p33 in simplex_grid(q * n_x3, resolution):
+                dist = InputDistribution(q, p_x1, p22.reshape(q, n_x2), p33.reshape(q, n_x3))
+                value, corner = theorem1_region(chan, dist).max_weighted_sum(w)
+                if best is None or value > best[0]:
+                    best = (value, corner, dist)
+    return best
+
+
+# Tied objectives (zero and equal weights) exercise the first-maximiser rule.
+objectives = st.one_of(
+    st.sampled_from([(1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]),
+    st.tuples(*[st.floats(0.0, 1.0, allow_nan=False)] * 3),
+)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1), objectives, st.sampled_from([2, 3]))
+def test_grid_search_equals_per_pmf_loop(seed, weights, q):
+    """On random ternary 3-to-1 channels, over point-mass pmfs (108 or 243
+    of them, many regions tied), the batched scan keeps every bit of the
+    loop."""
+    chan = _random_channel(np.random.default_rng(seed))
+    got = grid_search(chan, weights, 2, q=q)
+    value, corner, dist = _reference_grid_search(chan, np.asarray(weights), 2, q)
+    assert repr(got.best_value) == repr(value)
+    assert got.best_corner.tobytes() == corner.tobytes()
+    for name in ("p_x1", "p_v2x2", "p_v3x3"):
+        assert getattr(got.best_dist, name).tobytes() == getattr(dist, name).tobytes()
+
+
+def test_grid_search_chunks_do_not_change_the_result(monkeypatch):
+    import cosetcq.regions as regions
+
+    chan = example2_channel(0.05, 0.2)
+    whole = [_grid_record(grid_search(chan, w, 3)) for w in ((1.0, 1.0, 1.0), (0.1, 0.7, 0.2))]
+    monkeypatch.setattr(regions, "GRID_CHUNK", 7)  # 300 pmfs in 43 chunks
+    calls = []
+    batched = regions._theorem1_rhs
+    monkeypatch.setattr(regions, "_theorem1_rhs", lambda *a: calls.append(len(a[1])) or batched(*a))
+    chunked = [_grid_record(grid_search(chan, w, 3)) for w in ((1.0, 1.0, 1.0), (0.1, 0.7, 0.2))]
+    assert chunked == whole
+    assert calls == 2 * ([7] * 42 + [6])
+    monkeypatch.setattr(regions, "GRID_CHUNK", 1)  # every pmf a batch of one
+    assert _grid_record(grid_search(chan, (1.0, 1.0, 1.0), 3)) == whole[0]
+
+
+def test_grid_search_budget_checked_before_any_grid(monkeypatch):
+    import cosetcq.regions as regions
+
+    def refuse(*args):
+        raise AssertionError("grid built before the budget check")
+
+    monkeypatch.setattr(regions, "simplex_grid", refuse)
+    monkeypatch.setattr(regions, "_theorem1_rhs", refuse)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        grid_search(example1_channel(0.05, 0.1), (1.0, 1.0, 1.0), resolution=3, budget=299)
