@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
+from .field_codes import NestedCosetCode, coset_sum, select_typical
 from .regions import _example1_closed_forms, _structured_feasible, conv
 
 __all__ = [
@@ -34,12 +34,7 @@ TABLE_ENTRIES = 2**19
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    # fallback: byte-wise lookup
-    lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    bytes_view = arr.astype(np.uint64).view(np.uint8).reshape(arr.shape + (8,))
-    return lut[bytes_view].sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(arr)
 
 
 def _pack_bits(words: np.ndarray) -> np.ndarray:
@@ -298,17 +293,8 @@ def simulate(
     sum_words = sum_code.range_words()
     packed1 = _pack_bits(np.stack(instance.codebook1))
     # Receivers 2/3 search their full code range, grouped by message.
-    range23 = []
-    group23 = []
-    a_all = field_vectors(2, instance.code2.k)
-    for idx, m in enumerate(msgs2):
-        coset2 = instance.code2.codeword(
-            a_all, np.broadcast_to(m, (a_all.shape[0], instance.code2.l))
-        )
-        range23.append(coset2)
-        group23.extend([idx] * a_all.shape[0])
-    cands2 = _pack_bits(np.concatenate(range23))
-    groups2 = np.array(group23)
+    cands2 = _pack_bits(np.concatenate([instance.code2.coset(m) for m in msgs2]))
+    groups2 = np.repeat(np.arange(len(msgs2)), 2**instance.code2.k)
     offset23 = _pack_bits(instance.code3.dither) ^ _pack_bits(instance.code2.dither)
     cands3 = cands2 ^ offset23  # same generators, shifted dither
 

@@ -44,10 +44,12 @@ def _config_lines(command: str, params: dict) -> list:
     return lines
 
 
-def _emit_csv(out_path, comments, header, rows) -> None:
-    chunks = list(comments) + [",".join(header)]
-    for row in rows:
-        chunks.append(",".join(str(v) for v in row))
+def _emit(out_path, lines, header=None, rows=()) -> None:
+    """Write ``lines``, then a CSV table when ``header`` is given, to stdout or ``out_path``."""
+    chunks = list(lines)
+    if header is not None:
+        chunks.append(",".join(header))
+        chunks.extend(",".join(str(v) for v in row) for row in rows)
     text = "\n".join(chunks) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -113,7 +115,7 @@ def cmd_region(args) -> int:
         "theorem": args.theorem,
         "cost_expectations": [float(v) for v in region.cost_expectations],
     }
-    _emit_csv(
+    _emit(
         args.out,
         _config_lines("region", params),
         ("kind", "name", "coef_r1", "coef_r2", "coef_r3", "rhs", "clamped"),
@@ -138,12 +140,7 @@ def cmd_separation(args) -> int:
     lines.append(f"margin: {report.margin:.6f}")
     lines.append(f"structured feasible: {str(report.structured_feasible).lower()}")
     lines.append(f"separation: {str(report.separation).lower()}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.out, lines)
     return 0
 
 
@@ -199,13 +196,18 @@ def cmd_povm_sweep(args) -> int:
         table = [
             (r.n, r.delta, repr(float(r.deficiency)), repr(float(r.trace))) for r in rows
         ]
-        _emit_csv(
-            args.out,
-            _config_lines("povm-sweep", params),
-            ("n", "delta", "error_probability", "trace_bounds"),
-            table,
-        )
-        return 0
+    else:
+        table = _ptp_error_table(args, n_list)
+    _emit(
+        args.out,
+        _config_lines("povm-sweep", params),
+        ("n", "delta", "error_probability", "trace_bounds"),
+        table,
+    )
+    return 0
+
+
+def _ptp_error_table(args, n_list) -> list:
     field = PrimeField(2)
     layouts = {2: (1, 1), 4: (1, 2), 6: (2, 3)}
     pmf = np.array([0.75, 0.25])
@@ -233,13 +235,7 @@ def cmd_povm_sweep(args) -> int:
         povm = build_ptp_povm(code, encoder, states, args.delta)
         err = ptp_block_error(povm, encoder, states)
         table.append((n, args.delta, repr(float(err)), ""))
-    _emit_csv(
-        args.out,
-        _config_lines("povm-sweep", params),
-        ("n", "delta", "error_probability", "trace_bounds"),
-        table,
-    )
-    return 0
+    return table
 
 
 def cmd_simulate(args) -> int:
@@ -306,7 +302,7 @@ def cmd_simulate(args) -> int:
                     repr(hi),
                 )
             )
-    _emit_csv(
+    _emit(
         args.out,
         _config_lines("simulate", params),
         ("mode", "receiver", "errors", "trials", "error_rate", "wilson_lo", "wilson_hi"),

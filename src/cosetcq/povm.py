@@ -2,9 +2,10 @@
 
 Everything here is exact: spectral typical projectors, their conditional
 variants, the coset-code point-to-point decoder, the receiver-1
-sum-decoder, and the pinching-overlap sweep.  Spaces are capped at dimension
-2**12 and a decoder's factors at MEMORY_BUDGET bytes; constructions refuse
-to run beyond that.
+sum-decoder, and the pinching-overlap sweep.  Three fixed caps bound the
+work, and constructions refuse to run beyond them: DIM_BUDGET = 2**12 on a
+projector's space, LABEL_BUDGET = 2**16 on a decoder's labels, and
+MEMORY_BUDGET = 2**30 bytes on a decoder's factors and working arrays.
 
 Eigenvalue-label sequences are kept when their sample surprisal
 -(1/n) log2 prod(eigenvalue) sits within delta of the (average) von Neumann
@@ -30,13 +31,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConsistencyError
+from .channels import _aux_sums, sigma1
+from .errors import BudgetExceededError, ConsistencyError, ModelViolationError
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
-from .linalg import _as_matrix, _check_square_hermitian, eig_hermitian, trace_norm
+from .linalg import (
+    _as_matrix,
+    _check_square_hermitian,
+    eig_hermitian,
+    trace_distance,
+    trace_norm,
+)
 from .typicality import is_relative_typical, pair_sequence
 
 __all__ = [
     "DIM_BUDGET",
+    "LABEL_BUDGET",
     "MEMORY_BUDGET",
     "TypicalProjector",
     "Povm",
@@ -54,17 +63,24 @@ __all__ = [
 ]
 
 DIM_BUDGET = 2**12
+LABEL_BUDGET = 2**16
 # Bytes that one decoder's factors and working arrays may hold (see _check_memory).
 MEMORY_BUDGET = 2**30
+# Eigenvalues of a Gram matrix at or below this lie off its support.
+_SUPPORT_CUTOFF = 1e-10
 
 
-def _check_dim_budget(dim: int, n: int, budget: int) -> int:
+def _check_dim_budget(dim: int, n: int) -> None:
     total = dim**n
-    if total > budget:
+    if total > DIM_BUDGET:
         raise BudgetExceededError(
-            f"projector space of dimension {dim}^{n} = {total} exceeds budget {budget}"
+            f"projector space of dimension {dim}^{n} = {total} exceeds budget {DIM_BUDGET}"
         )
-    return total
+
+
+def _check_label_budget(total: int) -> None:
+    if total > LABEL_BUDGET:
+        raise BudgetExceededError(f"{total} POVM labels exceed budget {LABEL_BUDGET}")
 
 
 def _check_memory(frame: "TypicalProjector", ranks) -> None:
@@ -127,8 +143,6 @@ class TypicalProjector:
     """
 
     n: int
-    delta: float
-    kind: str
     bases: tuple
     seqs: np.ndarray
 
@@ -165,35 +179,6 @@ class TypicalProjector:
         return _product_block(letters, self.seqs, self.seqs)
 
 
-def typical_projector(
-    rho, n: int, delta: float, budget: int = DIM_BUDGET
-) -> TypicalProjector:
-    """Projector onto the span of n-fold eigenvector products with typical labels.
-
-    The base state is spectrally decomposed; a label sequence is kept when
-    the sample surprisal of its eigenvalue product lies within ``delta`` of
-    the von Neumann entropy (labels on zero eigenvalues never pass).
-
-    Parameters
-    ----------
-    rho : density operator or ndarray
-    n : int
-        Number of tensor factors.
-    delta : float
-        Entropy-window slack in bits.
-    budget : int
-        Maximum allowed total dimension dim(rho)**n.
-    """
-    mat = _as_matrix(rho)
-    dim = mat.shape[0]
-    _check_dim_budget(dim, n, budget)
-    w, v = eig_hermitian(mat)
-    spectrum = np.clip(w, 0.0, None)
-    seqs = field_vectors(dim, n)
-    mask = _entropy_mask(seqs, spectrum, delta)
-    return TypicalProjector(n, delta, "state", (v,) * n, seqs[mask])
-
-
 def _surprisal(spectrum: np.ndarray) -> np.ndarray:
     out = np.full(spectrum.shape, np.inf)
     pos = spectrum > 0.0
@@ -206,40 +191,23 @@ def _spectrum_entropy(spectrum: np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def _entropy_mask(seqs: np.ndarray, spectrum: np.ndarray, delta: float) -> np.ndarray:
-    logs = _surprisal(spectrum)
-    sample = logs[seqs].mean(axis=1)
-    target = _spectrum_entropy(spectrum)
-    return np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
-
-
-def conditional_typical_projector(
-    states,
-    vn,
-    delta: float,
-    pmf=None,
-    budget: int = DIM_BUDGET,
-) -> TypicalProjector:
-    """Projector onto conditionally typical eigenvector products given ``vn``.
+def _window(mats: list, vn: np.ndarray, delta: float, pmf=None) -> TypicalProjector:
+    """The entropy window of the letter states ``mats`` along the word ``vn``.
 
     Each letter state is decomposed separately; a label sequence is kept
-    when its sample surprisal -(1/n) log2 prod_t eig(states[vn_t]) lies
-    within ``delta`` of the average letter entropy (1/n) sum_t S(states[vn_t]).
-
-    When ``pmf`` is given, ``vn`` itself is first tested for *relative*
-    delta-typicality against it; an atypical conditioning word yields the
-    zero projector (the decoder's indicator clause).
+    when its sample surprisal -(1/n) log2 prod_t eig(mats[vn_t]) lies within
+    ``delta`` of the average letter entropy (1/n) sum_t S(mats[vn_t]), and
+    labels on zero eigenvalues never pass.  When ``pmf`` is given and ``vn``
+    is not relative delta-typical for it, the projector is zero.
     """
-    vn = np.asarray(vn, dtype=np.int64)
     n = vn.size
-    mats = [_as_matrix(s) for s in states]
     dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
-        raise ValueError("letter states must share one dimension")
-    _check_dim_budget(dim, n, budget)
+        raise ValueError("letter states must be square and share one dimension")
+    _check_dim_budget(dim, n)
     if pmf is not None and not is_relative_typical(vn, np.asarray(pmf, float), delta):
         empty = np.zeros((0, n), dtype=np.int64)
-        return TypicalProjector(n, delta, "conditional", (np.eye(dim, dtype=complex),) * n, empty)
+        return TypicalProjector(n, (np.eye(dim, dtype=complex),) * n, empty)
     eigs = {}
     for v in np.unique(vn):
         w, basis = eig_hermitian(mats[v])
@@ -250,7 +218,29 @@ def conditional_typical_projector(
     target = float(np.mean([_spectrum_entropy(eigs[int(v)][0]) for v in vn]))
     mask = np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
     bases = tuple(eigs[int(v)][1] for v in vn)
-    return TypicalProjector(n, delta, "conditional", bases, seqs[mask])
+    return TypicalProjector(n, bases, seqs[mask])
+
+
+def typical_projector(rho, n: int, delta: float) -> TypicalProjector:
+    """Projector onto the span of n-fold eigenvector products with typical labels.
+
+    The window of ``rho`` along the constant word: a label sequence is kept
+    when the sample surprisal of its eigenvalue product lies within
+    ``delta`` (bits) of the von Neumann entropy of ``rho``.
+    """
+    return _window([_as_matrix(rho)], np.zeros(n, dtype=np.int64), delta)
+
+
+def conditional_typical_projector(states, vn, delta: float, pmf=None) -> TypicalProjector:
+    """Projector onto conditionally typical eigenvector products given ``vn``.
+
+    The window of the letter states ``states[vn_t]`` (see ``_window``).  When
+    ``pmf`` is given, ``vn`` itself is first tested for *relative*
+    delta-typicality against it; an atypical conditioning word yields the
+    zero projector (the decoder's indicator clause).
+    """
+    mats = [_as_matrix(s) for s in states]
+    return _window(mats, np.asarray(vn, dtype=np.int64), delta, pmf)
 
 
 class _FactoredElements(Sequence):
@@ -267,10 +257,6 @@ class _FactoredElements(Sequence):
         self.factors = factors
         self.completion = completion
 
-    @property
-    def dim(self) -> int:
-        return self.frame.dim
-
     def __len__(self) -> int:
         return len(self.factors) + 1
 
@@ -279,62 +265,42 @@ class _FactoredElements(Sequence):
         u = self.frame.cols
         if index == len(self.factors):
             block = np.eye(self.frame.rank) - self.completion
-            return np.eye(self.dim, dtype=complex) - u @ block @ u.conj().T
+            return np.eye(self.frame.dim, dtype=complex) - u @ block @ u.conj().T
         w = u @ self.factors[index]
         return w @ w.conj().T
 
 
 @dataclass(frozen=True)
 class Povm:
-    """A labeled POVM; the completion element carries the label ``None``.
+    """A square-root decoder POVM; the completion element carries the label ``None``.
 
-    ``elements`` is either a tuple of dense matrices or, for the square-root
-    decoders built here, a factored sequence that builds each dense element
-    on request.  Construction verifies positivity of every element
-    (eigenvalues above -1e-8) and that the elements sum to the identity
-    within 1e-8: entrywise for dense elements; for factored ones, whose
-    decoding elements are Gram matrices and positive by construction, in
-    operator norm and through the spectrum of the completion block, both
-    in the r-dimensional range.
+    ``elements`` holds the decoding factors in the range of a typical
+    projector and builds each dense element on request (see
+    ``_FactoredElements``).  The decoding elements are Gram matrices, so
+    positive by construction; construction verifies that the elements sum
+    to the identity within 1e-8 in operator norm and that the completion
+    block has no eigenvalue below -1e-8, both in the r-dimensional range.
     """
 
     labels: tuple
-    elements: Sequence
+    elements: _FactoredElements
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.elements):
             raise ValueError("labels and elements must have equal length")
-        els = self.elements
-        if isinstance(els, _FactoredElements):
-            if self.labels[-1] is not None:
-                raise ValueError("the completion element must come last, labeled None")
-            block = els.completion
-            if not block.size:
-                return
-            residual = block - np.eye(block.shape[0])
-            for b in els.factors:
-                residual = residual + b @ b.conj().T
-            if np.linalg.norm(residual, 2) > 1e-8:
-                raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
-            wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
-            if wmin < -1e-8:
-                raise ConsistencyError(
-                    f"POVM element None has eigenvalue {wmin:.3e} below -1e-8"
-                )
+        if self.labels[-1] is not None:
+            raise ValueError("the completion element must come last, labeled None")
+        block = self.elements.completion
+        if not block.size:
             return
-        dim = els[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for label, el in zip(self.labels, els):
-            if el.shape != (dim, dim):
-                raise ValueError(f"element {label} has shape {el.shape}")
-            wmin = float(np.linalg.eigvalsh(0.5 * (el + el.conj().T)).min())
-            if wmin < -1e-8:
-                raise ConsistencyError(
-                    f"POVM element {label} has eigenvalue {wmin:.3e} below -1e-8"
-                )
-            total += el
-        if np.abs(total - np.eye(dim)).max() > 1e-8:
+        residual = block - np.eye(block.shape[0])
+        for b in self.elements.factors:
+            residual = residual + b @ b.conj().T
+        if np.linalg.norm(residual, 2) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
+        wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+        if wmin < -1e-8:
+            raise ConsistencyError(f"POVM element None has eigenvalue {wmin:.3e} below -1e-8")
 
     @cached_property
     def _position(self) -> dict:
@@ -345,20 +311,18 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        if isinstance(self.elements, _FactoredElements):
-            return self.elements.dim
-        return self.elements[0].shape[0]
+        return self.elements.frame.dim
 
 
-def _inverse_sqrt_on_support(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """S^{-1/2} on the eigenvalues of the Hermitian S above ``cutoff``, 0 off
-    them.  A real S (symmetric within 1e-10) is diagonalised by a real
+def _inverse_sqrt_on_support(mat: np.ndarray) -> np.ndarray:
+    """S^{-1/2} on the eigenvalues of the Hermitian S above ``_SUPPORT_CUTOFF``,
+    0 off them.  A real S (symmetric within 1e-10) is diagonalised by a real
     ``eigh``, about four times cheaper than the complex one."""
     if np.iscomplexobj(mat):
         w, v = eig_hermitian(mat)
     else:
         w, v = np.linalg.eigh(_check_square_hermitian(mat, dtype=float))
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
+    inv = np.where(w > _SUPPORT_CUTOFF, 1.0 / np.sqrt(np.clip(w, _SUPPORT_CUTOFF, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
@@ -385,14 +349,21 @@ def _square_root_povm(labels: list, frame: TypicalProjector, factors: list) -> P
     return Povm(tuple(labels) + (None,), _FactoredElements(frame, factors, completion))
 
 
-def build_ptp_povm(
-    code: NestedCosetCode,
-    encoder: EncoderState,
-    states,
-    delta: float,
-    budget: int = DIM_BUDGET,
-    label_budget: int = 2**16,
-) -> Povm:
+def _traces(frame: TypicalProjector, groups):
+    """tr(B^dagger U^dagger rho U B) for each factor B of each (letters, factors) group.
+
+    U is the range basis of ``frame`` and rho the tensor product of the
+    group's letter operators; one list of traces is yielded per group.  A
+    group's compressed state U^dagger rho U is dropped before the next one
+    is built, so one r x r state is alive at a time.
+    """
+    for letters, factors in groups:
+        rho = frame.compress(letters)
+        yield [float(np.vdot(b, rho @ b).real) for b in factors]
+        del rho
+
+
+def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: float) -> Povm:
     """Square-root decoder POVM for a point-to-point coset code.
 
     For every pair (a, m) the intermediate operator is
@@ -406,22 +377,16 @@ def build_ptp_povm(
     mats = [_as_matrix(s) for s in states]
     if len(mats) != q:
         raise ValueError(f"expected {q} letter states, got {len(mats)}")
-    dim = mats[0].shape[0]
-    total_labels = q ** (code.k + code.l)
-    if total_labels > label_budget:
-        raise BudgetExceededError(
-            f"{total_labels} POVM labels exceed budget {label_budget}"
-        )
-    _check_dim_budget(dim, code.n, budget)
+    _check_label_budget(q ** (code.k + code.l))
     pmf = encoder.pmf
     rho_bar = sum(p * m for p, m in zip(pmf, mats))
-    pi_rho = typical_projector(rho_bar, code.n, delta, budget)
+    pi_rho = typical_projector(rho_bar, code.n, delta)
     projs = []
     labels = []
     for a in field_vectors(q, code.k):
         for m in code.messages():
             word = code.codeword(a, m)
-            projs.append(conditional_typical_projector(mats, word, delta, pmf=pmf, budget=budget))
+            projs.append(conditional_typical_projector(mats, word, delta, pmf=pmf))
             labels.append((tuple(int(x) for x in a), tuple(int(x) for x in m)))
     _check_memory(pi_rho, [p.rank for p in projs])
     factors = [pi_rho.overlap(p) for p in projs]
@@ -435,26 +400,25 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     product of letter states.  The decoder succeeds on any outcome (a, m)
     with the correct message part.  ``povm`` must come from
     ``build_ptp_povm``: each success trace tr(B^dagger U^dagger rho U B) is
-    taken in the range of pi_rho.
+    taken in the range of pi_rho, one message's received state at a time.
     """
-    code = encoder.code
     mats = [_as_matrix(s) for s in states]
-    els = povm.elements
+    factors = povm.elements.factors
     by_message: dict = {}
-    for i, ((_, m), b) in enumerate(zip(povm.labels, els.factors)):
+    for i, ((_, m), b) in enumerate(zip(povm.labels, factors)):
         if b.shape[1]:
             by_message.setdefault(m, []).append(i)
-    # One compressed state alive at a time; the traces are added in label order.
+    groups = (
+        ([mats[int(v)] for v in encoder.codeword_for(m)], [factors[i] for i in indices])
+        for m, indices in by_message.items()
+    )
     traces = {}
-    for m, labels in by_message.items():
-        rho = els.frame.compress([mats[int(v)] for v in encoder.codeword_for(m)])
-        for i in labels:
-            traces[i] = float(np.vdot(els.factors[i], rho @ els.factors[i]).real)
-        del rho
+    for indices, values in zip(by_message.values(), _traces(povm.elements.frame, groups)):
+        traces.update(zip(indices, values))
     success = 0.0
-    for i in sorted(traces):
+    for i in sorted(traces):  # in label order
         success += traces[i]
-    return 1.0 - success / len(code.messages())
+    return 1.0 - success / len(encoder.code.messages())
 
 
 @dataclass(frozen=True)
@@ -491,10 +455,6 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     per-letter states indexed by (x1, u) describe the channel exactly; this
     is verified and a ModelViolationError raised otherwise.
     """
-    from .channels import _aux_sums, sigma1
-    from .errors import ModelViolationError
-    from .linalg import trace_distance
-
     q = dist.q
     s1 = sigma1(channel, dist)
     cond = {lab: mat for lab, (_, mat) in s1.blocks.items()}
@@ -527,7 +487,7 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     )
 
 
-def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> Povm:
+def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
     """Square-root decoder for (message 1, interference sum) at receiver 1.
 
     Labels are (m1, a, w): sender-1 message index, inner index and coset
@@ -544,10 +504,7 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
     n = code.n
     n_x1 = setup.p_x1.size
     dim = next(iter(setup.cond_states.values())).shape[0]
-    _check_dim_budget(dim, n, budget)
-    labels_total = len(setup.codebook1) * q ** (code.k + code.l)
-    if labels_total > 2**16:
-        raise BudgetExceededError(f"{labels_total} receiver-1 labels exceed budget")
+    _check_label_budget(len(setup.codebook1) * q ** (code.k + code.l))
 
     # Average and x1-conditional letter states.
     rho_bar = np.zeros((dim, dim), dtype=complex)
@@ -555,7 +512,7 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
     for (x1, u), mat in setup.cond_states.items():
         rho_bar += setup.p_x1[x1] * setup.p_u[u] * mat
         rho_x1[x1] += setup.p_u[u] * mat
-    pi_rho = typical_projector(rho_bar, n, delta, budget)
+    pi_rho = typical_projector(rho_bar, n, delta)
 
     # Pair-conditioned family: condition alphabet is (x1, u) flattened.
     pair_states = [
@@ -572,15 +529,13 @@ def build_rx1_povm(setup: Rx1Setup, delta: float, budget: int = DIM_BUDGET) -> P
     a_all = field_vectors(q, code.k)
     w_all = code.messages()
     for m1, x1_word in enumerate(setup.codebook1):
-        middle = conditional_typical_projector(rho_x1, x1_word, delta, budget=budget)
+        middle = conditional_typical_projector(rho_x1, x1_word, delta)
         inners = []
         for a in a_all:
             for w in w_all:
                 pair_seq = x1_word * q + code.codeword(a, w)
                 inners.append(
-                    conditional_typical_projector(
-                        pair_states, pair_seq, delta, pmf=pair_pmf, budget=budget
-                    )
+                    conditional_typical_projector(pair_states, pair_seq, delta, pmf=pair_pmf)
                 )
                 labels.append(
                     (
@@ -632,15 +587,17 @@ def rx1_success_probability(
                 key = (label, tuple(int(u) for u in u_word))
                 hits[key] = hits.get(key, 0) + 1
                 combos += 1
-    els = povm.elements
-    success = 0.0
-    for (label, u_word), count in hits.items():
-        x1_word = setup.codebook1[label[0]]
-        rho = els.frame.compress(
-            [setup.cond_states[(int(x1), u)] for x1, u in zip(x1_word, u_word)]
+    factors = povm.elements.factors
+    groups = (
+        (
+            [setup.cond_states[(int(x1), u)] for x1, u in zip(setup.codebook1[label[0]], u_word)],
+            [factors[povm._position[label]]],
         )
-        b = els.factors[povm._position[label]]
-        success += count * float(np.vdot(b, rho @ b).real)
+        for label, u_word in hits
+    )
+    success = 0.0
+    for count, (trace,) in zip(hits.values(), _traces(povm.elements.frame, groups)):
+        success += count * trace
     return success / combos
 
 
@@ -652,13 +609,7 @@ class PinchingRow:
     deficiency: float
 
 
-def verify_pinching(
-    p_ab,
-    states_b,
-    n_list,
-    delta: float,
-    budget: int = DIM_BUDGET,
-) -> list:
+def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
     """Exact overlap sweep for the pinching bound.
 
     For each blocklength a deterministic delta/4-typical pair (a^n, b^n) is
@@ -686,12 +637,11 @@ def verify_pinching(
     rows = []
     for n in n_list:
         a_seq, b_seq = pair_sequence(p_ab, int(n), delta / 4.0)
-        pi_rho = typical_projector(rho_bar, int(n), delta, budget)
-        pi_a = conditional_typical_projector(cond_states, a_seq, delta, budget=budget)
+        pi_rho = typical_projector(rho_bar, int(n), delta)
+        pi_a = conditional_typical_projector(cond_states, a_seq, delta)
         _check_memory(pi_rho, [pi_a.rank])
-        overlap = pi_rho.overlap(pi_a)
-        rho_bn = pi_rho.compress([mats[int(b)] for b in b_seq])
-        trace = float(np.vdot(overlap, rho_bn @ overlap).real)
+        group = ([mats[int(b)] for b in b_seq], [pi_rho.overlap(pi_a)])
+        [[trace]] = _traces(pi_rho, [group])
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
     return rows
 

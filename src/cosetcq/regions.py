@@ -21,12 +21,12 @@ from .channels import (
     _shannon_bits,
     _sum_state,
     binary_input_distribution,
-    classical_conditional_entropy,
-    classical_quantum_mi,
+    cq_entropy,
     cq_mutual_information,
     example1_channel,
     example2_channel,
     example2_mix,
+    label_entropy,
     split_sigma1,
     split_sigma_receiver,
 )
@@ -337,8 +337,11 @@ def theorem3_region(channel: CqChannel, dist: SplitInputDistribution) -> RegionS
     degenerate u_j (w empty) recovers the unstructured baseline.
     """
     s1 = split_sigma1(channel, dist)
-    h_w_given_y1 = classical_conditional_entropy(s1, ("w",))
-    i_x1_wy1 = classical_quantum_mi(s1, ("x1",), ("w",))
+    # H(W | Y1) and I(X1 ; W, Y1), each entropy computed once and combined as
+    # classical_conditional_entropy and classical_quantum_mi combine them.
+    h_w = cq_entropy(s1, ("w",))
+    h_w_given_y1 = h_w - cq_entropy(s1, ())
+    i_x1_wy1 = (label_entropy(s1, ("x1",)) + h_w) - cq_entropy(s1, ("x1", "w"))
     h_u = {j: shannon(dist.p_uj(j)) for j in (2, 3)}
     direct = {}
     cond = {}

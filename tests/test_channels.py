@@ -9,6 +9,7 @@ from cosetcq.channels import (
     InputDistribution,
     binary_input_distribution,
     binary_split_distribution,
+    classical_conditional_entropy,
     classical_quantum_mi,
     cq_entropy,
     cq_mutual_information,
@@ -168,6 +169,29 @@ def test_classical_quantum_mi_reduces_to_shannon():
     got = classical_quantum_mi(s1, ("x1",), ("u",))
     want = cq_mutual_information(s1, ("x1",), ("u",))
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_classical_conditional_entropy_extremes():
+    """H(W | Y) is 0 when the blocks of different w are orthogonal and H(W)
+    when they are identical; the register x is marginalized first."""
+    p_x, p_w = np.array([0.3, 0.7]), np.array([0.5, 0.3, 0.2])
+    h_w = float(-(p_w * np.log2(p_w)).sum())
+    rng = np.random.default_rng(2)
+
+    def block(w, x):
+        # a mixed state supported on the two basis vectors 2w, 2w + 1
+        out = np.zeros((6, 6), dtype=complex)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        out[2 * w : 2 * w + 2, 2 * w : 2 * w + 2] = g @ g.conj().T
+        return out / np.trace(out).real
+
+    weights = {(x, w): p_x[x] * p_w[w] for x in range(2) for w in range(3)}
+    blocks = {(x, w): (p, block(w, x)) for (x, w), p in weights.items()}
+    orthogonal = CqState(("x", "w"), (6,), blocks)
+    assert classical_conditional_entropy(orthogonal, ("w",)) == pytest.approx(0.0, abs=1e-12)
+    same = block(1, 0)
+    identical = CqState(("x", "w"), (6,), {lab: (p, same) for lab, p in weights.items()})
+    assert classical_conditional_entropy(identical, ("w",)) == pytest.approx(h_w, abs=1e-12)
 
 
 def test_marginal_registers_and_reduce_quantum():

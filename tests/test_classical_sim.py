@@ -227,21 +227,6 @@ def test_group_starts_reject_unsorted_or_gapped_ids(ids):
         classical_sim._group_starts(np.array(ids, dtype=np.int64))
 
 
-def test_popcount_fallback_matches_bitwise_count(monkeypatch):
-    """The byte-lookup branch for numpy < 2.0 counts the same bits."""
-    words = np.concatenate([
-        np.array([0, 1, 1 << 63, 2**64 - 1], dtype=np.uint64),
-        np.random.default_rng(0).integers(0, 2**64, size=60, dtype=np.uint64),
-    ]).reshape(8, 8)
-    expected = np.bitwise_count(words)
-    inst = _frozen_instance(delta1=0.2, delta=0.3)
-    report = simulate(inst, 3000, np.random.default_rng(6), decoder="ml")
-
-    monkeypatch.delattr(np, "bitwise_count")
-    assert np.array_equal(classical_sim._popcount(words), expected)
-    assert simulate(inst, 3000, np.random.default_rng(6), decoder="ml") == report
-
-
 def test_capacity_report_closed_forms():
     rep = capacity_report(0.01, 0.1, 0.0918)
     assert rep["tx1_capacity"] == pytest.approx(

@@ -2,16 +2,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cosetcq.povm as povm_module
 from cosetcq.channels import (
     CqChannel,
     binary_input_distribution,
     example1_channel,
+    example2_channel,
     example2_mix,
 )
 from cosetcq.errors import BudgetExceededError, ConsistencyError, ModelViolationError
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
-from cosetcq.linalg import DensityOperator, random_density
+from cosetcq.linalg import DensityOperator, eig_hermitian, random_density
 from cosetcq.povm import (
     MEMORY_BUDGET,
     Povm,
@@ -83,15 +87,63 @@ def test_typical_projector_budget():
         typical_projector(np.eye(2) / 2, 13, 0.1)
 
 
-def test_conditional_projector_constant_word_matches_plain():
-    rng = np.random.default_rng(8)
-    rho = random_density(2, rng)
-    other = random_density(2, rng)
-    plain = typical_projector(rho, 3, 0.25)
-    cond = conditional_typical_projector(
-        [rho.matrix, other.matrix], [0, 0, 0], 0.25
-    )
-    np.testing.assert_allclose(cond.matrix, plain.matrix, atol=1e-12)
+def _single_state_window(rho, n, delta):
+    """(bases, seqs) of the entropy window written for one state."""
+    w, v = eig_hermitian(rho)
+    spectrum = np.clip(w, 0.0, None)
+    pos = spectrum > 0.0
+    logs = np.full(spectrum.shape, np.inf)
+    logs[pos] = -np.log2(spectrum[pos])
+    seqs = field_vectors(spectrum.size, n)
+    sample = logs[seqs].mean(axis=1)
+    target = float(-(spectrum[pos] * np.log2(spectrum[pos])).sum())
+    mask = np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
+    return (v,) * n, seqs[mask]
+
+
+@st.composite
+def window_cases(draw):
+    """A state (random of rank 1..d for d = 2, 3, 4, or a fixed example) and n."""
+    fixed = [
+        np.eye(2) / 2,
+        np.diag([0.75, 0.25]),
+        np.diag([1.0, 0.0]),
+        np.diag([0.7, 0.3]),
+        np.diag([0.4, 0.6]),
+        example2_mix(0.9),
+        example2_mix(0.3),
+    ]
+    if draw(st.booleans()):
+        rho = draw(st.sampled_from(fixed))
+    else:
+        d = draw(st.integers(2, 4))
+        rank = draw(st.integers(1, d))
+        size = d * rank
+        parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size)))
+        g = (parts[:size] + 1j * parts[size:]).reshape(d, rank)
+        if not np.abs(g).max() > 1e-3:
+            g[0, 0] = 1.0
+        rho = g @ g.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    d = rho.shape[0]
+    n = draw(st.integers(1, {2: 10, 3: 7, 4: 6}[d]))
+    return rho, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=window_cases(), delta=st.floats(0.0, 1.0))
+def test_conditional_projector_constant_word_matches_plain(case, delta):
+    """The plain projector is the window along a constant word: same seqs and
+    bases as the single-state formula, and as the conditional projector."""
+    rho, n = case
+    want_bases, want_seqs = _single_state_window(rho, n, delta)
+    plain = typical_projector(rho, n, delta)
+    other = np.eye(rho.shape[0]) / rho.shape[0]
+    cond = conditional_typical_projector([other, rho], np.ones(n, dtype=int), delta)
+    for proj in (plain, cond):
+        assert np.array_equal(proj.seqs, want_seqs)
+        assert len(proj.bases) == n
+        assert all(np.array_equal(b, want_bases[0]) for b in proj.bases)
 
 
 def test_conditional_projector_pmf_gate():
@@ -106,18 +158,6 @@ def test_conditional_projector_pmf_gate():
 def test_conditional_projector_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         conditional_typical_projector([np.eye(2) / 2, np.eye(3) / 3], [0, 1], 0.1)
-
-
-def test_povm_invariants():
-    good = Povm((0, 1), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    np.testing.assert_allclose(good.element(1), np.diag([0.0, 1.0]))
-    assert good.dim == 2
-    with pytest.raises(ValueError, match="equal length"):
-        Povm((0,), (np.eye(2), np.eye(2)))
-    with pytest.raises(ConsistencyError, match="below"):
-        Povm((0, 1), (np.diag([1.1, 0.5]), np.diag([-0.1, 0.5])))
-    with pytest.raises(ConsistencyError, match="identity"):
-        Povm((0, 1), (np.diag([0.4, 0.4]), np.diag([0.4, 0.4])))
 
 
 def test_factored_povm_validation():
@@ -135,6 +175,8 @@ def test_factored_povm_validation():
         Povm((0, None), _FactoredElements(frame, [big], np.diag([-0.5, 1.0])))
     with pytest.raises(ValueError, match="last"):
         Povm((None, 0), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+    with pytest.raises(ValueError, match="equal length"):
+        Povm((None,), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
 
 
 def _ptp_instance(states, delta, rng_seed=0):
@@ -188,12 +230,13 @@ def test_ptp_povm_manual_sandwich_cross_check():
         )
 
 
-def test_ptp_povm_label_budget():
+def test_ptp_povm_label_budget(monkeypatch):
     states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     code = NestedCosetCode(F2, 2, 1, 1, [[1, 0]], [[0, 1]], [0, 0])
     enc = select_typical(code, UNIFORM, 1.0, np.random.default_rng(0))
+    monkeypatch.setattr(povm_module, "LABEL_BUDGET", 3)
     with pytest.raises(BudgetExceededError, match="labels"):
-        build_ptp_povm(code, enc, states, 0.5, label_budget=3)
+        build_ptp_povm(code, enc, states, 0.5)
 
 
 def test_ptp_povm_memory_budget_checked_before_allocation():
@@ -237,6 +280,74 @@ def test_rx1_decoder_on_nearly_clean_parity_channel():
     assert povm.labels[-1] is None
     success = rx1_success_probability(povm, setup, enc2, enc3)
     assert success == pytest.approx((1.0 - delta1) ** 4, abs=1e-9)
+
+
+def _parity_setup():
+    code2 = NestedCosetCode(F2, 4, 1, 1, [[0, 1, 0, 0]], [[1, 0, 1, 1]], [1, 1, 1, 1])
+    code3 = NestedCosetCode(F2, 4, 1, 1, [[0, 1, 0, 0]], [[1, 0, 1, 1]], [1, 0, 0, 1])
+    book1 = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+    setup = rx1_setup_from_channel(
+        example1_channel(0.01, 0.01), binary_input_distribution(0.5), book1, code2, code3
+    )
+    return setup, code2, code3
+
+
+def test_rx1_povm_label_budget_checked_before_projectors(monkeypatch):
+    setup, _, _ = _parity_setup()  # 2 sender-1 words x 2^(1 + 1) sum labels
+    assert len(build_rx1_povm(setup, 0.5).labels) == 8 + 1
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(args)
+
+    monkeypatch.setattr(povm_module, "typical_projector", record)
+    monkeypatch.setattr(povm_module, "conditional_typical_projector", record)
+    monkeypatch.setattr(povm_module, "LABEL_BUDGET", 7)
+    with pytest.raises(BudgetExceededError, match="8 POVM labels exceed budget 7"):
+        build_rx1_povm(setup, 0.5)
+    assert built == []
+
+
+def _reference_rx1_success(povm, setup, enc2, enc3) -> float:
+    """Each distinct (label, received word) pair traced once and weighted by its
+    count, in the order the message triples first reach it."""
+    hits: dict = {}
+    for m1, x1_word in enumerate(setup.codebook1):
+        for m2 in enc2.code.messages():
+            for m3 in enc3.code.messages():
+                u_word = (enc2.codeword_for(m2) + enc3.codeword_for(m3)) % 2
+                a = enc2.chosen[tuple(int(x) for x in m2)] + enc3.chosen[tuple(int(x) for x in m3)]
+                label = (m1, tuple(int(x) for x in a % 2), tuple(int(x) for x in (m2 + m3) % 2))
+                key = (label, tuple(int(u) for u in u_word))
+                hits[key] = hits.get(key, 0) + 1
+    success = 0.0
+    for (label, u_word), count in hits.items():
+        x1_word = setup.codebook1[label[0]]
+        rho = povm.elements.frame.compress(
+            [setup.cond_states[(int(x1), u)] for x1, u in zip(x1_word, u_word)]
+        )
+        b = povm.elements.factors[povm.labels.index(label)]
+        success += count * float(np.vdot(b, rho @ b).real)
+    return success / sum(hits.values())
+
+
+def test_rx1_success_probability_matches_reference_loop():
+    for tau in (0.3, 0.5):
+        rng = np.random.default_rng(5)
+        code2 = NestedCosetCode(F2, 5, 1, 2, rng.integers(0, 2, (1, 5)),
+                                rng.integers(0, 2, (2, 5)), rng.integers(0, 2, 5))
+        code3 = NestedCosetCode(F2, 5, 1, 2, code2.g_inner, code2.g_outer,
+                                rng.integers(0, 2, 5))
+        book1 = tuple(rng.integers(0, 2, 5) for _ in range(3))
+        setup = rx1_setup_from_channel(
+            example2_channel(0.05, 0.1), binary_input_distribution(tau), book1, code2, code3
+        )
+        enc2 = select_typical(code2, UNIFORM, 0.5, rng)
+        enc3 = select_typical(code3, UNIFORM, 0.5, rng)
+        povm = build_rx1_povm(setup, 0.6)
+        got = rx1_success_probability(povm, setup, enc2, enc3)
+        assert 0.0 < got <= 1.0
+        assert got == _reference_rx1_success(povm, setup, enc2, enc3)
 
 
 def test_rx1_setup_rejects_sum_insufficient_channel():
