@@ -19,7 +19,11 @@ projectors and compressions of product states are products of per-letter
 d x d blocks.  Square-root decoders live in the rank-r range of the typical
 projector pi_rho: each element is E_i = (U B_i)(U B_i)^dagger with U the
 range basis and B_i an r x r_i factor, and exact error probabilities are
-traces of r x r matrices.  Dense D x D elements are built only on request.
+traces of r x r matrices.  A decoder's factors are the column slices of one
+r x (sum_i r_i) block, allocated once after the memory check; the Gram
+matrix, the square-root normalization and the completeness check are each
+one pass over that block.  Dense D x D elements are built only on request.
+Factors, ranges and dense elements stay real when every letter basis is.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ DIM_BUDGET = 2**12
 LABEL_BUDGET = 2**16
 # Bytes that one decoder's factors and working arrays may hold (see _check_memory).
 MEMORY_BUDGET = 2**30
+# Columns of a factor block that one product of the normalization pass (and
+# of a complex Gram matrix) covers; wide enough for few BLAS calls, narrow
+# enough that the chunk is small beside the block.
+_CHUNK = 1024
 # Eigenvalues of a Gram matrix at or below this lie off its support.
 _SUPPORT_CUTOFF = 1e-10
 
@@ -83,20 +91,35 @@ def _check_label_budget(total: int) -> None:
         raise BudgetExceededError(f"{total} POVM labels exceed budget {LABEL_BUDGET}")
 
 
-def _check_memory(frame: "TypicalProjector", ranks) -> None:
-    """Refuse a decoder whose factors would not fit in MEMORY_BUDGET bytes.
+def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
+    """Refuse a decoder whose arrays would not fit in MEMORY_BUDGET bytes.
 
-    Counted from the projector ranks alone, before anything is allocated,
-    as complex entries: the r x r_i factors (r sum r_i), the Gram matrix,
-    its inverse square root and the completion block (3 r^2), and the range
-    basis U that dense elements are built from (D r).
+    Counted from the projector ranks alone, before anything is allocated, in
+    entries of ``dtype`` (the factor block's type), and returned in bytes:
+
+    - the r x R factor block, R = sum r_i;
+    - one r x _CHUNK column chunk of the normalization pass;
+    - one label's build temporaries, at most 3 w^2 + 66 w for w the largest
+      of r, the ranks and the ``side`` ranks (the middle projectors that a
+      receiver-1 factor passes through): a product block, one gathered run,
+      the gathered table columns and index arrays, and a product through a
+      middle range;
+    - 8 r^2: the Gram matrix and S^{-1/2}, held to the end, and at most six
+      more r x r arrays at once (an eigendecomposition with its LAPACK copy
+      and workspace, the completion block and its products, the
+      completeness residual and its Hermitian part);
+    - the D x r range basis U that dense elements are built from.
     """
     r = frame.rank
-    entries = r * int(sum(ranks)) + 3 * r * r + frame.dim * r
-    if 16 * entries > MEMORY_BUDGET:
+    total = int(sum(ranks))
+    w = max([r, *ranks, *side])
+    entries = r * total + r * min(_CHUNK, total) + 3 * w * w + 66 * w + 8 * r * r + frame.dim * r
+    need = np.dtype(dtype).itemsize * entries
+    if need > MEMORY_BUDGET:
         raise BudgetExceededError(
-            f"decoder factors need {16 * entries} bytes, exceeding budget {MEMORY_BUDGET}"
+            f"decoder factors need {need} bytes, exceeding budget {MEMORY_BUDGET}"
         )
+    return need
 
 
 def _real_if_exact(mat: np.ndarray) -> np.ndarray:
@@ -113,23 +136,32 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Rows and columns are given as label sequences (one digit per position),
     so entry (i, j) is prod_t letters[t][rows[i, t], cols[j, t]].  Runs of
-    positions are merged into Kronecker tables of side at most 64, so each
-    run costs one gather.
+    positions are merged into Kronecker tables of side at most 64.  Each run
+    gathers the table's columns, then copies whole rows of that narrow
+    table: two ``take`` calls, about twice as fast as one ``np.ix_`` gather.
     """
     letters = [_real_if_exact(m) for m in letters]
+    dtype = np.result_type(*letters)
     d = letters[0].shape[0]
     step = 1
     while step < len(letters) and d ** (step + 1) <= 64:
         step += 1
-    out = np.ones((rows.shape[0], cols.shape[0]), dtype=np.result_type(*letters))
+    out = None
     for start in range(0, len(letters), step):
         run = letters[start:start + step]
         table = run[0]
         for mat in run[1:]:
-            table = np.kron(table, mat)
+            table = (table[:, None, :, None] * mat[None, :, None, :]).reshape(
+                table.shape[0] * d, table.shape[1] * d
+            )
         place = d ** np.arange(len(run) - 1, -1, -1)
         stop = start + len(run)
-        out *= table[np.ix_(rows[:, start:stop] @ place, cols[:, start:stop] @ place)]
+        picked = table.take(cols[:, start:stop] @ place, axis=1)
+        picked = picked.take(rows[:, start:stop] @ place, axis=0)
+        if out is None:
+            out = picked.astype(dtype, copy=False)
+        else:
+            out *= picked
     return out
 
 
@@ -155,11 +187,16 @@ class TypicalProjector:
         return self.bases[0].shape[0] ** self.n
 
     @cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every letter basis is real, complex otherwise."""
+        return np.result_type(*(_real_if_exact(b) for b in self.bases))
+
+    @cached_property
     def cols(self) -> np.ndarray:
-        """(dim, rank) orthonormal basis of the range."""
-        out = np.ones((self.rank, 1), dtype=complex)
+        """(dim, rank) orthonormal basis of the range, of type ``dtype``."""
+        out = np.ones((self.rank, 1), dtype=self.dtype)
         for t, basis in enumerate(self.bases):
-            picked = basis[:, self.seqs[:, t]].T
+            picked = _real_if_exact(basis)[:, self.seqs[:, t]].T
             out = out[:, :, None] * picked[:, None, :]
             out = out.reshape(self.rank, out.shape[1] * out.shape[2])
         return out.T
@@ -243,18 +280,53 @@ def conditional_typical_projector(states, vn, delta: float, pmf=None) -> Typical
     return _window(mats, np.asarray(vn, dtype=np.int64), delta, pmf)
 
 
+def _columns(block: np.ndarray, ranks) -> list:
+    """Consecutive column views of ``block``, ``ranks[i]`` columns wide each."""
+    return [block[:, end - k:end] for k, end in zip(ranks, itertools.accumulate(ranks))]
+
+
+def _gram(block: np.ndarray) -> np.ndarray:
+    """block . block^dagger.
+
+    A real block is one symmetric rank-k product.  A complex one is summed
+    over _CHUNK-column slices, so no conjugated copy of the whole block is
+    made.
+    """
+    if not np.iscomplexobj(block):
+        return block @ block.T
+    gram = np.zeros((block.shape[0],) * 2, dtype=block.dtype)
+    for start in range(0, block.shape[1], _CHUNK):
+        chunk = block[:, start:start + _CHUNK]
+        gram += chunk @ chunk.conj().T
+    return gram
+
+
+def _norm_bound(mat: np.ndarray) -> float:
+    """An upper bound on the spectral norm of the square ``mat``.
+
+    The largest |eigenvalue| of the Hermitian part plus the Frobenius norm
+    of the anti-Hermitian part: one ``eigvalsh`` instead of an SVD, and by
+    the triangle inequality never below ``np.linalg.norm(mat, 2)``.
+    """
+    herm = 0.5 * (mat + mat.conj().T)
+    return float(np.abs(np.linalg.eigvalsh(herm)).max() + np.linalg.norm(mat - herm))
+
+
 class _FactoredElements(Sequence):
     """Dense elements of a square-root measurement held in a projector's range.
 
-    With U the range basis of ``frame``, element i is (U B_i)(U B_i)^dagger
-    for ``factors[i]`` = B_i, and the last one, the completion, is
-    U C U^dagger + (I - U U^dagger) for the r x r block ``completion`` = C.
-    Indexing builds the D x D element; no D x D array is kept.
+    With U the range basis of ``frame``, the r x R array ``block`` is
+    [B_1 ... B_L], its i-th slice ``ranks[i]`` columns wide; ``factors[i]``
+    is a view of that slice.  Element i is (U B_i)(U B_i)^dagger, and the
+    last one, the completion, is U C U^dagger + (I - U U^dagger) for the
+    r x r block ``completion`` = C.  Indexing builds the D x D element; no
+    D x D array is kept.
     """
 
-    def __init__(self, frame: TypicalProjector, factors: list, completion: np.ndarray):
+    def __init__(self, frame: TypicalProjector, block: np.ndarray, ranks, completion: np.ndarray):
         self.frame = frame
-        self.factors = factors
+        self.block = block
+        self.factors = _columns(block, ranks)
         self.completion = completion
 
     def __len__(self) -> int:
@@ -265,7 +337,7 @@ class _FactoredElements(Sequence):
         u = self.frame.cols
         if index == len(self.factors):
             block = np.eye(self.frame.rank) - self.completion
-            return np.eye(self.frame.dim, dtype=complex) - u @ block @ u.conj().T
+            return np.eye(self.frame.dim) - u @ block @ u.conj().T
         w = u @ self.factors[index]
         return w @ w.conj().T
 
@@ -278,7 +350,8 @@ class Povm:
     projector and builds each dense element on request (see
     ``_FactoredElements``).  The decoding elements are Gram matrices, so
     positive by construction; construction verifies that the elements sum
-    to the identity within 1e-8 in operator norm and that the completion
+    to the identity within 1e-8 in operator norm (through ``_norm_bound``,
+    which may only overstate the residual) and that the completion
     block has no eigenvalue below -1e-8, both in the r-dimensional range.
     """
 
@@ -293,10 +366,8 @@ class Povm:
         block = self.elements.completion
         if not block.size:
             return
-        residual = block - np.eye(block.shape[0])
-        for b in self.elements.factors:
-            residual = residual + b @ b.conj().T
-        if np.linalg.norm(residual, 2) > 1e-8:
+        residual = block - np.eye(block.shape[0]) + _gram(self.elements.block)
+        if _norm_bound(residual) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
         wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
         if wmin < -1e-8:
@@ -326,27 +397,27 @@ def _inverse_sqrt_on_support(mat: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def _square_root_povm(labels: list, frame: TypicalProjector, factors: list) -> Povm:
+def _square_root_povm(labels: list, frame: TypicalProjector, block: np.ndarray, ranks) -> Povm:
     """Square-root measurement of the operators U A_i A_i^dagger U^dagger.
 
-    ``frame`` gives the range basis U (D x r) of pi_rho and ``factors`` the
-    r x r_i matrices A_i = U^dagger . (projector chain) . C_i.  With
-    S = sum_i A_i A_i^dagger, the decoding factors are B_i = S^{-1/2} A_i
+    ``frame`` gives the range basis U (D x r) of pi_rho, and ``block`` holds
+    the r x r_i matrices A_i = U^dagger . (projector chain) . C_i side by
+    side, ``ranks[i]`` columns each.  With S = sum_i A_i A_i^dagger, one
+    product of the block, the decoding factors are B_i = S^{-1/2} A_i
     (inverse square root on the support of S), so E_i = (U B_i)(U B_i)^dagger
     equals N Gamma_i N for Gamma_i = U A_i A_i^dagger U^dagger and
     N = (sum_i Gamma_i)^{-1/2}.  The completion block is
-    I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.  ``factors`` is
-    overwritten with the B_i, so only one set of factors is held at a time.
+    I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.  S^{-1/2} is
+    applied to the block in place, _CHUNK columns at a time, so one block of
+    factors is held.
     """
-    r = frame.rank
-    gram = np.zeros((r, r))
-    for a in factors:
-        gram = gram + a @ a.conj().T
+    gram = _gram(block)
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
-    for i, a in enumerate(factors):
-        factors[i] = norm @ a
-    completion = np.eye(r) - norm @ gram @ norm
-    return Povm(tuple(labels) + (None,), _FactoredElements(frame, factors, completion))
+    for start in range(0, block.shape[1], _CHUNK):
+        chunk = block[:, start:start + _CHUNK]
+        chunk[...] = norm @ chunk
+    completion = np.eye(frame.rank) - norm @ gram @ norm
+    return Povm(tuple(labels) + (None,), _FactoredElements(frame, block, ranks, completion))
 
 
 def _traces(frame: TypicalProjector, groups):
@@ -388,9 +459,13 @@ def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: 
             word = code.codeword(a, m)
             projs.append(conditional_typical_projector(mats, word, delta, pmf=pmf))
             labels.append((tuple(int(x) for x in a), tuple(int(x) for x in m)))
-    _check_memory(pi_rho, [p.rank for p in projs])
-    factors = [pi_rho.overlap(p) for p in projs]
-    return _square_root_povm(labels, pi_rho, factors)
+    ranks = [p.rank for p in projs]
+    dtype = np.result_type(pi_rho.dtype, *(p.dtype for p in projs))
+    _check_memory(pi_rho, ranks, dtype)
+    block = np.empty((pi_rho.rank, sum(ranks)), dtype=dtype)
+    for factor, p in zip(_columns(block, ranks), projs):
+        factor[...] = pi_rho.overlap(p)
+    return _square_root_povm(labels, pi_rho, block, ranks)
 
 
 def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
@@ -545,12 +620,17 @@ def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
                     )
                 )
         chains.append((middle, inners))
-    _check_memory(pi_rho, [p.rank for _, inners in chains for p in inners])
-    factors = []
+    flat = [p for _, inners in chains for p in inners]
+    ranks = [p.rank for p in flat]
+    dtype = np.result_type(pi_rho.dtype, *(p.dtype for p in flat), *(m.dtype for m, _ in chains))
+    _check_memory(pi_rho, ranks, dtype, side=[m.rank for m, _ in chains])
+    block = np.empty((pi_rho.rank, sum(ranks)), dtype=dtype)
+    factors = iter(_columns(block, ranks))
     for middle, inners in chains:
         outer = pi_rho.overlap(middle)
-        factors.extend(outer @ middle.overlap(inner) for inner in inners)
-    return _square_root_povm(labels, pi_rho, factors)
+        for inner in inners:
+            next(factors)[...] = outer @ middle.overlap(inner)
+    return _square_root_povm(labels, pi_rho, block, ranks)
 
 
 def rx1_success_probability(
@@ -639,7 +719,7 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
         a_seq, b_seq = pair_sequence(p_ab, int(n), delta / 4.0)
         pi_rho = typical_projector(rho_bar, int(n), delta)
         pi_a = conditional_typical_projector(cond_states, a_seq, delta)
-        _check_memory(pi_rho, [pi_a.rank])
+        _check_memory(pi_rho, [pi_a.rank], np.result_type(pi_rho.dtype, pi_a.dtype))
         group = ([mats[int(b)] for b in b_seq], [pi_rho.overlap(pi_a)])
         [[trace]] = _traces(pi_rho, [group])
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))

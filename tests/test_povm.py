@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -82,6 +84,24 @@ def test_typical_projector_is_projector():
     np.testing.assert_allclose(proj.matrix, proj.matrix.conj().T, atol=1e-12)
 
 
+def test_real_letter_bases_keep_ranges_and_elements_real():
+    states = [example2_mix(0.8), example2_mix(0.2)]
+    proj = conditional_typical_projector(states, [0, 1, 1, 0], 0.4)
+    assert proj.dtype == np.float64 and proj.cols.dtype == np.float64
+    for j, seq in enumerate(proj.seqs):
+        want = reduce(np.kron, [b[:, s] for b, s in zip(proj.bases, seq)])
+        assert np.array_equal(proj.cols[:, j], want)
+    _, _, povm = _ptp_instance(states, 0.6)
+    assert povm.elements.block.dtype == np.float64
+    dense = list(povm.elements)
+    assert all(el.dtype == np.float64 for el in dense)
+    np.testing.assert_allclose(sum(dense), np.eye(povm.dim), atol=1e-12)
+    # one complex basis makes the range complex
+    phase = np.diag([1.0, 1j])
+    rotated = phase @ example2_mix(0.8) @ phase.conj().T
+    assert typical_projector(rotated, 2, 0.4).cols.dtype == complex
+
+
 def test_typical_projector_budget():
     with pytest.raises(BudgetExceededError, match="budget"):
         typical_projector(np.eye(2) / 2, 13, 0.1)
@@ -163,20 +183,20 @@ def test_conditional_projector_dimension_check():
 def test_factored_povm_validation():
     frame = typical_projector(np.eye(2) / 2, 1, 0.0)
     b = np.array([[1.0], [0.0]])
-    good = Povm((0, None), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+    good = Povm((0, None), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
     assert good.dim == 2
     np.testing.assert_allclose(good.element(0), frame.cols @ np.diag([1.0, 0.0]) @ frame.cols.T)
     np.testing.assert_allclose(good.elements[0] + good.elements[-1], np.eye(2), atol=1e-15)
     with pytest.raises(ConsistencyError, match="identity"):
-        Povm((0, None), _FactoredElements(frame, [b], np.eye(2)))
+        Povm((0, None), _FactoredElements(frame, b, [1], np.eye(2)))
     # a factor of norm above one forces a negative completion block
     big = np.sqrt(1.5) * b
     with pytest.raises(ConsistencyError, match="below"):
-        Povm((0, None), _FactoredElements(frame, [big], np.diag([-0.5, 1.0])))
+        Povm((0, None), _FactoredElements(frame, big, [1], np.diag([-0.5, 1.0])))
     with pytest.raises(ValueError, match="last"):
-        Povm((None, 0), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+        Povm((None, 0), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
     with pytest.raises(ValueError, match="equal length"):
-        Povm((None,), _FactoredElements(frame, [b], np.diag([0.0, 1.0])))
+        Povm((None,), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
 
 
 def _ptp_instance(states, delta, rng_seed=0):
@@ -257,6 +277,63 @@ def test_ptp_povm_memory_budget_checked_before_allocation():
     with pytest.raises(BudgetExceededError, match=f"budget {MEMORY_BUDGET}"):
         build_ptp_povm(code, enc, [example2_mix(0.9), example2_mix(0.1)], 0.3)
     assert time.perf_counter() - start < 1.0
+
+
+def _ptp_n8_build(states):
+    rng = np.random.default_rng(8)
+    code = NestedCosetCode(F2, 8, 2, 3, rng.integers(0, 2, (2, 8)), rng.integers(0, 2, (3, 8)),
+                           rng.integers(0, 2, 8))
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    return lambda: build_ptp_povm(code, enc, states, 0.3)
+
+
+def _rx1_n8_build():
+    rng = np.random.default_rng(9)
+    code2 = NestedCosetCode(F2, 8, 1, 2, rng.integers(0, 2, (1, 8)), rng.integers(0, 2, (2, 8)),
+                            rng.integers(0, 2, 8))
+    code3 = NestedCosetCode(F2, 8, 1, 2, code2.g_inner, code2.g_outer, rng.integers(0, 2, 8))
+    book1 = tuple(rng.permutation(np.repeat([1, 0], 4)) for _ in range(4))
+    setup = rx1_setup_from_channel(
+        example2_channel(0.01, 0.1), binary_input_distribution(0.5), book1, code2, code3
+    )
+    return lambda: build_rx1_povm(setup, 0.5)
+
+
+@pytest.mark.parametrize("case", ["ptp_real", "ptp_complex", "rx1"])
+def test_decoder_build_peak_within_memory_count(monkeypatch, case):
+    """From the memory check to the validated POVM, the traced peak stays
+    within the bytes ``_check_memory`` counted, and only one block-sized
+    array (the factor block) is ever alive: a complex block makes no
+    conjugated copy of itself."""
+    phase = np.diag([1.0, np.exp(0.7j)])  # same spectra, complex eigenvectors
+    build = {
+        "ptp_real": lambda: _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)]),
+        "ptp_complex": lambda: _ptp_n8_build(
+            [phase @ example2_mix(p) @ phase.conj().T for p in (0.9, 0.1)]
+        ),
+        "rx1": _rx1_n8_build,
+    }[case]()
+    seen = {}
+    check = povm_module._check_memory
+
+    def counted(*args, **kwargs):
+        seen["count"] = check(*args, **kwargs)
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return seen["count"]
+
+    monkeypatch.setattr(povm_module, "_check_memory", counted)
+    tracemalloc.start()
+    try:
+        povm = build()
+        peak = tracemalloc.get_traced_memory()[1] - seen["base"]
+    finally:
+        tracemalloc.stop()
+    block = povm.elements.block
+    assert block.dtype == (np.complex128 if case == "ptp_complex" else np.float64)
+    assert block.shape[1] > 10 * block.shape[0]  # the block dwarfs every r x r array
+    assert peak <= seen["count"]
+    assert peak - block.nbytes < block.nbytes
 
 
 def test_rx1_decoder_on_nearly_clean_parity_channel():

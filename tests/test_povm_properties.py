@@ -3,10 +3,13 @@
 Every factored result is compared with the dense construction it replaces:
 projector matrices, Gamma sandwiches and (sum Gamma)^{-1/2}, all as D x D
 arrays.  Inputs are random qubit density operators, random binary nested
-coset codes with n <= 4, and random blocklengths and slacks.
+coset codes with n <= 4, and random blocklengths and slacks.  The factor
+block is also compared with the per-label construction it replaces, and the
+product-block gathers with the np.ix_ / np.kron formula.
 """
 
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,8 +17,11 @@ from hypothesis import strategies as st
 
 from cosetcq.channels import binary_input_distribution, example1_channel, example2_channel
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
+import cosetcq.povm as povm_module
 from cosetcq.povm import (
     _inverse_sqrt_on_support,
+    _norm_bound,
+    _product_block,
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
@@ -185,3 +191,167 @@ def test_pinching_trace_matches_dense_reference(counts, b0, b1, delta):
     rho_b = _kron([states[int(b)] for b in b_seq])
     want = np.trace(pi_rho @ pi_a @ pi_rho @ rho_b).real
     assert abs(row.trace - want) <= 1e-12
+
+
+def _ix_kron_product_block(letters, rows, cols) -> np.ndarray:
+    """The product block as first written: np.kron tables and np.ix_ gathers."""
+    letters = [povm_module._real_if_exact(m) for m in letters]
+    d = letters[0].shape[0]
+    step = 1
+    while step < len(letters) and d ** (step + 1) <= 64:
+        step += 1
+    out = np.ones((rows.shape[0], cols.shape[0]), dtype=np.result_type(*letters))
+    for start in range(0, len(letters), step):
+        run = letters[start:start + step]
+        table = reduce(np.kron, run)
+        place = d ** np.arange(len(run) - 1, -1, -1)
+        stop = start + len(run)
+        out *= table[np.ix_(rows[:, start:stop] @ place, cols[:, start:stop] @ place)]
+    return out
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 9), complex_letters=st.booleans(),
+       n_rows=st.integers(0, 12), n_cols=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_product_block_equals_ix_kron_formula(d, n, complex_letters, n_rows, n_cols, seed):
+    # d = 2 merges 6 positions into a 64-wide table and d = 3 merges 3, so
+    # n = 7..9 (d = 2) and n = 4..9 (d = 3) run past the first table
+    rng = np.random.default_rng(seed)
+    letters = [rng.normal(size=(d, d)) for _ in range(n)]
+    if complex_letters:
+        letters = [m + 1j * rng.normal(size=(d, d)) for m in letters]
+    rows = rng.integers(0, d, size=(n_rows, n))
+    cols = rng.integers(0, d, size=(n_cols, n))
+    got = _product_block(letters, rows, cols)
+    want = _ix_kron_product_block(letters, rows, cols)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _per_label_square_root(frame, factors: list) -> tuple:
+    """The square-root normalization one label at a time: (B_i list, completion)."""
+    gram = np.zeros((frame.rank, frame.rank))
+    for a in factors:
+        gram = gram + a @ a.conj().T
+    norm = _inverse_sqrt_on_support(gram)
+    return [norm @ a for a in factors], np.eye(frame.rank) - norm @ gram @ norm
+
+
+def _per_label_ptp(code, enc, states, delta) -> tuple:
+    pi_rho = typical_projector(sum(p * s for p, s in zip(enc.pmf, states)), code.n, delta)
+    projs = [
+        conditional_typical_projector(states, code.codeword(a, m), delta, pmf=enc.pmf)
+        for a in field_vectors(2, code.k)
+        for m in code.messages()
+    ]
+    factors = [pi_rho.overlap(p) for p in projs]
+    return (pi_rho, *_per_label_square_root(pi_rho, factors))
+
+
+def _per_label_rx1(setup, delta) -> tuple:
+    code = setup.sum_code
+    n_x1 = setup.p_x1.size
+    rho_bar = sum(setup.p_x1[x1] * setup.p_u[u] * m for (x1, u), m in setup.cond_states.items())
+    rho_x1 = [
+        sum(setup.p_u[u] * m for (x, u), m in setup.cond_states.items() if x == x1)
+        for x1 in range(n_x1)
+    ]
+    pair_states = [setup.cond_states[(x1, u)] for x1 in range(n_x1) for u in range(2)]
+    pair_pmf = np.concatenate([setup.p_x1[x1] * setup.p_u for x1 in range(n_x1)])
+    pi_rho = typical_projector(rho_bar, code.n, delta)
+    factors = []
+    for x1_word in setup.codebook1:
+        middle = conditional_typical_projector(rho_x1, x1_word, delta)
+        for a in field_vectors(2, code.k):
+            for w in code.messages():
+                inner = conditional_typical_projector(
+                    pair_states, x1_word * 2 + code.codeword(a, w), delta, pmf=pair_pmf
+                )
+                factors.append(pi_rho.overlap(middle) @ middle.overlap(inner))
+    return (pi_rho, *_per_label_square_root(pi_rho, factors))
+
+
+def _assert_block_matches(povm, factors, completion) -> None:
+    els = povm.elements
+    assert len(els.factors) == len(factors)
+    for got, want in zip(els.factors, factors):
+        assert got.base is els.block  # a view, not a copy
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(els.completion, completion, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(code=binary_codes(), s0=qubit_states(), s1=qubit_states(), real=st.booleans(),
+       delta=deltas, chunk=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, real, delta, chunk, seed):
+    # a narrow chunk makes the normalization pass and a complex Gram matrix
+    # walk the block in several slices, as they do at n >= 9
+    states = [s0.real, s1.real] if real else [s0, s1]
+    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(seed))
+    with mock.patch.object(povm_module, "_CHUNK", chunk):
+        povm = build_ptp_povm(code, enc, states, delta)
+    if real:
+        assert povm.elements.block.dtype == np.float64
+    pi_rho, factors, completion = _per_label_ptp(code, enc, states, delta)
+    _assert_block_matches(povm, factors, completion)
+    success = 0.0
+    for (_, m), b in zip(povm.labels, factors):
+        rho = pi_rho.compress([states[int(v)] for v in enc.codeword_for(m)])
+        success += float(np.vdot(b, rho @ b).real)
+    want = 1.0 - success / len(code.messages())
+    assert abs(ptp_block_error(povm, enc, states) - want) <= 1e-12
+
+
+@PROPERTY
+@given(code=binary_codes(), family=st.sampled_from([example1_channel, example2_channel]),
+       tau=st.floats(0.05, 0.95), delta=deltas, chunk=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_block_rx1_decoder_matches_per_label_loop(code, family, tau, delta, chunk, seed):
+    rng = np.random.default_rng(seed)
+    code3 = NestedCosetCode(F2, code.n, code.k, code.l, code.g_inner, code.g_outer,
+                            rng.integers(0, 2, size=code.n))
+    book1 = tuple(rng.integers(0, 2, size=code.n) for _ in range(2))
+    setup = rx1_setup_from_channel(
+        family(0.05, 0.1), binary_input_distribution(tau), book1, code, code3
+    )
+    with mock.patch.object(povm_module, "_CHUNK", chunk):
+        povm = build_rx1_povm(setup, delta)
+    pi_rho, factors, completion = _per_label_rx1(setup, delta)
+    _assert_block_matches(povm, factors, completion)
+    enc2 = select_typical(code, UNIFORM, 0.5, rng)
+    enc3 = select_typical(code3, UNIFORM, 0.5, rng)
+    by_label = dict(zip(povm.labels, factors))
+    success = []
+    for m1, x1_word in enumerate(book1):
+        for m2 in code.messages():
+            for m3 in code3.messages():
+                u_word = (enc2.codeword_for(m2) + enc3.codeword_for(m3)) % 2
+                a2 = enc2.chosen[tuple(int(x) for x in m2)]
+                a3 = enc3.chosen[tuple(int(x) for x in m3)]
+                a = tuple(int(x) for x in (a2 + a3) % 2)
+                b = by_label[(m1, a, tuple(int(x) for x in (m2 + m3) % 2))]
+                rho = pi_rho.compress(
+                    [setup.cond_states[(int(x), int(u))] for x, u in zip(x1_word, u_word)]
+                )
+                success.append(float(np.vdot(b, rho @ b).real))
+    got = rx1_success_probability(povm, setup, enc2, enc3)
+    assert abs(got - np.mean(success)) <= 1e-12
+
+
+@PROPERTY
+@given(size=st.integers(1, 8), complex_entries=st.booleans(),
+       skew=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1.0]), seed=st.integers(0, 2**16))
+def test_norm_bound_is_never_below_the_operator_norm(size, complex_entries, skew, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        m = rng.normal(size=(size, size))
+        return m + 1j * rng.normal(size=(size, size)) if complex_entries else m
+
+    h = draw()
+    k = draw()
+    scale = 10.0 ** rng.uniform(-14, 0)
+    residual = scale * (0.5 * (h + h.conj().T) + skew * 0.5 * (k - k.conj().T))
+    exact = np.linalg.norm(residual, 2)
+    # the bound and the SVD round differently; allow a few ulps of the norm
+    assert _norm_bound(residual) >= exact * (1.0 - 1e-13)
