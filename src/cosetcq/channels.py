@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 
 import numpy as np
@@ -167,9 +167,8 @@ class CqState:
     (B, *label_sizes) and ``mats`` (B, *label_sizes, d, d), one block per
     label; a label absent from the state has weight 0.  ``label_entropy``,
     ``cq_entropy`` and ``cq_mutual_information`` answer with one value per
-    pmf, or a single number when B = 1.  Their sums run in label order from
-    +0 and also add the zero-weight terms, which changes no bit: x + 0 == x
-    unless x is -0.0, and a sum started at +0 never is.
+    pmf, or a single number when B = 1.  Every sum over labels is a
+    ``_fold`` in label order, zero-weight terms included.
 
     ``CqState(registers, quantum_dims, blocks)`` builds a one-pmf state from
     a dict mapping label tuples of non-negative ints to (probability,
@@ -226,27 +225,22 @@ class CqState:
         """The unconditional quantum state (classical registers traced out)."""
         w = self.weights.reshape(len(self.weights), -1)
         mats = self.mats.reshape(w.shape + self.mats.shape[-2:])
-        out = np.zeros((len(w),) + mats.shape[-2:], dtype=complex)
-        for k in range(w.shape[1]):
-            out += w[:, k, None, None] * mats[:, k]
+        out = _fold(w[..., None, None] * mats, 1)
         return out if len(out) > 1 else out[0]
 
     def marginal_registers(self, keep: tuple) -> "CqState":
         """Marginalize classical registers not named in ``keep``: the blocks
-        of one kept label give (p_1 rho_1 + p_2 rho_2 + ...) / (p_1 + p_2 + ...)
-        in label order, zero weights skipped."""
+        of one kept label give (p_1 rho_1 + p_2 rho_2 + ...) / (p_1 + p_2 + ...),
+        a ``_fold`` in label order; a zero weight's term is -0.0, which the
+        fold from -0.0 skips exactly, so a label's first block is taken as it is."""
         keep = tuple(keep)
         w = _regroup(self.weights, self.registers, keep)
         mats = _regroup(self.mats, self.registers, keep, 2)
-        weights = np.zeros(w.shape[:-1])
-        # -0.0 + x == x for every x, -0.0 included: a label's first block is
-        # taken exactly as it is
-        acc = np.full(weights.shape + mats.shape[-2:], complex(-0.0, -0.0))
-        for k in range(w.shape[-1]):
-            pos = w[..., k] > 0.0
-            term = w[..., k, None, None] * mats[..., k, :, :]
-            acc = np.where(pos[..., None, None], acc + term, acc)
-            weights = np.where(pos, weights + w[..., k], weights)
+        pos = w > 0.0
+        weights = _fold(np.where(pos, w, 0.0), -1)
+        zero = complex(-0.0, -0.0)
+        terms = np.where(pos[..., None, None], w[..., None, None] * mats, zero)
+        acc = _fold(terms, -3, zero)
         acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
         return CqState._of(keep, self.quantum_dims, weights, acc)
 
@@ -256,6 +250,24 @@ class CqState:
         mats = partial_trace(self.mats, self.quantum_dims, keep)
         dims = tuple(self.quantum_dims[i] for i in keep)
         return CqState._of(self.registers, dims, self.weights, mats)
+
+
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
+
+
+def _fold(terms: np.ndarray, axis: int, start=_ZERO):
+    """Builtin ``sum`` of the slices of ``terms`` along ``axis``, in index
+    order from ``start``: the one summation order of every label sum.
+
+    Adding slice by slice (not ``np.sum``'s pairwise blocks) keeps every
+    bit of a letter-by-letter loop, and zero terms may be added: x + 0 == x
+    unless x is -0.0, a fold from +0 never yields -0.0, and -0.0 + x == x.
+    Terms stay NumPy values, as ``sum`` compensates Python floats from
+    Python 3.12 on; +0 is a 0-d array, as NumPy adds a Python int slowly.
+    """
+    lead = (slice(None),) * (axis % terms.ndim)
+    return sum((terms[lead + (k,)] for k in range(terms.shape[axis])), start)
 
 
 def _regroup(arr: np.ndarray, registers: tuple, keep: tuple, trailing: int = 0) -> np.ndarray:
@@ -284,10 +296,7 @@ def _shannon_bits(p: np.ndarray) -> np.ndarray:
 def label_entropy(state: CqState, registers: tuple):
     """Shannon entropy (bits) of the named classical registers' marginal."""
     registers = sorted(registers, key=state.registers.index)  # sums in label order
-    w = _regroup(state.weights, state.registers, registers)
-    pmf = np.zeros(w.shape[:-1])
-    for k in range(w.shape[-1]):
-        pmf = pmf + w[..., k]
+    pmf = _fold(_regroup(state.weights, state.registers, registers), -1)
     return _per_pmf(_shannon_bits(pmf.reshape(len(pmf), -1)), float)
 
 
@@ -302,10 +311,7 @@ def cq_entropy(state: CqState, registers: tuple = None):
         registers = state.registers
     reduced = state.marginal_registers(sorted(registers, key=state.registers.index))
     w = reduced.weights.reshape(len(reduced.weights), -1)
-    ents = np.reshape(_entropies(reduced.mats), w.shape)
-    avg = np.zeros(len(w))
-    for k in range(w.shape[1]):
-        avg = avg + w[:, k] * ents[:, k]
+    avg = _fold(w * np.reshape(_entropies(reduced.mats), w.shape), 1)
     return _per_pmf(label_entropy(reduced, reduced.registers) + avg, np.float64)
 
 
@@ -323,21 +329,14 @@ def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()):
     groups = prod(joint.weights.shape[1 : 1 + len(given)])
     w = joint.weights.reshape(len(joint.weights), groups, -1)
     mats = joint.mats.reshape(w.shape + joint.mats.shape[-2:])
-    p_c = np.zeros(w.shape[:2])
-    avg = np.zeros(p_c.shape + mats.shape[-2:], dtype=complex)
-    for a in range(w.shape[2]):
-        p_c = p_c + w[:, :, a]
-        avg = avg + w[:, :, a, None, None] * mats[:, :, a]
+    p_c = _fold(w, 2)
+    avg = _fold(w[..., None, None] * mats, 2)
     safe = np.where(p_c > 0.0, p_c, 1.0)
     # Per group c its average state, then its members: one stacked call.
     stack = np.concatenate([(avg / safe[..., None, None])[:, :, None], mats], axis=2)
     ents = np.reshape(_entropies(stack), stack.shape[:3])
-    inner = np.zeros(p_c.shape)
-    for a in range(w.shape[2]):
-        inner = inner + (w[:, :, a] / safe) * ents[:, :, 1 + a]
-    total = np.zeros(len(w))
-    for c in range(groups):
-        total = total + p_c[:, c] * (ents[:, c, 0] - inner[:, c])
+    inner = _fold((w / safe[..., None]) * ents[:, :, 1:], 2)
+    total = _fold(p_c * (ents[:, :, 0] - inner), 1)
     return _per_pmf(total, float)
 
 
@@ -360,13 +359,17 @@ def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple):
 
 def _cyclic_sum_pmf(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
     """Distribution of a + b mod q for independent a ~ p_a, b ~ p_b over Z_q,
-    along the last axis (leading axes index pmfs)."""
-    q = p_a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(p_a.shape, p_b.shape))
-    for i in range(q):
-        for j in range(q):
-            out[..., (i + j) % q] += p_a[..., i] * p_b[..., j]
-    return out
+    along the last axis (leading axes index pmfs): term [..., i, s] is
+    p_a(i) p_b(s - i), folded over i."""
+    return _fold(p_a[..., :, None] * p_b[..., _shifts(p_a.shape[-1])], -2)
+
+
+@cache
+def _shifts(q: int) -> np.ndarray:
+    """The read-only index table [i, s] = s - i mod q."""
+    table = (np.arange(q) - np.arange(q)[:, None]) % q
+    table.setflags(write=False)
+    return table
 
 
 def _check_pmf(arr: np.ndarray, name: str) -> np.ndarray:
@@ -475,17 +478,11 @@ def _aux_sums(channel: CqChannel, p_a2x2: np.ndarray, p_a3x3: np.ndarray) -> np.
     [b, x1, s] of the (B, |X1|, q, d1, d1) result is the sum over a2 + a3 = s
     (mod q) and (x2, x3) of p(a2, x2) p(a3, x3) rho_Y1(x1, x2, x3), added in
     (a2, x2, x3) order: receiver 1's states with the auxiliary sum fixed."""
-    n_b, q = p_a2x2.shape[:2]
-    rho1 = channel.marginals[0]
-    sums = np.arange(q)
-    acc = np.zeros((n_b,) + rho1.shape[:1] + (q,) + rho1.shape[-2:], dtype=complex)
-    for a2 in range(q):
-        a3 = (sums - a2) % q
-        for x2 in range(channel.input_sizes[1]):
-            for x3 in range(channel.input_sizes[2]):
-                w = (p_a2x2[:, a2, x2, None] * p_a3x3[:, a3, x3])[:, None, :, None, None]
-                acc += w * rho1[None, :, None, x2, x3]
-    return acc
+    # w[a2, x2, x3], shaped (B, 1, q, 1, 1), is p(a2, x2) p(s - a2, x3) over s
+    p3 = p_a3x3[:, _shifts(p_a2x2.shape[1])].transpose(1, 3, 0, 2)
+    w = (p_a2x2.transpose(1, 2, 0)[:, :, None, :, None] * p3[:, None])[..., None, :, None, None]
+    rho1 = channel.marginals[0].transpose(1, 2, 0, 3, 4)[:, :, :, None]
+    return sum(w[i] * rho1[i[1:]] for i in itertools.product(*map(range, w.shape[:3])))
 
 
 def _sum_state(channel, p_x1, p_a2x2, p_a3x3, p_s, registers) -> CqState:
@@ -515,11 +512,10 @@ def _joint_state(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> CqState:
     rho(x1, x2, x3) over the inputs in order and divides by p(v2) p(v3)."""
     _require_3to1(channel)
     weights = p_v2x2.sum(axis=-1)[:, :, None] * p_v3x3.sum(axis=-1)[:, None, :]
-    dim = prod(channel.output_dims)
-    acc = np.zeros(weights.shape + (dim, dim), dtype=complex)
-    for x1, x2, x3 in channel.inputs():
-        w = (p_x1[:, x1, None, None] * p_v2x2[:, :, x2, None]) * p_v3x3[:, None, :, x3]
-        acc += w[..., None, None] * channel.states[(x1, x2, x3)].matrix
+    # w[x1, x2, x3], shaped (B, q, q, 1, 1), is p(x1) p(v2, x2) p(v3, x3)
+    w = p_x1.T[:, None, None, :, None, None] * p_v2x2.transpose(2, 0, 1)[:, None, :, :, None]
+    w = (w * p_v3x3.transpose(2, 0, 1)[:, :, None, :])[..., None, None]
+    acc = sum(w[x] * channel.states[x].matrix for x in channel.inputs())
     acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
     return CqState._of(("v2", "v3"), channel.output_dims, weights, acc)._check()
 

@@ -261,6 +261,31 @@ def _count_errors(
     return errors
 
 
+def _check_decoder(decoder: str) -> None:
+    if decoder not in ("typicality", "ml"):
+        raise ValueError(f"unknown decoder {decoder!r}")
+
+
+def _report(instance, trials, rng, decoder, dec_delta, mode, tables, **extra) -> SimReport:
+    """``_count_errors`` over ``tables`` = (words, sums, side, side_groups),
+    reported with the run's configuration; ``extra`` (``simulate``'s
+    ``enc_delta``) goes before ``dec_delta``."""
+    errors = _count_errors(instance, trials, rng, *tables, decoder, dec_delta)
+    config = {
+        "mode": mode,
+        "decoder": decoder,
+        "trials": trials,
+        "n": instance.n,
+        "delta1": instance.delta1,
+        "delta": instance.delta,
+        "tau": instance.tau,
+        **extra,
+        "dec_delta": dec_delta,
+        "sum_candidates": int(tables[1].size),
+    }
+    return SimReport(trials, errors, config)
+
+
 def simulate(
     instance: ClassicalIcInstance,
     trials: int,
@@ -281,8 +306,7 @@ def simulate(
     Every trial checks that the transmitted interference sum lies in the
     coset-sum range; a violation raises ConsistencyError.
     """
-    if decoder not in ("typicality", "ml"):
-        raise ValueError(f"unknown decoder {decoder!r}")
+    _check_decoder(decoder)
     uniform = np.array([0.5, 0.5])
     enc2 = select_typical(instance.code2, uniform, enc_delta, rng)
     enc3 = select_typical(instance.code3, uniform, enc_delta, rng)
@@ -298,30 +322,11 @@ def simulate(
     offset23 = _pack_bits(instance.code3.dither) ^ _pack_bits(instance.code2.dither)
     cands3 = cands2 ^ offset23  # same generators, shifted dither
 
-    errors = _count_errors(
-        instance,
-        trials,
-        rng,
-        (packed1, _pack_bits(words2), _pack_bits(words3)),
-        _pack_bits(sum_words),
-        (cands2, cands3),
-        groups2,
-        decoder,
-        dec_delta,
+    words = (packed1, _pack_bits(words2), _pack_bits(words3))
+    tables = (words, _pack_bits(sum_words), (cands2, cands3), groups2)
+    return _report(
+        instance, trials, rng, decoder, dec_delta, "structured", tables, enc_delta=enc_delta
     )
-    config = {
-        "mode": "structured",
-        "decoder": decoder,
-        "trials": trials,
-        "n": instance.n,
-        "delta1": instance.delta1,
-        "delta": instance.delta,
-        "tau": instance.tau,
-        "enc_delta": enc_delta,
-        "dec_delta": dec_delta,
-        "sum_candidates": int(sum_words.shape[0]),
-    }
-    return SimReport(trials, errors, config)
 
 
 def simulate_independent(
@@ -338,8 +343,7 @@ def simulate_independent(
     pairwise sum of their words, so its search space grows from the
     coset-sum range to (up to) the product of the codebook sizes.
     """
-    if decoder not in ("typicality", "ml"):
-        raise ValueError(f"unknown decoder {decoder!r}")
+    _check_decoder(decoder)
     n = instance.n
     n_msgs = 2**instance.code2.l
     packed2 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
@@ -347,29 +351,8 @@ def simulate_independent(
     packed1 = _pack_bits(np.stack(instance.codebook1))
 
     sums = np.unique((packed2[:, None] ^ packed3[None, :]).reshape(-1))
-    errors = _count_errors(
-        instance,
-        trials,
-        rng,
-        (packed1, packed2, packed3),
-        sums,
-        (packed2, packed3),
-        np.arange(n_msgs),
-        decoder,
-        dec_delta,
-    )
-    config = {
-        "mode": "independent",
-        "decoder": decoder,
-        "trials": trials,
-        "n": n,
-        "delta1": instance.delta1,
-        "delta": instance.delta,
-        "tau": instance.tau,
-        "dec_delta": dec_delta,
-        "sum_candidates": int(sums.size),
-    }
-    return SimReport(trials, errors, config)
+    tables = ((packed1, packed2, packed3), sums, (packed2, packed3), np.arange(n_msgs))
+    return _report(instance, trials, rng, decoder, dec_delta, "independent", tables)
 
 
 def capacity_report(delta1: float, delta: float, tau: float) -> dict:

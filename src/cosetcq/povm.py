@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import _aux_sums, sigma1
+from .channels import _aux_sums, _fold, sigma1
 from .errors import BudgetExceededError, ConsistencyError, ModelViolationError
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
 from .linalg import (
@@ -487,13 +487,10 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
         ([mats[int(v)] for v in encoder.codeword_for(m)], [factors[i] for i in indices])
         for m, indices in by_message.items()
     )
-    traces = {}
+    traces = np.zeros(len(factors))
     for indices, values in zip(by_message.values(), _traces(povm.elements.frame, groups)):
-        traces.update(zip(indices, values))
-    success = 0.0
-    for i in sorted(traces):  # in label order
-        success += traces[i]
-    return 1.0 - success / len(encoder.code.messages())
+        traces[indices] = values
+    return 1.0 - float(_fold(traces, 0)) / len(encoder.code.messages())
 
 
 @dataclass(frozen=True)
@@ -581,12 +578,14 @@ def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
     dim = next(iter(setup.cond_states.values())).shape[0]
     _check_label_budget(len(setup.codebook1) * q ** (code.k + code.l))
 
-    # Average and x1-conditional letter states.
-    rho_bar = np.zeros((dim, dim), dtype=complex)
-    rho_x1 = [np.zeros((dim, dim), dtype=complex) for _ in range(n_x1)]
-    for (x1, u), mat in setup.cond_states.items():
-        rho_bar += setup.p_x1[x1] * setup.p_u[u] * mat
-        rho_x1[x1] += setup.p_u[u] * mat
+    # Average and x1-conditional letter states, summed in label order.
+    items = setup.cond_states.items()
+    zero = np.zeros((dim, dim), dtype=complex)
+    rho_bar = sum((setup.p_x1[x1] * setup.p_u[u] * mat for (x1, u), mat in items), zero)
+    rho_x1 = [
+        sum((setup.p_u[u] * mat for (x, u), mat in items if x == x1), zero)
+        for x1 in range(n_x1)
+    ]
     pi_rho = typical_projector(rho_bar, n, delta)
 
     # Pair-conditioned family: condition alphabet is (x1, u) flattened.
@@ -675,10 +674,8 @@ def rx1_success_probability(
         )
         for label, u_word in hits
     )
-    success = 0.0
-    for count, (trace,) in zip(hits.values(), _traces(povm.elements.frame, groups)):
-        success += count * trace
-    return success / combos
+    traces = np.array([trace for (trace,) in _traces(povm.elements.frame, groups)])
+    return float(_fold(np.array(list(hits.values())) * traces, 0)) / combos
 
 
 @dataclass(frozen=True)

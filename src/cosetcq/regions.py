@@ -197,12 +197,12 @@ class RegionSpec:
         return np.unique(points, axis=0)
 
     def max_weighted_sum(self, weights) -> tuple:
-        """Maximum of weights . r over the region and the attaining corner."""
-        w = np.asarray(weights, dtype=float)
+        """Maximum of weights . r over the region and the first corner in
+        sorted order attaining it (``_best_vertices`` on one polytope)."""
         corners = self.corner_points()
-        values = corners @ w
-        best = int(np.argmax(values))
-        return float(values[best]), corners[best]
+        w = np.asarray(weights, dtype=float)
+        values, best = _best_vertices(corners, np.zeros(len(corners), dtype=int), w)
+        return float(values[0]), best[0]
 
 
 def _vertices(coeffs: tuple, rhs: np.ndarray, tol: float = 1e-9) -> tuple:

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from cosetcq.channels import (
     CqChannel,
+    CqState,
     InputDistribution,
     SplitInputDistribution,
+    _cyclic_sum_pmf,
+    _fold,
     _joint_state,
     _sum_state,
     cq_entropy,
@@ -327,3 +330,69 @@ def test_batch_rows_equal_one_pmf_results(seed, sparse_flags):
     for row, dist in zip(rhs, dists):
         region = theorem1_region(chan, dist)
         assert [max(r, 0.0) for r in row.tolist()] == [c.rhs for c in region.constraints]
+
+
+def _signed(p: np.ndarray) -> np.ndarray:
+    """``p`` with every zero entry made -0.0."""
+    return np.where(p == 0.0, -0.0, p)
+
+
+def _reference_cyclic_sum(p_a, p_b) -> np.ndarray:
+    """The double-loop definition of ``_cyclic_sum_pmf``."""
+    q = p_a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(p_a.shape, p_b.shape))
+    for i in range(q):
+        for j in range(q):
+            out[..., (i + j) % q] += p_a[..., i] * p_b[..., j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.booleans())
+def test_cyclic_sum_pmf_equals_double_loop(seed, q, batch, sparse, signed, single_b):
+    rng = np.random.default_rng(seed)
+    p_a = np.stack([_random_pmf(rng, q, sparse) for _ in range(batch)])
+    p_b = _random_pmf(rng, q, sparse) if single_b else np.stack(
+        [_random_pmf(rng, q, sparse) for _ in range(batch)]
+    )
+    if signed:
+        p_a, p_b = _signed(p_a), _signed(p_b)
+    got, want = _cyclic_sum_pmf(p_a, p_b), _reference_cyclic_sum(p_a, p_b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 4), st.booleans())
+def test_fold_equals_slice_loop(seed, ndim, signed):
+    rng = np.random.default_rng(seed)
+    terms = rng.standard_normal(tuple(rng.integers(1, 4, size=ndim)))
+    terms[rng.random(terms.shape) < 0.3] = 0.0
+    if signed:
+        terms = _signed(terms)
+    for axis in range(-ndim, ndim):
+        for start, got in ((0, _fold(terms, axis)), (-0.0, _fold(terms, axis, -0.0))):
+            want = start
+            for k in range(terms.shape[axis]):
+                want = want + np.take(terms, k, axis=axis)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@PROPERTY
+@given(seeds, st.booleans())
+def test_marginal_of_signed_zero_blocks_matches_reference(seed, sparse):
+    """Blocks with -0.0 entries: a label's first block is taken as it is."""
+    rng = np.random.default_rng(seed)
+    weights = _random_pmf(rng, (2, 3, 2), sparse)
+    blocks = {}
+    for label in zip(*np.nonzero(weights)):
+        mat = random_density(2, rng).matrix.copy()
+        mat[rng.random((2, 2)) < 0.5] = complex(-0.0, -0.0)
+        mat.imag[np.diag_indices(2)] = -0.0
+        blocks[tuple(int(i) for i in label)] = (weights[label], mat)
+    state = CqState(("a", "b", "c"), (2,), blocks)
+    for keep in ((), ("a",), ("c", "b"), ("a", "b", "c")):
+        want = _reference_marginal(state, keep)
+        _assert_same_blocks(state.marginal_registers(keep).blocks, want)
+    assert any(np.signbit(mat.imag).any() for _, mat in want.values())
