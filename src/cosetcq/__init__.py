@@ -46,7 +46,6 @@ from .field_codes import (
 )
 from .linalg import (
     DensityOperator,
-    HermitianOperator,
     eig_hermitian,
     partial_trace,
     random_density,

@@ -305,14 +305,10 @@ def cq_entropy(state: CqState, registers: tuple = None):
 
     ``registers=None`` keeps every classical register; ``()`` gives the
     entropy of the bare quantum mixture.  For a block-diagonal state this is
-    H(labels) plus the average block entropy.
+    H(labels) plus the average block entropy.  A one-request ``_entropy_plan``.
     """
-    if registers is None:
-        registers = state.registers
-    reduced = state.marginal_registers(sorted(registers, key=state.registers.index))
-    w = reduced.weights.reshape(len(reduced.weights), -1)
-    avg = _fold(w * np.reshape(_entropies(reduced.mats), w.shape), 1)
-    return _per_pmf(label_entropy(reduced, reduced.registers) + avg, np.float64)
+    registers = state.registers if registers is None else tuple(registers)
+    return _entropy_plan(("S", state, registers))[0]
 
 
 def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()):
@@ -320,29 +316,80 @@ def cq_mutual_information(state: CqState, classical: tuple, given: tuple = ()):
 
     Computed as sum_c p(c) [ S(rho_c) - sum_a p(a|c) S(rho_{a,c}) ] where
     ``a`` runs over the ``classical`` registers and ``c`` over ``given``.
+    A one-request ``_entropy_plan``.
     """
-    classical, given = tuple(classical), tuple(given)
-    overlap = set(classical) & set(given)
-    if overlap:
-        raise ValueError(f"registers {overlap} appear on both sides")
-    joint = state.marginal_registers(given + classical)
-    groups = prod(joint.weights.shape[1 : 1 + len(given)])
-    w = joint.weights.reshape(len(joint.weights), groups, -1)
-    mats = joint.mats.reshape(w.shape + joint.mats.shape[-2:])
-    p_c = _fold(w, 2)
-    avg = _fold(w[..., None, None] * mats, 2)
-    safe = np.where(p_c > 0.0, p_c, 1.0)
-    # Per group c its average state, then its members: one stacked call.
-    stack = np.concatenate([(avg / safe[..., None, None])[:, :, None], mats], axis=2)
-    ents = np.reshape(_entropies(stack), stack.shape[:3])
-    inner = _fold((w / safe[..., None]) * ents[:, :, 1:], 2)
-    total = _fold(p_c * (ents[:, :, 0] - inner), 1)
-    return _per_pmf(total, float)
+    return _entropy_plan(("I", state, tuple(classical), tuple(given)))[0]
+
+
+def _entropy_plan(*requests) -> list:
+    """Several entropy quantities of one or more states, in request order:
+    ``("S", state, registers)`` asks for ``cq_entropy``, ``("I", state,
+    classical, given)`` for ``cq_mutual_information``, each answered as that
+    function answers.
+
+    Each distinct marginal is built once, in the state's register order, and
+    a request naming its registers in another order transposes it: a
+    label's block has the same bits in any ``keep`` order.  Its blocks
+    (members) are diagonalised once for every request on them; with the
+    group averages of the Holevo requests they are stacked by quantum
+    dimension, one ``_entropies`` call per dimension.
+    """
+    marginals, stacks, pending = {}, {}, []
+
+    def queue(mats):
+        """Stack ``mats`` (..., d, d); the slot of their entropies."""
+        d, shape = mats.shape[-1], mats.shape[:-2]
+        stack = stacks.setdefault(d, [])
+        start = sum(len(m) for m in stack)
+        stack.append(mats.reshape(-1, d, d))
+        return d, slice(start, start + len(stack[-1])), shape
+
+    for kind, state, registers, *given in requests:
+        if (kind, len(given)) not in (("S", 0), ("I", 1)):
+            raise ValueError(f"malformed {kind!r} entropy request")
+        given = tuple(given[0]) if given else None
+        if given and set(registers) & set(given):
+            raise ValueError(f"registers {set(registers) & set(given)} appear on both sides")
+        keep = (given or ()) + tuple(registers)
+        order = tuple(sorted(keep, key=state.registers.index))
+        if (id(state), order) not in marginals:
+            reduced = state.marginal_registers(order)
+            marginals[id(state), order] = reduced, queue(reduced.mats)
+        reduced, members = marginals[id(state), order]
+        if given is None:
+            pending.append((reduced, members))
+            continue
+        # the joint state over given + registers: groups c, members a
+        axes = [0] + [1 + order.index(name) for name in keep]
+        groups = prod(reduced.weights.shape[a] for a in axes[1 : 1 + len(given)])
+        w = reduced.weights.transpose(axes).reshape(len(reduced.weights), groups, -1)
+        mats = reduced.mats.transpose(axes + [len(axes), len(axes) + 1])
+        mats = mats.reshape(w.shape + mats.shape[-2:])
+        p_c = _fold(w, 2)
+        safe = np.where(p_c > 0.0, p_c, 1.0)
+        avg = _fold(w[..., None, None] * mats, 2) / safe[..., None, None]
+        pending.append((reduced, members, axes, w / safe[..., None], p_c, queue(avg)))
+
+    values = {d: np.array(_entropies(np.concatenate(stack))) for d, stack in stacks.items()}
+    ents = lambda slot: values[slot[0]][slot[1]].reshape(slot[2])
+    out = []
+    for reduced, members, *holevo in pending:
+        if not holevo:
+            w = reduced.weights.reshape(len(reduced.weights), -1)
+            avg = _fold(w * ents(members).reshape(w.shape), 1)
+            # H(labels) is label_entropy's: its fold adds +0 to weights that are never -0.0
+            out.append(_per_pmf(_shannon_bits(w) + avg, np.float64))
+            continue
+        axes, cond, p_c, group = holevo
+        inner = _fold(cond * ents(members).transpose(axes).reshape(cond.shape), 2)
+        out.append(_per_pmf(_fold(p_c * (ents(group) - inner), 1), float))
+    return out
 
 
 def classical_conditional_entropy(state: CqState, registers: tuple):
     """H(registers | quantum part) in bits, other registers marginalized."""
-    return cq_entropy(state, tuple(registers)) - cq_entropy(state, ())
+    h, h_quantum = _entropy_plan(("S", state, tuple(registers)), ("S", state, ()))
+    return h - h_quantum
 
 
 def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple):
@@ -350,11 +397,8 @@ def classical_quantum_mi(state: CqState, a_regs: tuple, b_regs: tuple):
     a_regs, b_regs = tuple(a_regs), tuple(b_regs)
     if set(a_regs) & set(b_regs):
         raise ValueError("register sets must be disjoint")
-    return (
-        label_entropy(state, a_regs)
-        + cq_entropy(state, b_regs)
-        - cq_entropy(state, a_regs + b_regs)
-    )
+    h_b, h_ab = _entropy_plan(("S", state, b_regs), ("S", state, a_regs + b_regs))
+    return label_entropy(state, a_regs) + h_b - h_ab
 
 
 def _cyclic_sum_pmf(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
@@ -482,7 +526,18 @@ def _aux_sums(channel: CqChannel, p_a2x2: np.ndarray, p_a3x3: np.ndarray) -> np.
     p3 = p_a3x3[:, _shifts(p_a2x2.shape[1])].transpose(1, 3, 0, 2)
     w = (p_a2x2.transpose(1, 2, 0)[:, :, None, :, None] * p3[:, None])[..., None, :, None, None]
     rho1 = channel.marginals[0].transpose(1, 2, 0, 3, 4)[:, :, :, None]
-    return sum(w[i] * rho1[i[1:]] for i in itertools.product(*map(range, w.shape[:3])))
+    return _sum_products((w[i], rho1[i[1:]]) for i in itertools.product(*map(range, w.shape[:3])))
+
+
+def _sum_products(pairs) -> np.ndarray:
+    """``sum(w * m for w, m in pairs)`` bit for bit (from 0, in order), added
+    in place: one product buffer and one accumulator, not an array per term."""
+    acc = buf = None
+    for w, m in pairs:
+        buf = np.multiply(w, m, out=buf)
+        # 0.0 + x, as sum's 0 + x, turns a -0.0 entry of the first term to +0.0
+        acc = buf + 0.0 if acc is None else np.add(acc, buf, out=acc)
+    return acc
 
 
 def _sum_state(channel, p_x1, p_a2x2, p_a3x3, p_s, registers) -> CqState:
@@ -515,7 +570,7 @@ def _joint_state(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> CqState:
     # w[x1, x2, x3], shaped (B, q, q, 1, 1), is p(x1) p(v2, x2) p(v3, x3)
     w = p_x1.T[:, None, None, :, None, None] * p_v2x2.transpose(2, 0, 1)[:, None, :, :, None]
     w = (w * p_v3x3.transpose(2, 0, 1)[:, :, None, :])[..., None, None]
-    acc = sum(w[x] * channel.states[x].matrix for x in channel.inputs())
+    acc = _sum_products((w[x], channel.states[x].matrix) for x in channel.inputs())
     acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
     return CqState._of(("v2", "v3"), channel.output_dims, weights, acc)._check()
 

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_ATOL",
-    "HermitianOperator",
     "DensityOperator",
     "eig_hermitian",
     "von_neumann_entropy",
@@ -42,20 +41,6 @@ def _check_square_hermitian(
     if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= atol).all():
         raise ValueError("matrix is not Hermitian within tolerance")
     return mat
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A square matrix validated to be Hermitian entrywise to 1e-10."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_square_hermitian(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

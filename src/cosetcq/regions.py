@@ -17,12 +17,11 @@ from .channels import (
     _aux_sums,
     _check_pmf,
     _cyclic_sum_pmf,
+    _entropy_plan,
     _joint_state,
     _shannon_bits,
     _sum_state,
     binary_input_distribution,
-    cq_entropy,
-    cq_mutual_information,
     example1_channel,
     example2_channel,
     example2_mix,
@@ -194,7 +193,7 @@ class RegionSpec:
         points, _ = _vertices(coeffs, rhs[None], tol)
         if not len(points):
             return np.zeros((1, 3))
-        return np.unique(points, axis=0)
+        return _unique_rows(points)
 
     def max_weighted_sum(self, weights) -> tuple:
         """Maximum of weights . r over the region and the first corner in
@@ -220,6 +219,21 @@ def _vertices(coeffs: tuple, rhs: np.ndarray, tol: float = 1e-9) -> tuple:
     return np.round(np.clip(v[feasible], 0.0, None), 9), feasible
 
 
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """``np.unique(points, axis=0)`` for the (N, 3) vertices of ``_vertices``:
+    one stable ``lexsort``, then each run of equal rows kept once.
+
+    Rows that compare equal have the same bytes, as the clip at 0 leaves no
+    -0.0, so which one of a run survives does not show.  NaN rows tie with
+    NaN rows of other bits in ``np.unique``'s unstable sort, so rows with a
+    NaN go to ``np.unique`` itself.
+    """
+    if np.isnan(points).any():
+        return np.unique(points, axis=0)
+    points = points[np.lexsort(points.T[::-1])]
+    return points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
+
+
 def _best_vertices(points: np.ndarray, rows: np.ndarray, w: np.ndarray) -> tuple:
     """Per polytope, the maximum of w . r over its vertices and the first
     vertex in sorted order attaining it: ``max_weighted_sum`` for every
@@ -241,16 +255,16 @@ def _theorem1_rhs(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> np.ndarray:
     p_u = _cyclic_sum_pmf(p_v2, p_v3)
     s1 = _sum_state(channel, p_x1, p_v2x2, p_v3x3, p_u, ("x1", "u"))
     s2 = _joint_state(channel, p_x1, p_v2x2, p_v3x3)
-    i_x1_given_u = cq_mutual_information(s1, ("x1",), ("u",))
-    i_u_given_x1 = cq_mutual_information(s1, ("u",), ("x1",))
-    i_x1u = cq_mutual_information(s1, ("x1", "u"))
+    i_x1_given_u, i_u_given_x1, i_x1u, *direct = _entropy_plan(
+        ("I", s1, ("x1",), ("u",)),
+        ("I", s1, ("u",), ("x1",)),
+        ("I", s1, ("x1", "u"), ()),
+        ("I", s2.reduce_quantum([1]), ("v2",), ()),
+        ("I", s2.reduce_quantum([2]), ("v3",), ()),
+    )
     h_u = _shannon_bits(p_u)
     h_v2, h_v3 = _shannon_bits(p_v2), _shannon_bits(p_v3)
     min_hv = np.where(h_v3 < h_v2, h_v3, h_v2)  # min(h_v2, h_v3), ties to h_v2
-    direct = [
-        cq_mutual_information(s2.reduce_quantum([j - 1]), (reg,))
-        for j, reg in ((2, "v2"), (3, "v3"))
-    ]
     coset_rhs = min_hv - h_u + i_u_given_x1
     sum_rhs = min_hv - h_u + i_x1u
     # one pmf gives floats: column_stack takes those as well as (B,) arrays
@@ -337,24 +351,27 @@ def theorem3_region(channel: CqChannel, dist: SplitInputDistribution) -> RegionS
     degenerate u_j (w empty) recovers the unstructured baseline.
     """
     s1 = split_sigma1(channel, dist)
-    # H(W | Y1) and I(X1 ; W, Y1), each entropy computed once and combined as
-    # classical_conditional_entropy and classical_quantum_mi combine them.
-    h_w = cq_entropy(s1, ("w",))
-    h_w_given_y1 = h_w - cq_entropy(s1, ())
-    i_x1_wy1 = (label_entropy(s1, ("x1",)) + h_w) - cq_entropy(s1, ("x1", "w"))
-    h_u = {j: shannon(dist.p_uj(j)) for j in (2, 3)}
-    direct = {}
-    cond = {}
-    for j in (2, 3):
-        sj = split_sigma_receiver(channel, dist, j)
-        direct[j] = cq_mutual_information(sj, ("u", "x"))
-        cond[j] = cq_mutual_information(sj, ("x",), ("u",))
+    s2, s3 = (split_sigma_receiver(channel, dist, j) for j in (2, 3))
+    h_w, h_y1, h_x1w, direct2, cond2, direct3, cond3 = _entropy_plan(
+        ("S", s1, ("w",)),
+        ("S", s1, ()),
+        ("S", s1, ("x1", "w")),
+        ("I", s2, ("u", "x"), ()),
+        ("I", s2, ("x",), ("u",)),
+        ("I", s3, ("u", "x"), ()),
+        ("I", s3, ("x",), ("u",)),
+    )
+    # H(W | Y1) and I(X1 ; W, Y1), combined as classical_conditional_entropy
+    # and classical_quantum_mi combine them.
+    h_w_given_y1 = h_w - h_y1
+    i_x1_wy1 = (label_entropy(s1, ("x1",)) + h_w) - h_x1w
+    h_u2, h_u3 = shannon(dist.p_uj(2)), shannon(dist.p_uj(3))
     rhs = {
-        "r1": min(0.0, h_u[2] - h_w_given_y1, h_u[3] - h_w_given_y1) + i_x1_wy1,
-        "r2": direct[2],
-        "r3": direct[3],
-        "r1_plus_r2": cond[2] + i_x1_wy1 + h_u[2] - h_w_given_y1,
-        "r1_plus_r3": cond[3] + i_x1_wy1 + h_u[3] - h_w_given_y1,
+        "r1": min(0.0, h_u2 - h_w_given_y1, h_u3 - h_w_given_y1) + i_x1_wy1,
+        "r2": direct2,
+        "r3": direct3,
+        "r1_plus_r2": cond2 + i_x1_wy1 + h_u2 - h_w_given_y1,
+        "r1_plus_r3": cond3 + i_x1_wy1 + h_u3 - h_w_given_y1,
     }
     return _region(rhs, dist.cost_expectations(channel))
 

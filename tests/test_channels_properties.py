@@ -22,6 +22,7 @@ from cosetcq.channels import (
     _cyclic_sum_pmf,
     _fold,
     _joint_state,
+    _sum_products,
     _sum_state,
     cq_entropy,
     cq_mutual_information,
@@ -396,3 +397,19 @@ def test_marginal_of_signed_zero_blocks_matches_reference(seed, sparse):
         want = _reference_marginal(state, keep)
         _assert_same_blocks(state.marginal_registers(keep).blocks, want)
     assert any(np.signbit(mat.imag).any() for _, mat in want.values())
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 6))
+def test_sum_products_equals_builtin_sum(seed, count):
+    """In-place accumulation keeps builtin ``sum``'s bits, -0.0 terms included."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        w = _signed(np.where(rng.random((2, 3, 1, 1)) < 0.4, 0.0, rng.random((2, 3, 1, 1))))
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m[rng.random((4, 4)) < 0.3] = complex(-0.0, -0.0)
+        pairs.append((w, m))
+    got = _sum_products(iter(pairs))
+    want = sum(w * m for w, m in pairs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cosetcq.linalg import (
     DensityOperator,
     _entropies,
-    HermitianOperator,
     eig_hermitian,
     partial_trace,
     random_density,
@@ -18,9 +17,9 @@ from cosetcq.linalg import (
 from cosetcq.regions import hb
 
 
-def test_hermitian_operator_rejects_non_hermitian():
+def test_density_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 def test_density_operator_rejects_bad_trace():

@@ -23,6 +23,7 @@ from cosetcq.regions import (
     NccRateParams,
     RatePoint,
     RegionSpec,
+    _unique_rows,
     conv,
     example_separation_witness,
     grid_search,
@@ -164,6 +165,24 @@ def test_batched_corners_equal_triple_loop(constraints, weights):
     value, corner = region.max_weighted_sum(weights)
     assert value == float(values[best])
     assert np.array_equal(corner, want[best])
+
+
+# Few distinct entries, so rows repeat; -0.0 and NaNs of both signs tie
+# with +0.0 and with each other in a sort.
+ENTRIES = np.array([0.0, -0.0, 0.5, 1.0, 2.0, 1e-10, -1e-10, -0.5, np.nan, -np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.booleans())
+def test_unique_rows_equal_np_unique(seed, n_rows, with_nan):
+    """Byte for byte, on rows as ``_vertices`` leaves them: clipped at 0 and
+    rounded, duplicates kept; past 16 rows ``np.unique`` sorts unstably."""
+    rng = np.random.default_rng(seed)
+    raw = ENTRIES[rng.integers(0, len(ENTRIES) - (0 if with_nan else 2), size=(n_rows, 3))]
+    points = np.round(np.clip(raw, 0.0, None), 9)
+    got = _unique_rows(points)
+    want = np.unique(points, axis=0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_region_spec_cost_budgets():
