@@ -4,7 +4,11 @@ The channel is the commuting worked example: receiver 1 sees
 x1 + v2 + v3 + noise(delta1), receivers 2 and 3 see their own word through
 noise(delta).  Decoders are exhaustive typicality (or minimum-distance)
 searches; receiver 1 searches the coset-sum code's range instead of the
-product of the two senders' codebooks.
+product of the two senders' codebooks.  Each value's candidates are one
+shift of a fixed target set, so a receiver with at most ``TABLE_ENTRIES``
+words of n bits, and no more than its trials x candidates, reads its
+decisions from one table over all 2^n words; otherwise (always for
+20 <= n <= 63) it takes popcounts over every candidate.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .field_codes import NestedCosetCode, coset_sum, select_typical
+from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
 from .regions import _example1_closed_forms, _structured_feasible, conv
 
 __all__ = [
@@ -29,7 +33,8 @@ __all__ = [
 
 # Trials drawn per batch of messages and noise.
 BATCH_TRIALS = 2048
-# Most entries in one (trials x candidates) distance table: 4 MiB of uint64.
+# Most entries in one decision table over all 2^n words, and in one slice
+# of a (trials x candidates) popcount table: 4 MiB of uint64.
 TABLE_ENTRIES = 2**19
 
 
@@ -129,29 +134,65 @@ def _weight_band(n: int, bias: float, slack: float) -> tuple:
     return max(lo, 0), min(hi, n)
 
 
-def _group_starts(group_ids: np.ndarray) -> np.ndarray:
-    """First column of each group in a candidate list sorted by decoded value.
+def _decision_table(n: int, targets: np.ndarray, band) -> np.ndarray:
+    """A receiver's decision for every n-bit word z, indexed by z.
 
-    ``group_ids`` must run 0, 1, ..., G-1 in non-decreasing order with every
-    id present, so each group is one run of columns; anything else would
-    shift the reduced columns, so it raises ValueError.
+    With ``band`` None: d(z) = min_w |z ^ w| over the packed ``targets``
+    (uint8).  Otherwise: whether some |z ^ w| lies in [band[0], band[1]]
+    (bool).  Both are one transform with a pass per bit b, after which
+    every z has seen the targets that differ from it in the bits passed so
+    far: z combines its value with that of z ^ 2^b taken one step further.
+    For d that is min(d, d' + 1).  For the band the value is the bit set of
+    distances to those targets, combined by OR with the neighbour's set
+    shifted up one; its dtype holds bits 0..band[1], and a bit shifted out
+    would only stand for a distance above the band.
     """
-    ids = np.asarray(group_ids)
-    steps = np.diff(ids, prepend=-1)
-    if ids.ndim != 1 or ids.size == 0 or ((steps != 0) & (steps != 1)).any():
-        raise ValueError("group ids must run 0..G-1, non-decreasing, every id present")
-    return np.flatnonzero(steps)
+    if band is None:
+        table = np.full(1 << n, n + 1, dtype=np.uint8)
+        table[targets] = 0
+        combine, step = np.minimum, lambda x: x + np.uint8(1)
+    else:
+        table = np.zeros(1 << n, dtype=np.min_scalar_type((2 << band[1]) - 1))
+        table[targets] = 1
+        combine, step = np.bitwise_or, lambda x: x + x
+    # Each half of the bits is passed as the row index of a contiguous
+    # matrix (the other half after a transposed copy): long inner runs.
+    m = table.reshape(1 << (n - n // 2), -1)
+    for _ in range(2):
+        for i in range(m.shape[0].bit_length() - 1):
+            pairs = m.reshape(-1, 2, 1 << i, m.shape[1])
+            a, b = pairs[:, 0], pairs[:, 1]
+            a_step, b_step = step(a), step(b)
+            combine(a, b_step, out=a)
+            combine(b, a_step, out=b)
+        m = np.ascontiguousarray(m.T)
+    table = m.reshape(-1)
+    if band is None:
+        return table
+    return (table & max((2 << band[1]) - (1 << band[0]), 0)) != 0
 
 
-def _decode_counts(noise_weights: np.ndarray, starts: np.ndarray, band: tuple) -> np.ndarray:
-    """Per-trial bitmask of groups owning at least one in-band candidate.
+def _group_table(y, shifts, targets, band, table) -> np.ndarray:
+    """(trials, groups) decisions for received words ``y``.
 
-    noise_weights : (trials, candidates) Hamming weights
-    starts : first column of each group (see ``_group_starts``)
-    Returns a boolean (trials, n_groups) table.
+    Group g's candidates are ``shifts[g] ^ w`` for w in ``targets``, so its
+    decision is the ``_decision_table`` entry at y ^ shifts[g]: read from
+    ``table`` if not None, else taken from popcounts over every candidate, a
+    slice of trials at a time, each at most ``TABLE_ENTRIES`` entries (or
+    one trial's candidates, if more).
     """
-    in_band = (noise_weights >= band[0]) & (noise_weights <= band[1])
-    return np.logical_or.reduceat(in_band, starts, axis=1)
+    if table is not None:
+        return table[y[:, None] ^ shifts]
+    cands = shifts[:, None] ^ targets
+    rows = max(1, TABLE_ENTRIES // cands.size)
+    parts = []
+    for lo in range(0, y.size, rows):
+        w = _popcount(y[lo : lo + rows, None, None] ^ cands)
+        if band is None:
+            parts.append(w.min(axis=2))
+        else:
+            parts.append(((w >= band[0]) & (w <= band[1])).any(axis=2))
+    return np.concatenate(parts)
 
 
 def _ambiguity_errors(table: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -162,21 +203,16 @@ def _ambiguity_errors(table: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return ~hit_truth | (extras > 0)
 
 
-def _ml_errors(
-    noise_weights: np.ndarray,
-    starts: np.ndarray,
-    truth: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _ml_errors(group_best: np.ndarray, truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Minimum-distance decoding; cross-group ties break uniformly at random.
 
-    Random tie-breaking keeps the useless-channel limit honest: at flip
-    bias 1/2 the output carries no information and the error rate sits at
+    ``group_best`` holds each group's least distance per trial.  Random
+    tie-breaking keeps the useless-channel limit honest: at flip bias 1/2
+    the output carries no information and the error rate sits at
     1 - 1/n_groups instead of saturating to 1.  Only tied trials draw, one
     bounded integer each and in trial order, all in one call: the same
     stream as one ``rng.choice`` over the sorted winning groups per tie.
     """
-    group_best = np.minimum.reduceat(noise_weights, starts, axis=1)
     is_best = group_best == group_best.min(axis=1, keepdims=True)
     pick = is_best.argmax(axis=1)
     ties = is_best.sum(axis=1)
@@ -186,88 +222,61 @@ def _ml_errors(
     return pick != truth
 
 
-def _decode_errors(received, candidates, starts, truth, bands, decoder, rng) -> list:
-    """Decoding errors of one batch at each receiver, in receiver order.
-
-    Each argument but ``decoder`` and ``rng`` holds one entry per receiver:
-    packed received words, packed candidate masks sorted by decoded value,
-    the first column of each value's run of candidates (``_group_starts``),
-    the transmitted values and the typicality band.
-    Distances are tabulated a slice of trials at a time, at most
-    ``TABLE_ENTRIES`` entries per table (or one trial's row, if larger);
-    slices run in trial order, so ML tie-break draws come in the same order
-    at any slice size.
-    """
-    errors = []
-    for y, cands, first, true, band in zip(received, candidates, starts, truth, bands):
-        rows = max(1, TABLE_ENTRIES // cands.size)
-        count = 0
-        for lo in range(0, y.size, rows):
-            w = _popcount(y[lo : lo + rows, None] ^ cands[None, :])
-            if decoder == "typicality":
-                table = _decode_counts(w, first, band)
-                count += int(_ambiguity_errors(table, true[lo : lo + rows]).sum())
-            else:
-                count += int(_ml_errors(w, first, true[lo : lo + rows], rng).sum())
-        errors.append(count)
-    return errors
-
-
-def _count_errors(
-    instance, trials, rng, words, sums, side, side_groups, decoder, dec_delta
-) -> tuple:
+def _count_errors(instance, trials, rng, words, shifts, targets, decoder, dec_delta) -> tuple:
     """Error counts at the three receivers over ``trials`` random messages.
 
     ``words`` holds the packed codebooks of senders 1, 2 and 3, indexed by
-    message.  Receiver 1 tests every (sender-1 word, interference word) pair
-    with the interference in ``sums``; every transmitted interference sum
-    must lie there, else ConsistencyError.  Receivers 2 and 3 test their
-    packed candidates ``side``, whose decoded values are ``side_groups``
-    (non-decreasing and contiguous, else ValueError).
+    message.  Receiver r's candidates for value g are ``shifts[r][g] ^ w``,
+    w in ``targets[0]`` (the interference sums) for receiver 1 and in
+    ``targets[1]`` for receivers 2 and 3.  Every transmitted interference
+    sum must lie in ``targets[0]``, else ConsistencyError.  A receiver
+    decides through a ``_decision_table`` when its 2^n entries number at
+    most ``TABLE_ENTRIES`` and at most its trials x candidates.
     """
-    pair_masks = (words[0][:, None] ^ sums[None, :]).reshape(-1)
-    pair_starts = _group_starts(np.repeat(np.arange(len(words[0])), sums.size))
-    side_starts = _group_starts(side_groups)
-    band23 = _weight_band(instance.n, instance.delta, dec_delta)
-    bands = (_weight_band(instance.n, instance.delta1, dec_delta), band23, band23)
-    errors = (0, 0, 0)
+    n = instance.n
+    bands = [
+        None if decoder == "ml" else _weight_band(n, bias, dec_delta)
+        for bias in (instance.delta1, instance.delta)
+    ]
+    tables = [
+        _decision_table(n, t, band)
+        if (1 << n) <= min(TABLE_ENTRIES, trials * s.size * t.size)
+        else None
+        for s, t, band in zip(shifts[:2], targets, bands)
+    ]
+    errors = [0, 0, 0]
     done = 0
     while done < trials:
         batch = min(BATCH_TRIALS, trials - done)
-        m1, m2, m3 = (rng.integers(len(w), size=batch) for w in words)
+        msgs = [rng.integers(len(w), size=batch) for w in words]
         noise = [
-            _pack_bits(rng.random((batch, instance.n)) < bias)
+            _pack_bits(rng.random((batch, n)) < bias)
             for bias in (instance.delta1, instance.delta, instance.delta)
         ]
-        tx_sum = words[1][m2] ^ words[2][m3]
-        if not np.isin(tx_sum, sums).all():
+        sent = [w[m] for w, m in zip(words, msgs)]
+        if not np.isin(sent[1] ^ sent[2], targets[0]).all():
             raise ConsistencyError("transmitted interference sum left the coset-sum range")
-        received = (
-            words[0][m1] ^ tx_sum ^ noise[0],
-            words[1][m2] ^ noise[1],
-            words[2][m3] ^ noise[2],
-        )
-        batch_errors = _decode_errors(
-            received,
-            (pair_masks, *side),
-            (pair_starts, side_starts, side_starts),
-            (m1, m2, m3),
-            bands,
-            decoder,
-            rng,
-        )
-        errors = tuple(e + b for e, b in zip(errors, batch_errors))
+        received = (sent[0] ^ sent[1] ^ sent[2] ^ noise[0], sent[1] ^ noise[1], sent[2] ^ noise[2])
+        for r, (y, true) in enumerate(zip(received, msgs)):
+            side = min(r, 1)  # receivers 2 and 3 share targets and band
+            group = _group_table(y, shifts[r], targets[side], bands[side], tables[side])
+            if decoder == "ml":
+                errors[r] += int(_ml_errors(group, true, rng).sum())
+            else:
+                errors[r] += int(_ambiguity_errors(group, true).sum())
         done += batch
-    return errors
+    return tuple(errors)
 
 
-def _check_decoder(decoder: str) -> None:
+def _check_run(decoder: str, trials: int) -> None:
     if decoder not in ("typicality", "ml"):
         raise ValueError(f"unknown decoder {decoder!r}")
+    if trials < 1:
+        raise ValueError("trials must be positive")
 
 
 def _report(instance, trials, rng, decoder, dec_delta, mode, tables, **extra) -> SimReport:
-    """``_count_errors`` over ``tables`` = (words, sums, side, side_groups),
+    """``_count_errors`` over ``tables`` = (words, shifts, targets),
     reported with the run's configuration; ``extra`` (``simulate``'s
     ``enc_delta``) goes before ``dec_delta``."""
     errors = _count_errors(instance, trials, rng, *tables, decoder, dec_delta)
@@ -281,7 +290,7 @@ def _report(instance, trials, rng, decoder, dec_delta, mode, tables, **extra) ->
         "tau": instance.tau,
         **extra,
         "dec_delta": dec_delta,
-        "sum_candidates": int(tables[1].size),
+        "sum_candidates": int(tables[2][0].size),
     }
     return SimReport(trials, errors, config)
 
@@ -306,24 +315,24 @@ def simulate(
     Every trial checks that the transmitted interference sum lies in the
     coset-sum range; a violation raises ConsistencyError.
     """
-    _check_decoder(decoder)
+    _check_run(decoder, trials)
+    codes = (instance.code2, instance.code3)
     uniform = np.array([0.5, 0.5])
-    enc2 = select_typical(instance.code2, uniform, enc_delta, rng)
-    enc3 = select_typical(instance.code3, uniform, enc_delta, rng)
-    msgs2 = instance.code2.messages()
-    words2 = np.stack([enc2.codeword_for(m) for m in msgs2])
-    words3 = np.stack([enc3.codeword_for(m) for m in msgs2])
-    sum_code = coset_sum(instance.code2, instance.code3)
-    sum_words = sum_code.range_words()
+    encs = [select_typical(code, uniform, enc_delta, rng) for code in codes]
+    msgs = instance.code2.messages()
+    keys = [tuple(m) for m in msgs.tolist()]
+    words = [
+        _pack_bits(code.codeword([enc.chosen[m] for m in keys], msgs))
+        for code, enc in zip(codes, encs)
+    ]
     packed1 = _pack_bits(np.stack(instance.codebook1))
-    # Receivers 2/3 search their full code range, grouped by message.
-    cands2 = _pack_bits(np.concatenate([instance.code2.coset(m) for m in msgs2]))
-    groups2 = np.repeat(np.arange(len(msgs2)), 2**instance.code2.k)
-    offset23 = _pack_bits(instance.code3.dither) ^ _pack_bits(instance.code2.dither)
-    cands3 = cands2 ^ offset23  # same generators, shifted dither
-
-    words = (packed1, _pack_bits(words2), _pack_bits(words3))
-    tables = (words, _pack_bits(sum_words), (cands2, cands3), groups2)
+    sums = _pack_bits(coset_sum(*codes).range_words())
+    # Receivers 2/3 search their full code range: the coset of message m is
+    # m g_outer + dither shifted by every inner word a g_inner.
+    zeros = np.zeros((len(msgs), instance.code2.k), dtype=np.int64)
+    shifts = [_pack_bits(code.codeword(zeros, msgs)) for code in codes]
+    inner = _pack_bits(field_vectors(2, instance.code2.k) @ instance.code2.g_inner % 2)
+    tables = ((packed1, *words), (packed1, *shifts), (sums, inner))
     return _report(
         instance, trials, rng, decoder, dec_delta, "structured", tables, enc_delta=enc_delta
     )
@@ -343,7 +352,7 @@ def simulate_independent(
     pairwise sum of their words, so its search space grows from the
     coset-sum range to (up to) the product of the codebook sizes.
     """
-    _check_decoder(decoder)
+    _check_run(decoder, trials)
     n = instance.n
     n_msgs = 2**instance.code2.l
     packed2 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
@@ -351,7 +360,8 @@ def simulate_independent(
     packed1 = _pack_bits(np.stack(instance.codebook1))
 
     sums = np.unique((packed2[:, None] ^ packed3[None, :]).reshape(-1))
-    tables = ((packed1, packed2, packed3), sums, (packed2, packed3), np.arange(n_msgs))
+    words = (packed1, packed2, packed3)
+    tables = (words, words, (sums, np.zeros(1, dtype=np.uint64)))
     return _report(instance, trials, rng, decoder, dec_delta, "independent", tables)
 
 

@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
+# Most coset members held at once while ``select_typical`` scans cosets.
+SCAN_WORDS = 2**14
+
 __all__ = [
     "PrimeField",
     "NestedCosetCode",
@@ -233,7 +236,8 @@ def select_typical(
 ) -> EncoderState:
     """Pick, for each message, a uniformly random typical word from its coset.
 
-    Scans all q**(k+l) coset members (exact, no sampling).  A message whose
+    Scans all q**(k+l) coset members (exact, no sampling), whole cosets at
+    a time, at most ``SCAN_WORDS`` members per block.  A message whose
     coset contains no delta-typical word receives the all-zero inner index as
     a sentinel and is recorded in ``failed``.
 
@@ -263,22 +267,28 @@ def select_typical(
         )
 
     a_all = field_vectors(q, code.k)
+    inner = code.field.matmul(a_all, code.g_inner)
+    msgs = code.messages()
+    block = max(1, SCAN_WORDS // len(a_all))
     chosen: dict = {}
     theta: dict = {}
     failed = []
-    for m in code.messages():
-        words = code.codeword(a_all, np.broadcast_to(m, (a_all.shape[0], code.l)))
-        freq = np.stack([(words == v).mean(axis=1) for v in range(q)], axis=1)
-        mask = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=1)
-        key = tuple(int(x) for x in m)
-        count = int(mask.sum())
-        theta[key] = count
-        if count == 0:
-            chosen[key] = np.zeros(code.k, dtype=np.int64)
-            failed.append(key)
-        else:
-            pick = rng.integers(count)
-            chosen[key] = a_all[np.flatnonzero(mask)[pick]].copy()
+    for start in range(0, len(msgs), block):
+        m_block = msgs[start : start + block]
+        shift = code.field.matmul(m_block, code.g_outer) + code.dither
+        words = np.mod(inner + shift[:, None, :], q)
+        freq = np.stack([(words == v).mean(axis=-1) for v in range(q)], axis=-1)
+        masks = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=-1)
+        for m, mask in zip(m_block.tolist(), masks):
+            key = tuple(m)
+            count = int(mask.sum())
+            theta[key] = count
+            if count == 0:
+                chosen[key] = np.zeros(code.k, dtype=np.int64)
+                failed.append(key)
+            else:
+                pick = rng.integers(count)
+                chosen[key] = a_all[np.flatnonzero(mask)[pick]].copy()
     return EncoderState(
         code=code,
         pmf=pmf,

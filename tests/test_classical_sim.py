@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,16 +29,16 @@ def _disjoint_book(n_words, weight, n):
     return tuple(book)
 
 
-def _frozen_instance(delta1=0.05, delta=0.1):
+def _frozen_instance(delta1=0.05, delta=0.1, n=16):
     rng = np.random.default_rng(3)
-    gi = rng.integers(0, 2, size=(2, 16))
-    go = rng.integers(0, 2, size=(4, 16))
-    b2 = rng.integers(0, 2, size=16)
-    b3 = rng.integers(0, 2, size=16)
-    code2 = NestedCosetCode(F2, 16, 2, 4, gi, go, b2)
-    code3 = NestedCosetCode(F2, 16, 2, 4, gi, go, b3)
+    gi = rng.integers(0, 2, size=(2, n))
+    go = rng.integers(0, 2, size=(4, n))
+    b2 = rng.integers(0, 2, size=n)
+    b3 = rng.integers(0, 2, size=n)
+    code2 = NestedCosetCode(F2, n, 2, 4, gi, go, b2)
+    code3 = NestedCosetCode(F2, n, 2, 4, gi, go, b3)
     return ClassicalIcInstance(
-        delta1, delta, 0.15, 16, code2, code3, _disjoint_book(8, 2, 16)
+        delta1, delta, 0.15, n, code2, code3, _disjoint_book(8, 2, n)
     )
 
 
@@ -132,99 +134,151 @@ def test_structured_beats_independent_codebooks():
     assert independent.config["sum_candidates"] > structured.config["sum_candidates"]
 
 
-def test_sliced_distance_tables_keep_reports(monkeypatch):
-    """Bounded popcount tables give the same reports, ML tie draws included."""
-    inst = _frozen_instance(delta1=0.2, delta=0.3)
+def _recording(monkeypatch, name):
+    """Replace ``classical_sim.<name>`` by a wrapper; returns its call log."""
+    calls = []
+    original = getattr(classical_sim, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classical_sim, name, wrapper)
+    return calls
+
+
+def _run_both_modes(inst, trials):
     cases = [
         (run, decoder)
         for run in (simulate, simulate_independent)
         for decoder in ("typicality", "ml")
     ]
+    return [
+        run(inst, trials, np.random.default_rng(seed), decoder=decoder)
+        for seed, (run, decoder) in enumerate(cases)
+    ]
 
-    def run_all():
-        return [
-            run(inst, 2500, np.random.default_rng(seed), decoder=decoder)
-            for seed, (run, decoder) in enumerate(cases)
-        ]
 
-    default = run_all()
+def test_sliced_distance_tables_keep_reports(monkeypatch):
+    """Popcount tables (bounded) give the decision tables' reports, ML tie draws included."""
+    inst = _frozen_instance(delta1=0.2, delta=0.3)
+    builds = _recording(monkeypatch, "_decision_table")
+    default = _run_both_modes(inst, 2500)
+    assert builds
+    builds.clear()
     bound = 4096
-    sizes = []
-    popcount = classical_sim._popcount
-
-    def recording_popcount(arr):
-        sizes.append(arr.size)
-        return popcount(arr)
-
+    popcounts = _recording(monkeypatch, "_popcount")
     monkeypatch.setattr(classical_sim, "TABLE_ENTRIES", bound)
-    monkeypatch.setattr(classical_sim, "_popcount", recording_popcount)
-    assert run_all() == default
+    assert _run_both_modes(inst, 2500) == default
+    # 2^16 words exceed the bound: every receiver took the popcount path
+    assert not builds
+    sizes = [arr.size for (arr,) in popcounts]
     assert max(sizes) <= bound
     # more tables than one per receiver and batch: the bound did slice them
     assert len(sizes) > len(default) * 2 * 3
 
 
-def _reference_decode_counts(noise_weights, group_ids, n_groups, band):
-    """Per-group column-mask loop the grouped typicality table replaced."""
-    in_band = (noise_weights >= band[0]) & (noise_weights <= band[1])
-    table = np.zeros((noise_weights.shape[0], n_groups), dtype=bool)
-    for g in range(n_groups):
-        cols = group_ids == g
-        if cols.any():
-            table[:, g] = in_band[:, cols].any(axis=1)
-    return table
+def test_table_path_at_n20_keeps_reports(monkeypatch):
+    """2^20 words exceed ``TABLE_ENTRIES``: popcounts decide, unless raised."""
+    inst = _frozen_instance(delta1=0.1, delta=0.2, n=20)
+    builds = _recording(monkeypatch, "_decision_table")
+    default = _run_both_modes(inst, 2048)
+    assert not builds
+    monkeypatch.setattr(classical_sim, "TABLE_ENTRIES", 2**20)
+    assert _run_both_modes(inst, 2048) == default
+    # receiver 1 tests at least 2^20 / 2048 candidates in both modes
+    assert len(builds) >= 4
 
 
-def _reference_ml_errors(noise_weights, group_ids, truth, rng):
-    """Per-trial minimum-distance loop the grouped ML decoder replaced."""
-    best = noise_weights.min(axis=1)
-    is_best = noise_weights == best[:, None]
-    err = np.zeros(noise_weights.shape[0], dtype=bool)
-    for t in range(noise_weights.shape[0]):
-        winners = np.unique(group_ids[is_best[t]])
-        pick = winners[0] if winners.size == 1 else rng.choice(winners)
-        err[t] = pick != truth[t]
+@pytest.mark.parametrize("trials", [0, -5])
+def test_nonpositive_trials_are_rejected_before_any_draw(trials):
+    inst = _frozen_instance()
+    for run in (simulate, simulate_independent):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trials must be positive"):
+            run(inst, trials, rng)
+        assert rng.bit_generator.state == state
+
+
+def _distances(z, words):
+    return np.bitwise_count(np.asarray(z, dtype=np.uint64)[:, None] ^ words[None, :])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    data=st.data(),
+)
+def test_decision_tables_match_brute_force(n, data):
+    """Every word z, odd n, duplicate targets, empty and full bands."""
+    targets = np.array(
+        data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=12)),
+        dtype=np.uint64,
+    )
+    lo = data.draw(st.integers(0, n + 1))
+    hi = data.draw(st.integers(max(lo - 2, 0), n))
+    d = _distances(np.arange(2**n), targets)
+    table = classical_sim._decision_table(n, targets, None)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, d.min(axis=1))
+    for band in ((lo, hi), (0, n)):
+        table = classical_sim._decision_table(n, targets, band)
+        assert table.dtype == bool
+        assert np.array_equal(table, ((d >= band[0]) & (d <= band[1])).any(axis=1)), band
+
+
+def _reference_errors(received, shifts, targets, truth, band, rng):
+    """Per-trial loop over every candidate shifts[g] ^ w, one rng.choice per ML tie."""
+    err = np.zeros(received.size, dtype=bool)
+    for t, y in enumerate(received):
+        d = _distances(y ^ shifts, targets)
+        if band is None:
+            winners = np.flatnonzero(d.min(axis=1) == d.min())
+            pick = winners[0] if winners.size == 1 else rng.choice(winners)
+            err[t] = pick != truth[t]
+        else:
+            decoded = np.flatnonzero(((d >= band[0]) & (d <= band[1])).any(axis=1))
+            err[t] = decoded.tolist() != [truth[t]]
     return err
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
-    trials=st.integers(1, 40),
-    top=st.integers(0, 3),
-    band=st.tuples(st.integers(0, 3), st.integers(0, 2)),
-    dtype=st.sampled_from([np.uint8, np.int64]),
+    n=st.integers(1, 6),
+    data=st.data(),
+    ml=st.booleans(),
+    entries=st.sampled_from([1, 7, 2**19]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grouped_decoders_match_per_trial_loops(sizes, trials, top, band, dtype, seed):
-    """Same tables, same errors and the same generator state as the loops.
+def test_both_decoder_paths_match_per_trial_loops(n, data, ml, entries, seed):
+    """Table and sliced popcount paths: the loops' errors and generator state.
 
-    Weights come from a range of at most four values, so cross-group ties
-    are common and the tie-break draws are exercised.
+    Short words make cross-group ties common, so tie-break draws are exercised.
     """
-    data = np.random.default_rng(seed)
-    group_ids = np.repeat(np.arange(len(sizes)), sizes)
-    weights = data.integers(0, top + 1, size=(trials, group_ids.size)).astype(dtype)
-    truth = data.integers(0, len(sizes), size=trials)
-    starts = classical_sim._group_starts(group_ids)
-    band = (band[0], band[0] + band[1])
+    words = st.integers(0, 2**n - 1)
+    targets = np.array(data.draw(st.lists(words, min_size=1, max_size=6)), dtype=np.uint64)
+    shifts = np.array(data.draw(st.lists(words, min_size=1, max_size=6)), dtype=np.uint64)
+    lo = data.draw(st.integers(0, n + 1))
+    band = None if ml else (lo, data.draw(st.integers(max(lo - 1, 0), n)))
+    sample = np.random.default_rng(seed)
+    trials = int(sample.integers(1, 40))
+    received = sample.integers(0, 2**n, size=trials).astype(np.uint64)
+    truth = sample.integers(0, shifts.size, size=trials)
 
-    table = classical_sim._decode_counts(weights, starts, band)
-    assert table.dtype == bool
-    assert np.array_equal(table, _reference_decode_counts(weights, group_ids, len(sizes), band))
-
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = _reference_ml_errors(weights, group_ids, truth, ref_rng)
-    assert np.array_equal(classical_sim._ml_errors(weights, starts, truth, rng), expected)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "ids", [[1, 1, 2], [0, 2, 2], [0, 1, 1, 0], [0, 0, -1], [2, 1, 0], []]
-)
-def test_group_starts_reject_unsorted_or_gapped_ids(ids):
-    with pytest.raises(ValueError, match="group ids"):
-        classical_sim._group_starts(np.array(ids, dtype=np.int64))
+    ref_rng = np.random.default_rng(seed)
+    expected = _reference_errors(received, shifts, targets, truth, band, ref_rng)
+    for table in (None, classical_sim._decision_table(n, targets, band)):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(classical_sim, "TABLE_ENTRIES", entries):
+            group = classical_sim._group_table(received, shifts, targets, band, table)
+        assert group.shape == (trials, shifts.size)
+        if ml:
+            errors = classical_sim._ml_errors(group, truth, rng)
+        else:
+            errors = classical_sim._ambiguity_errors(group, truth)
+        assert np.array_equal(errors, expected), table is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_capacity_report_closed_forms():

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cosetcq import field_codes
 from cosetcq import (
     BudgetExceededError,
     NestedCosetCode,
@@ -202,6 +207,60 @@ def test_select_typical_theta_independent_of_rng():
     enc_b = select_typical(code, pmf, 0.25, np.random.default_rng(99))
     assert enc_a.theta == enc_b.theta
     assert enc_a.failed == enc_b.failed
+
+
+def _reference_select_typical(code, pmf, delta, rng):
+    """Per-message scan: one coset's words, one typicality mask, one draw."""
+    a_all = field_vectors(code.field.q, code.k)
+    chosen, theta, failed = {}, {}, []
+    for m in code.messages():
+        words = code.codeword(a_all, np.broadcast_to(m, (a_all.shape[0], code.l)))
+        freq = np.stack([(words == v).mean(axis=1) for v in range(code.field.q)], axis=1)
+        mask = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=1)
+        key = tuple(int(x) for x in m)
+        theta[key] = int(mask.sum())
+        if theta[key] == 0:
+            chosen[key] = np.zeros(code.k, dtype=np.int64)
+            failed.append(key)
+        else:
+            chosen[key] = a_all[np.flatnonzero(mask)[rng.integers(theta[key])]]
+    return chosen, theta, frozenset(failed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3]),
+    dims=st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(0, 3)),
+    skew=st.booleans(),
+    delta=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    scan=st.sampled_from([1, 5, 2**14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_scan_matches_per_message_loop(q, dims, skew, delta, scan, seed):
+    """Same picks, counts, failures and generator state at any block size.
+
+    A skewed pmf with small slack leaves many cosets without a typical word.
+    """
+    n, k, l = dims
+    data = np.random.default_rng(seed)
+    code = NestedCosetCode(
+        PrimeField(q), n, k, l,
+        data.integers(0, q, size=(k, n)), data.integers(0, q, size=(l, n)),
+        data.integers(0, q, size=n),
+    )
+    pmf = np.full(q, 1.0 / q)
+    if skew:
+        pmf = np.array([0.6] + [0.4 / (q - 1)] * (q - 1))
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    chosen, theta, failed = _reference_select_typical(code, pmf, delta, ref_rng)
+    with mock.patch.object(field_codes, "SCAN_WORDS", scan):
+        enc = select_typical(code, pmf, delta, rng)
+    assert enc.theta == theta
+    assert enc.failed == failed
+    assert list(enc.chosen) == list(chosen)
+    for key, a in chosen.items():
+        np.testing.assert_array_equal(enc.chosen[key], a)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_select_typical_budget_and_pmf_validation():
