@@ -14,14 +14,20 @@ embedding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
 
 import numpy as np
 
+from ._record import Record
 from .errors import ModelViolationError
-from .linalg import DensityOperator, _entropies, _row_dots, partial_trace, trace_distance
+from .linalg import (
+    DensityOperator,
+    _check_square_hermitian,
+    _entropies,
+    _row_dots,
+    partial_trace,
+)
 
 __all__ = [
     "CqChannel",
@@ -59,8 +65,7 @@ def example2_mix(p: float) -> np.ndarray:
     return p * EX2_SIGMA0 + (1.0 - p) * EX2_SIGMA1
 
 
-@dataclass(frozen=True)
-class CqChannel:
+class CqChannel(Record):
     """A classical-quantum channel for three senders and three receivers.
 
     Parameters
@@ -144,19 +149,25 @@ def is_3to1(channel: CqChannel, tol: float = 1e-9):
 
     Returns ``(True, None)`` when for j in {2, 3} the reduced state on Y_j
     depends only on x_j (all pairwise trace distances within ``tol``), else
-    ``(False, (j, x, x_prime))`` with a violating input pair.
+    ``(False, (j, x, x_prime))`` with a violating input pair.  Inputs are
+    grouped by x_j and each group's first input (in input order) is compared
+    with the others: one stacked ``eigvalsh`` per receiver, the first
+    violating pair in (x_j, input) order reported.
     """
+    sizes = channel.input_sizes
+    inputs = np.moveaxis(np.indices(sizes), 0, -1)  # (|X1|, |X2|, |X3|, 3)
     for j in (1, 2):
-        groups: dict = {}
-        for x in channel.inputs():
-            groups.setdefault(x[j], []).append(x)
-        for _, members in groups.items():
-            ref = members[0]
-            ref_state = channel.output_marginal(ref, j)
-            for other in members[1:]:
-                dist = trace_distance(ref_state, channel.output_marginal(other, j))
-                if dist > tol:
-                    return False, (j + 1, ref, other)
+        d = channel.output_dims[j]
+        groups = np.moveaxis(channel.marginals[j], j, 0).reshape(sizes[j], -1, d, d)
+        diffs = _check_square_hermitian(
+            (groups[:, :1] - groups[:, 1:]).reshape(-1, d, d), atol=1e-8, ndim=3
+        )
+        dists = 0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)
+        bad = np.flatnonzero(dists > tol)
+        if bad.size:
+            members = np.moveaxis(inputs, j, 0).reshape(sizes[j], -1, 3).tolist()
+            group, other = divmod(int(bad[0]), len(members[0]) - 1)
+            return False, (j + 1, tuple(members[group][0]), tuple(members[group][other + 1]))
     return True, None
 
 
@@ -423,8 +434,7 @@ def _check_pmf(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class InputDistribution:
+class InputDistribution(Record):
     """Product input pmf p(x1) p(v2, x2) p(v3, x3) with v_j over F_q.
 
     Parameters
@@ -468,8 +478,7 @@ class InputDistribution:
         )
 
 
-@dataclass(frozen=True)
-class SplitInputDistribution:
+class SplitInputDistribution(Record):
     """Product pmf p(x1) p(u2, v2, x2) p(u3, v3, x3); u_j over F_q, v_j free.
 
     The structured letters u2, u3 live in the same prime field; w = u2 + u3

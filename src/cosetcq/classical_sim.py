@@ -13,10 +13,9 @@ decisions from one table over all 2^n words; otherwise (always for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import ConsistencyError
 from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
 from .regions import _example1_closed_forms, _structured_feasible, conv
@@ -44,9 +43,8 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 def _pack_bits(words: np.ndarray) -> np.ndarray:
     """Pack rows of 0/1 ints (length <= 63) into uint64 masks."""
-    n = words.shape[-1]
-    weights = (1 << np.arange(n, dtype=np.uint64))
-    return (words.astype(np.uint64) * weights).sum(axis=-1)
+    weights = np.uint64(1) << np.arange(np.shape(words)[-1], dtype=np.uint64)
+    return np.asarray(words, dtype=np.uint64) @ weights
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
@@ -60,8 +58,7 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
     return float(max(0.0, center - spread)), float(min(1.0, center + spread))
 
 
-@dataclass(frozen=True)
-class ClassicalIcInstance:
+class ClassicalIcInstance(Record):
     """One simulated configuration of the classical 3-to-1 channel.
 
     Parameters
@@ -113,8 +110,7 @@ class ClassicalIcInstance:
         object.__setattr__(self, "codebook1", words)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Error counts and Wilson intervals from one simulation run."""
 
     trials: int

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record
 from .errors import BudgetExceededError
 
 # Most coset members held at once while ``select_typical`` scans cosets.
@@ -32,8 +31,7 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """The prime field F_q with component-wise array arithmetic.
 
     Parameters
@@ -85,8 +83,7 @@ def field_vectors(q: int, length: int, budget: int = 2**24) -> np.ndarray:
     return digits
 
 
-@dataclass(frozen=True)
-class NestedCosetCode:
+class NestedCosetCode(Record):
     """A nested coset code v(a, m) = a g_inner + m g_outer + dither over F_q.
 
     The inner generator rows span the coset containing a given message m;
@@ -194,8 +191,7 @@ def coset_sum(code_a: NestedCosetCode, code_b: NestedCosetCode) -> NestedCosetCo
     )
 
 
-@dataclass(frozen=True)
-class EncoderState:
+class EncoderState(Record):
     """Result of typical-codeword selection for every message of a code.
 
     Attributes

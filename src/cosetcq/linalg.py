@@ -6,9 +6,9 @@ them.  Entropies are base-2 unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -43,8 +43,7 @@ def _check_square_hermitian(
     return mat
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(Record):
     """A density matrix: Hermitian, positive semidefinite, unit trace.
 
     Eigenvalues may dip to -1e-10 from rounding; anything lower is rejected.

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .channels import _aux_sums, _fold, sigma1
 from .errors import BudgetExceededError, ConsistencyError, ModelViolationError
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
@@ -165,8 +165,7 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TypicalProjector:
+class TypicalProjector(Record):
     """An orthogonal projector onto a typical subspace of a product space.
 
     The projector is held as its range: row ``j`` of ``seqs`` selects the
@@ -342,8 +341,7 @@ class _FactoredElements(Sequence):
         return w @ w.conj().T
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(Record):
     """A square-root decoder POVM; the completion element carries the label ``None``.
 
     ``elements`` holds the decoding factors in the range of a typical
@@ -493,8 +491,7 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     return 1.0 - float(_fold(traces, 0)) / len(encoder.code.messages())
 
 
-@dataclass(frozen=True)
-class Rx1Setup:
+class Rx1Setup(Record):
     """Inputs of the receiver-1 sum decoder.
 
     Attributes
@@ -678,8 +675,7 @@ def rx1_success_probability(
     return float(_fold(np.array(list(hits.values())) * traces, 0)) / combos
 
 
-@dataclass(frozen=True)
-class PinchingRow:
+class PinchingRow(Record):
     n: int
     delta: float
     trace: float

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
 
+from ._record import Record
 from .channels import (
     CqChannel,
     InputDistribution,
@@ -86,8 +86,7 @@ def _holevo(pmf, states) -> float:
     return h_avg - sum(p * h for (p, _), h in zip(kept, ents))
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(Record):
     """A rate triple with per-sender cost budgets."""
 
     r1: float
@@ -110,8 +109,7 @@ class RatePoint:
         return np.array([self.tau1, self.tau2, self.tau3])
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A half-space coeffs . (r1, r2, r3) <= rhs.
 
     ``clamped`` records that a negative right-hand side was raised to zero.
@@ -156,8 +154,7 @@ def _plane_triples(coeffs: tuple) -> tuple:
     return trios, a
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Record):
     """A rate region cut out by linear constraints plus cost expectations.
 
     ``cost_expectations[j]`` is E[cost_{j+1}(X_{j+1})] under the generating
@@ -285,8 +282,7 @@ def theorem1_region(channel: CqChannel, dist: InputDistribution) -> RegionSpec:
     return _region(dict(zip(_LINES, rhs)), dist.cost_expectations(channel))
 
 
-@dataclass(frozen=True)
-class NccRateParams:
+class NccRateParams(Record):
     """Blocklength-normalized parameters of a nested coset code."""
 
     q: int
@@ -306,8 +302,7 @@ class NccRateParams:
         object.__setattr__(self, "p_v", p)
 
 
-@dataclass(frozen=True)
-class Theorem2Bounds:
+class Theorem2Bounds(Record):
     """Point-to-point coset-code thresholds at fixed (q, n, k, l, p_V)."""
 
     h_v: float
@@ -400,8 +395,7 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
     return _region(rhs, channel.expected_costs(*pmfs))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Outcome of the structured-vs-unstructured comparison on one example."""
 
     example: int
@@ -497,8 +491,7 @@ def simplex_grid(atoms: int, resolution: int):
 GRID_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(Record):
     best_value: float
     best_corner: np.ndarray
     best_dist: InputDistribution

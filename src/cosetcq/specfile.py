@@ -51,15 +51,13 @@ def _expect_int_list(obj, length: int, path: str) -> tuple:
 def _expect_matrix(obj, rows: int, cols: int, path: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         _fail(path, f"expected {rows} rows")
-    out = np.zeros((rows, cols))
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             _fail(f"{path}[{i}]", f"expected {cols} entries")
         for j, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 _fail(f"{path}[{i}][{j}]", "expected a number")
-            out[i, j] = float(v)
-    return out
+    return np.array(obj, dtype=float).reshape(rows, cols)
 
 
 def parse_channel(doc: dict) -> CqChannel:

@@ -26,6 +26,7 @@ from cosetcq.channels import (
     _sum_state,
     cq_entropy,
     cq_mutual_information,
+    is_3to1,
     label_entropy,
     sigma1,
     sigma2,
@@ -36,6 +37,7 @@ from cosetcq.linalg import (
     DensityOperator,
     partial_trace,
     random_density,
+    trace_distance,
     von_neumann_entropy,
 )
 from cosetcq.regions import _theorem1_rhs, theorem1_region, theorem3_region, usb_region
@@ -213,6 +215,52 @@ def test_cached_marginals_equal_partial_traces(seed):
             want = partial_trace(chan.states[x].matrix, DIMS, [j])
             np.testing.assert_array_equal(chan.output_marginal(x, j), want)
     assert chan.three_to_one == (True, None)
+
+
+def _reference_is_3to1(chan, tol=1e-9):
+    """Receivers 2 and 3 by the definition: one trace distance per pair."""
+    for j in (1, 2):
+        groups: dict = {}
+        for x in chan.inputs():
+            groups.setdefault(x[j], []).append(x)
+        for members in groups.values():
+            ref = chan.output_marginal(members[0], j)
+            for other in members[1:]:
+                if trace_distance(ref, chan.output_marginal(other, j)) > tol:
+                    return False, (j + 1, members[0], other)
+    return True, None
+
+
+@PROPERTY
+@given(seeds)
+def test_is_3to1_equals_per_pair_trace_distances(seed):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(1, 4, size=3))
+    dims = tuple(int(d) for d in rng.integers(1, 4, size=3))
+    inputs = list(itertools.product(*(range(s) for s in sizes)))
+    factors = [
+        {x: random_density(dims[0], rng).matrix for x in inputs},
+        [random_density(dims[1], rng).matrix for _ in range(sizes[1])],
+        [random_density(dims[2], rng).matrix for _ in range(sizes[2])],
+    ]
+    # a random set of inputs leaks into receiver 2 or 3, by a weight that
+    # keeps the trace distance below the tolerance (1e-12) or not (1e-6, 0.3)
+    leaks = {}
+    for x in inputs:
+        if rng.random() < 0.2:
+            j = int(rng.integers(1, 3))
+            eps = float(rng.choice([1e-12, 1e-6, 0.3]))
+            leaks[(x, j)] = (1 - eps) * factors[j][x[j]] + eps * random_density(dims[j], rng).matrix
+    states = {}
+    for x in inputs:
+        rx2, rx3 = leaks.get((x, 1), factors[1][x[1]]), leaks.get((x, 2), factors[2][x[2]])
+        states[x] = DensityOperator(np.kron(np.kron(factors[0][x], rx2), rx3))
+    chan = CqChannel(sizes, dims, states, tuple(np.zeros(s) for s in sizes))
+    got = is_3to1(chan)
+    assert got == _reference_is_3to1(chan)
+    assert chan.three_to_one == got
+    if not got[0]:
+        assert all(type(v) is int for v in got[1][1] + got[1][2])
 
 
 def test_marginals_are_read_only():
