@@ -18,12 +18,17 @@ orthonormal columns of a product eigenbasis, so overlaps between two
 projectors and compressions of product states are products of per-letter
 d x d blocks.  Square-root decoders live in the rank-r range of the typical
 projector pi_rho: each element is E_i = (U B_i)(U B_i)^dagger with U the
-range basis and B_i an r x r_i factor, and exact error probabilities are
-traces of r x r matrices.  A decoder's factors are the column slices of one
-r x (sum_i r_i) block, allocated once after the memory check; the Gram
-matrix, the square-root normalization and the completeness check are each
-one pass over that block.  Dense D x D elements are built only on request.
-Factors, ranges and dense elements stay real when every letter basis is.
+range basis and B_i an r x r_i factor.  Both decoders are built by one
+builder, ``_square_root_povm``, over chains of projectors: the
+point-to-point sandwich is a chain without a middle projector, and the
+receiver-1 sandwich passes through sender 1's projector.  A decoder's
+factors are the column slices of one r x (sum_i r_i) block, allocated once
+after the memory check; the Gram matrix, the square-root normalization and
+the completeness check are each one pass over that block.  Every exact
+error or success probability is a count-weighted sum of r x r traces
+against product states, taken by one helper, ``_success``.  Dense D x D
+elements are built only on request.  Factors, ranges and dense elements
+stay real when every letter basis is.
 """
 
 from __future__ import annotations
@@ -395,41 +400,77 @@ def _inverse_sqrt_on_support(mat: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def _square_root_povm(labels: list, frame: TypicalProjector, block: np.ndarray, ranks) -> Povm:
+def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     """Square-root measurement of the operators U A_i A_i^dagger U^dagger.
 
-    ``frame`` gives the range basis U (D x r) of pi_rho, and ``block`` holds
-    the r x r_i matrices A_i = U^dagger . (projector chain) . C_i side by
-    side, ``ranks[i]`` columns each.  With S = sum_i A_i A_i^dagger, one
-    product of the block, the decoding factors are B_i = S^{-1/2} A_i
-    (inverse square root on the support of S), so E_i = (U B_i)(U B_i)^dagger
-    equals N Gamma_i N for Gamma_i = U A_i A_i^dagger U^dagger and
-    N = (sum_i Gamma_i)^{-1/2}.  The completion block is
-    I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.  S^{-1/2} is
-    applied to the block in place, _CHUNK columns at a time, so one block of
-    factors is held.
+    ``frame`` gives the range basis U (D x r) of pi_rho.  ``chains`` lists
+    (middle, [(label, inner), ...]) in label order, and label i's r x r_i
+    matrix is A_i = U^dagger . C_i for C_i the range basis of ``inner``, or
+    A_i = U^dagger . M M^dagger . C_i through the range basis M of the
+    projector ``middle`` when it is not None.  After the memory check the
+    A_i are written side by side into one block, ``ranks[i]`` columns each.
+    With S = sum_i A_i A_i^dagger, one product of the block, the decoding
+    factors are B_i = S^{-1/2} A_i (inverse square root on the support of
+    S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
+    Gamma_i = U A_i A_i^dagger U^dagger and N = (sum_i Gamma_i)^{-1/2}.  The
+    completion block is I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.
+    S^{-1/2} is applied to the block in place, _CHUNK columns at a time, so
+    one block of factors is held.
     """
+    inners = [inner for _, pairs in chains for _, inner in pairs]
+    middles = [middle for middle, _ in chains if middle is not None]
+    ranks = [p.rank for p in inners]
+    dtype = np.result_type(frame.dtype, *(p.dtype for p in inners + middles))
+    _check_memory(frame, ranks, dtype, side=[m.rank for m in middles])
+    block = np.empty((frame.rank, sum(ranks)), dtype=dtype)
+    factors = iter(_columns(block, ranks))
+    for middle, pairs in chains:
+        outer = None if middle is None else frame.overlap(middle)
+        for _, inner in pairs:
+            if outer is None:
+                next(factors)[...] = frame.overlap(inner)
+            else:
+                next(factors)[...] = outer @ middle.overlap(inner)
     gram = _gram(block)
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
     for start in range(0, block.shape[1], _CHUNK):
         chunk = block[:, start:start + _CHUNK]
         chunk[...] = norm @ chunk
     completion = np.eye(frame.rank) - norm @ gram @ norm
-    return Povm(tuple(labels) + (None,), _FactoredElements(frame, block, ranks, completion))
+    labels = tuple(label for _, pairs in chains for label, _ in pairs)
+    return Povm(labels + (None,), _FactoredElements(frame, block, ranks, completion))
 
 
-def _traces(frame: TypicalProjector, groups):
-    """tr(B^dagger U^dagger rho U B) for each factor B of each (letters, factors) group.
+def _success(frame: TypicalProjector, factors, letters, hits) -> float:
+    """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
-    U is the range basis of ``frame`` and rho the tensor product of the
-    group's letter operators; one list of traces is yielded per group.  A
-    group's compressed state U^dagger rho U is dropped before the next one
-    is built, so one r x r state is alive at a time.
+    ``hits`` lists (i, w, count) in summation order: B_i is ``factors[i]``,
+    U the range basis of ``frame`` and rho_w the tensor product of
+    ``letters`` along the letter word w.  Each distinct word is compressed
+    once, and its r x r state is dropped before the next one is built; a
+    zero-rank factor adds exactly 0.  The terms are summed in ``hits``
+    order by ``_fold``.
     """
-    for letters, factors in groups:
-        rho = frame.compress(letters)
-        yield [float(np.vdot(b, rho @ b).real) for b in factors]
+    by_word: dict = {}
+    for pos, (i, word, _) in enumerate(hits):
+        if factors[i].shape[1]:
+            by_word.setdefault(tuple(int(v) for v in word), []).append(pos)
+    traces = np.zeros(len(hits))
+    for word, positions in by_word.items():
+        rho = frame.compress([letters[v] for v in word])
+        for pos in positions:
+            b = factors[hits[pos][0]]
+            traces[pos] = np.vdot(b, rho @ b).real
         del rho
+    return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))
+
+
+def _code_words(code: NestedCosetCode):
+    """((a, m), codeword) for every inner index a and message m of ``code``,
+    a outer and m inner: the label order of both decoders."""
+    for a in field_vectors(code.field.q, code.k):
+        for m in code.messages():
+            yield (tuple(int(x) for x in a), tuple(int(x) for x in m)), code.codeword(a, m)
 
 
 def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: float) -> Povm:
@@ -450,20 +491,11 @@ def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: 
     pmf = encoder.pmf
     rho_bar = sum(p * m for p, m in zip(pmf, mats))
     pi_rho = typical_projector(rho_bar, code.n, delta)
-    projs = []
-    labels = []
-    for a in field_vectors(q, code.k):
-        for m in code.messages():
-            word = code.codeword(a, m)
-            projs.append(conditional_typical_projector(mats, word, delta, pmf=pmf))
-            labels.append((tuple(int(x) for x in a), tuple(int(x) for x in m)))
-    ranks = [p.rank for p in projs]
-    dtype = np.result_type(pi_rho.dtype, *(p.dtype for p in projs))
-    _check_memory(pi_rho, ranks, dtype)
-    block = np.empty((pi_rho.rank, sum(ranks)), dtype=dtype)
-    for factor, p in zip(_columns(block, ranks), projs):
-        factor[...] = pi_rho.overlap(p)
-    return _square_root_povm(labels, pi_rho, block, ranks)
+    inners = [
+        (label, conditional_typical_projector(mats, word, delta, pmf=pmf))
+        for label, word in _code_words(code)
+    ]
+    return _square_root_povm(pi_rho, [(None, inners)])
 
 
 def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
@@ -473,22 +505,12 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     product of letter states.  The decoder succeeds on any outcome (a, m)
     with the correct message part.  ``povm`` must come from
     ``build_ptp_povm``: each success trace tr(B^dagger U^dagger rho U B) is
-    taken in the range of pi_rho, one message's received state at a time.
+    taken in the range of pi_rho, each received word's state built once.
     """
     mats = [_as_matrix(s) for s in states]
-    factors = povm.elements.factors
-    by_message: dict = {}
-    for i, ((_, m), b) in enumerate(zip(povm.labels, factors)):
-        if b.shape[1]:
-            by_message.setdefault(m, []).append(i)
-    groups = (
-        ([mats[int(v)] for v in encoder.codeword_for(m)], [factors[i] for i in indices])
-        for m, indices in by_message.items()
-    )
-    traces = np.zeros(len(factors))
-    for indices, values in zip(by_message.values(), _traces(povm.elements.frame, groups)):
-        traces[indices] = values
-    return 1.0 - float(_fold(traces, 0)) / len(encoder.code.messages())
+    hits = [(i, encoder.codeword_for(m), 1) for i, (_, m) in enumerate(povm.labels[:-1])]
+    success = _success(povm.elements.frame, povm.elements.factors, mats, hits)
+    return 1.0 - success / len(encoder.code.messages())
 
 
 class Rx1Setup(Record):
@@ -497,7 +519,8 @@ class Rx1Setup(Record):
     Attributes
     ----------
     cond_states : dict
-        (x1, u) -> receiver-1 letter state ndarray.
+        (x1, u) -> receiver-1 letter state ndarray; pairs of probability 0
+        are absent.
     p_x1, p_u : ndarrays
         Letter distributions of sender 1 and of the interference sum.
     codebook1 : tuple of int ndarrays
@@ -522,8 +545,18 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     the two senders' codes (their generators must match).  The receiver-1
     reduction must depend on the auxiliaries only through their sum, so that
     per-letter states indexed by (x1, u) describe the channel exactly; this
-    is verified and a ModelViolationError raised otherwise.
+    is verified and a ModelViolationError raised otherwise.  A ``codebook1``
+    word whose length is not the codes' blocklength, or with a letter
+    outside sender 1's alphabet, raises ValueError.
     """
+    sum_code = coset_sum(code2, code3)
+    n_x1 = channel.input_sizes[0]
+    book1 = tuple(np.asarray(w, dtype=np.int64) for w in codebook1)
+    for m1, word in enumerate(book1):
+        if word.shape != (sum_code.n,) or word.min() < 0 or word.max() >= n_x1:
+            raise ValueError(
+                f"codebook1 word {m1} must have {sum_code.n} letters in range({n_x1})"
+            )
     q = dist.q
     s1 = sigma1(channel, dist)
     cond = {lab: mat for lab, (_, mat) in s1.blocks.items()}
@@ -536,7 +569,7 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
         np.stack([dist.p_v2x2[v2 : v2 + 1] for v2, _ in pairs]),
         np.stack([dist.p_v3x3[v3 : v3 + 1] for _, v3 in pairs]),
     )
-    for x1 in range(channel.input_sizes[0]):
+    for x1 in range(n_x1):
         for row, (v2, v3) in enumerate(pairs):
             u = (v2 + v3) % q
             weight = dist.p_v2x2[v2].sum() * dist.p_v3x3[v3].sum()
@@ -551,9 +584,17 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
         cond_states=cond,
         p_x1=np.asarray(dist.p_x1, dtype=float),
         p_u=dist.p_u(),
-        codebook1=tuple(np.asarray(w, dtype=np.int64) for w in codebook1),
-        sum_code=coset_sum(code2, code3),
+        codebook1=book1,
+        sum_code=sum_code,
     )
+
+
+def _pair_letters(setup: Rx1Setup) -> list:
+    """Receiver-1 letter states over the flattened (x1, u) alphabet, x1 q + u;
+    a pair of probability 0, absent from ``cond_states``, is the zero matrix."""
+    q = setup.sum_code.field.q
+    zero = np.zeros_like(next(iter(setup.cond_states.values())), dtype=complex)
+    return [setup.cond_states.get((x1, u), zero) for x1 in range(setup.p_x1.size) for u in range(q)]
 
 
 def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
@@ -570,63 +611,32 @@ def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
     """
     code = setup.sum_code
     q = code.field.q
-    n = code.n
     n_x1 = setup.p_x1.size
-    dim = next(iter(setup.cond_states.values())).shape[0]
     _check_label_budget(len(setup.codebook1) * q ** (code.k + code.l))
 
     # Average and x1-conditional letter states, summed in label order.
+    pair_states = _pair_letters(setup)
     items = setup.cond_states.items()
-    zero = np.zeros((dim, dim), dtype=complex)
+    zero = np.zeros(pair_states[0].shape, dtype=complex)
     rho_bar = sum((setup.p_x1[x1] * setup.p_u[u] * mat for (x1, u), mat in items), zero)
     rho_x1 = [
         sum((setup.p_u[u] * mat for (x, u), mat in items if x == x1), zero)
         for x1 in range(n_x1)
     ]
-    pi_rho = typical_projector(rho_bar, n, delta)
-
-    # Pair-conditioned family: condition alphabet is (x1, u) flattened.
-    pair_states = [
-        setup.cond_states[(x1, u)]
-        for x1 in range(n_x1)
-        for u in range(q)
-    ]
-    pair_pmf = np.concatenate(
-        [setup.p_x1[x1] * setup.p_u for x1 in range(n_x1)]
-    )
-
+    pi_rho = typical_projector(rho_bar, code.n, delta)
+    pair_pmf = np.concatenate([setup.p_x1[x1] * setup.p_u for x1 in range(n_x1)])
+    words = list(_code_words(code))
     chains = []
-    labels = []
-    a_all = field_vectors(q, code.k)
-    w_all = code.messages()
     for m1, x1_word in enumerate(setup.codebook1):
         middle = conditional_typical_projector(rho_x1, x1_word, delta)
-        inners = []
-        for a in a_all:
-            for w in w_all:
-                pair_seq = x1_word * q + code.codeword(a, w)
-                inners.append(
-                    conditional_typical_projector(pair_states, pair_seq, delta, pmf=pair_pmf)
-                )
-                labels.append(
-                    (
-                        m1,
-                        tuple(int(x) for x in a),
-                        tuple(int(x) for x in w),
-                    )
-                )
+        inners = [
+            ((m1, a, w), conditional_typical_projector(
+                pair_states, x1_word * q + word, delta, pmf=pair_pmf
+            ))
+            for (a, w), word in words
+        ]
         chains.append((middle, inners))
-    flat = [p for _, inners in chains for p in inners]
-    ranks = [p.rank for p in flat]
-    dtype = np.result_type(pi_rho.dtype, *(p.dtype for p in flat), *(m.dtype for m, _ in chains))
-    _check_memory(pi_rho, ranks, dtype, side=[m.rank for m, _ in chains])
-    block = np.empty((pi_rho.rank, sum(ranks)), dtype=dtype)
-    factors = iter(_columns(block, ranks))
-    for middle, inners in chains:
-        outer = pi_rho.overlap(middle)
-        for inner in inners:
-            next(factors)[...] = outer @ middle.overlap(inner)
-    return _square_root_povm(labels, pi_rho, block, ranks)
+    return _square_root_povm(pi_rho, chains)
 
 
 def rx1_success_probability(
@@ -644,35 +654,21 @@ def rx1_success_probability(
     triples that share a label and a received word are traced once.
     """
     q = setup.sum_code.field.q
-    code2, code3 = enc2.code, enc3.code
-    hits: dict = {}
-    combos = 0
-    for m1, x1_word in enumerate(setup.codebook1):
-        for m2 in code2.messages():
-            v2 = enc2.codeword_for(m2)
-            a2 = enc2.chosen[tuple(int(x) for x in m2)]
-            for m3 in code3.messages():
-                v3 = enc3.codeword_for(m3)
-                a3 = enc3.chosen[tuple(int(x) for x in m3)]
-                u_word = (v2 + v3) % q
-                label = (
-                    m1,
-                    tuple(int(x) for x in (a2 + a3) % q),
-                    tuple(int(x) for x in (m2 + m3) % q),
-                )
-                key = (label, tuple(int(u) for u in u_word))
-                hits[key] = hits.get(key, 0) + 1
-                combos += 1
-    factors = povm.elements.factors
-    groups = (
-        (
-            [setup.cond_states[(int(x1), u)] for x1, u in zip(setup.codebook1[label[0]], u_word)],
-            [factors[povm._position[label]]],
-        )
-        for label, u_word in hits
-    )
-    traces = np.array([trace for (trace,) in _traces(povm.elements.frame, groups)])
-    return float(_fold(np.array(list(hits.values())) * traces, 0)) / combos
+    # (a, w, interference word) counts over (m2, m3); every m1 repeats them
+    sums: dict = {}
+    for m2 in enc2.code.messages():
+        for m3 in enc3.code.messages():
+            a = enc2.chosen[tuple(int(x) for x in m2)] + enc3.chosen[tuple(int(x) for x in m3)]
+            u_word = (enc2.codeword_for(m2) + enc3.codeword_for(m3)) % q
+            key = tuple(tuple(int(x) for x in v) for v in (a % q, (m2 + m3) % q, u_word))
+            sums[key] = sums.get(key, 0) + 1
+    hits = [
+        (povm._position[(m1, a, w)], x1_word * q + np.array(u_word), count)
+        for m1, x1_word in enumerate(setup.codebook1)
+        for (a, w, u_word), count in sums.items()
+    ]
+    success = _success(povm.elements.frame, povm.elements.factors, _pair_letters(setup), hits)
+    return success / (len(setup.codebook1) * sum(sums.values()))
 
 
 class PinchingRow(Record):
@@ -713,8 +709,7 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
         pi_rho = typical_projector(rho_bar, int(n), delta)
         pi_a = conditional_typical_projector(cond_states, a_seq, delta)
         _check_memory(pi_rho, [pi_a.rank], np.result_type(pi_rho.dtype, pi_a.dtype))
-        group = ([mats[int(b)] for b in b_seq], [pi_rho.overlap(pi_a)])
-        [[trace]] = _traces(pi_rho, [group])
+        trace = _success(pi_rho, [pi_rho.overlap(pi_a)], mats, [(0, b_seq, 1)])
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
     return rows
 

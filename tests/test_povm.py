@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cosetcq.povm as povm_module
 from cosetcq.channels import (
     CqChannel,
+    InputDistribution,
     binary_input_distribution,
     example1_channel,
     example2_channel,
@@ -21,6 +22,7 @@ from cosetcq.linalg import DensityOperator, eig_hermitian, random_density
 from cosetcq.povm import (
     MEMORY_BUDGET,
     Povm,
+    Rx1Setup,
     _FactoredElements,
     build_ptp_povm,
     build_rx1_povm,
@@ -425,6 +427,50 @@ def test_rx1_success_probability_matches_reference_loop():
         got = rx1_success_probability(povm, setup, enc2, enc3)
         assert 0.0 < got <= 1.0
         assert got == _reference_rx1_success(povm, setup, enc2, enc3)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        binary_input_distribution(0.0),
+        binary_input_distribution(1.0),
+        # v2 = v3 = 0 with x2, x3 uniform: the interference sum is never 1
+        InputDistribution(2, np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.0, 0.0]]),
+                          np.array([[0.5, 0.5], [0.0, 0.0]])),
+    ],
+    ids=["tau0", "tau1", "sum_never_1"],
+)
+def test_rx1_decoder_with_zero_probability_letters(dist):
+    """A sender-1 or sum letter of probability 0 leaves its (x1, u) pairs out
+    of ``cond_states``; the decoder reads them as zero states, and every label
+    or received word that uses one adds exactly 0."""
+    rng = np.random.default_rng(3)
+    code2 = NestedCosetCode(F2, 4, 1, 1, [[1, 0, 1, 0]], [[0, 1, 1, 1]], [0, 0, 0, 0])
+    code3 = NestedCosetCode(F2, 4, 1, 1, code2.g_inner, code2.g_outer, [0, 0, 0, 0])
+    book1 = ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0])
+    setup = rx1_setup_from_channel(example2_channel(0.05, 0.1), dist, book1, code2, code3)
+    assert len(setup.cond_states) == 2
+    povm = build_rx1_povm(setup, 0.6)
+    enc2 = select_typical(code2, UNIFORM, 0.5, rng)
+    enc3 = select_typical(code3, UNIFORM, 0.5, rng)
+    got = rx1_success_probability(povm, setup, enc2, enc3)
+    assert got > 0.0
+    # the reference reads every pair it meets, so it gets the absent ones as zeros
+    zero = np.zeros_like(next(iter(setup.cond_states.values())))
+    full = {(x1, u): setup.cond_states.get((x1, u), zero) for x1 in range(2) for u in range(2)}
+    padded = Rx1Setup(full, setup.p_x1, setup.p_u, setup.codebook1, setup.sum_code)
+    assert got == _reference_rx1_success(povm, padded, enc2, enc3)
+
+
+@pytest.mark.parametrize("bad", [[0, 2, 0, 0], [0, 1, 0], [0, -1, 0, 0]],
+                         ids=["letter_2", "length_3", "letter_minus_1"])
+def test_rx1_setup_rejects_malformed_sender1_words(bad):
+    code = NestedCosetCode(F2, 4, 1, 1, [[1, 0, 1, 0]], [[0, 1, 1, 1]], [0, 0, 0, 0])
+    with pytest.raises(ValueError, match="codebook1 word 1 must have 4 letters in range"):
+        rx1_setup_from_channel(
+            example2_channel(0.05, 0.1), binary_input_distribution(0.5),
+            ([0, 0, 0, 0], bad), code, code,
+        )
 
 
 def test_rx1_setup_rejects_sum_insufficient_channel():

@@ -4,8 +4,9 @@ Every factored result is compared with the dense construction it replaces:
 projector matrices, Gamma sandwiches and (sum Gamma)^{-1/2}, all as D x D
 arrays.  Inputs are random qubit density operators, random binary nested
 coset codes with n <= 4, and random blocklengths and slacks.  The factor
-block is also compared with the per-label construction it replaces, and the
-product-block gathers with the np.ix_ / np.kron formula.
+block is also compared with the per-label construction it replaces (on
+binary and ternary codes), and the product-block gathers with the
+np.ix_ / np.kron formula.
 """
 
 from functools import reduce
@@ -35,10 +36,10 @@ from cosetcq.povm import (
 from cosetcq.typicality import pair_sequence
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 UNIFORM = np.array([0.5, 0.5])
 PROPERTY = settings(max_examples=25, deadline=None)
 
-bits = st.integers(0, 1)
 deltas = st.floats(0.05, 1.2)
 
 
@@ -57,14 +58,16 @@ def qubit_states(draw):
 
 
 @st.composite
-def binary_codes(draw, max_n=4):
+def binary_codes(draw, max_n=4, field=F2):
+    """A random nested coset code, over F2 unless ``field`` is given."""
+    digits = st.integers(0, field.q - 1)
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, 2))
     l = draw(st.integers(1, 2))
-    gi = draw(st.lists(st.lists(bits, min_size=n, max_size=n), min_size=k, max_size=k))
-    go = draw(st.lists(st.lists(bits, min_size=n, max_size=n), min_size=l, max_size=l))
-    dither = draw(st.lists(bits, min_size=n, max_size=n))
-    return NestedCosetCode(F2, n, k, l, gi, go, dither)
+    gi = draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=k, max_size=k))
+    go = draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=l, max_size=l))
+    dither = draw(st.lists(digits, min_size=n, max_size=n))
+    return NestedCosetCode(field, n, k, l, gi, go, dither)
 
 
 def _square_root(gammas: list) -> list:
@@ -255,7 +258,7 @@ def _per_label_ptp(code, enc, states, delta) -> tuple:
     pi_rho = typical_projector(sum(p * s for p, s in zip(enc.pmf, states)), code.n, delta)
     projs = [
         conditional_typical_projector(states, code.codeword(a, m), delta, pmf=enc.pmf)
-        for a in field_vectors(2, code.k)
+        for a in field_vectors(code.field.q, code.k)
         for m in code.messages()
     ]
     factors = [pi_rho.overlap(p) for p in projs]
@@ -295,20 +298,25 @@ def _assert_block_matches(povm, factors, completion, atol) -> None:
 
 
 @PROPERTY
-@given(code=binary_codes(), s0=qubit_states(), s1=qubit_states(), real=st.booleans(),
-       delta=deltas, chunk=st.integers(1, 5), seed=st.integers(0, 2**16))
+@given(code=st.one_of(binary_codes(), binary_codes(field=F3)), s0=qubit_states(),
+       s1=qubit_states(), s2=qubit_states(), real=st.booleans(), delta=deltas,
+       chunk=st.integers(1, 5), seed=st.integers(0, 2**16))
 @example(  # S has kappa = 2.3e5: the two summation orders differ by 4.6e-11
     code=NestedCosetCode(F2, 4, 1, 2, [[0, 0, 0, 1]], [[0, 0, 1, 0], [0, 1, 0, 0]], [0] * 4),
     s0=np.array([[0.5207756232686981, 0.027700831024930747j],
                  [-0.027700831024930747j, 0.47922437673130197]]),
     s1=np.diag([0.08333333333333333, 0.9166666666666666]).astype(complex),
-    real=False, delta=0.25, chunk=1, seed=0,
+    s2=None, real=False, delta=0.25, chunk=1, seed=0,
 )
-def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, real, delta, chunk, seed):
+def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, s2, real, delta, chunk, seed):
     # a narrow chunk makes the normalization pass and a complex Gram matrix
-    # walk the block in several slices, as they do at n >= 9
-    states = [s0.real, s1.real] if real else [s0, s1]
-    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(seed))
+    # walk the block in several slices, as they do at n >= 9; a ternary code
+    # takes the third letter s2
+    q = code.field.q
+    states = [s0, s1, s2][:q]
+    if real:
+        states = [s.real for s in states]
+    enc = select_typical(code, np.full(q, 1.0 / q), 0.5, np.random.default_rng(seed))
     with mock.patch.object(povm_module, "_CHUNK", chunk):
         povm = build_ptp_povm(code, enc, states, delta)
     if real:
