@@ -33,7 +33,7 @@ __all__ = [
 # Trials drawn per batch of messages and noise.
 BATCH_TRIALS = 2048
 # Most entries in one decision table over all 2^n words, and in one slice
-# of a (trials x candidates) popcount table: 4 MiB of uint64.
+# of a (candidates x trials) popcount table: 4 MiB of uint64.
 TABLE_ENTRIES = 2**19
 
 
@@ -169,52 +169,51 @@ def _decision_table(n: int, targets: np.ndarray, band) -> np.ndarray:
 
 
 def _group_table(y, shifts, targets, band, table) -> np.ndarray:
-    """(trials, groups) decisions for received words ``y``.
+    """(groups, trials) decisions for received words ``y``.
 
     Group g's candidates are ``shifts[g] ^ w`` for w in ``targets``, so its
     decision is the ``_decision_table`` entry at y ^ shifts[g]: read from
     ``table`` if not None, else taken from popcounts over every candidate, a
     slice of trials at a time, each at most ``TABLE_ENTRIES`` entries (or
-    one trial's candidates, if more).
+    one trial's candidates, if more).  Group-major, so every per-trial
+    reduction runs across contiguous rows.
     """
     if table is not None:
-        return table[y[:, None] ^ shifts]
-    cands = shifts[:, None] ^ targets
-    rows = max(1, TABLE_ENTRIES // cands.size)
+        return table[shifts[:, None] ^ y]
+    cands = shifts[:, None, None] ^ targets[:, None]
+    cols = max(1, TABLE_ENTRIES // cands.size)
     parts = []
-    for lo in range(0, y.size, rows):
-        w = _popcount(y[lo : lo + rows, None, None] ^ cands)
+    for lo in range(0, y.size, cols):
+        w = _popcount(cands ^ y[lo : lo + cols])
         if band is None:
-            parts.append(w.min(axis=2))
+            parts.append(w.min(axis=1))
         else:
-            parts.append(((w >= band[0]) & (w <= band[1])).any(axis=2))
-    return np.concatenate(parts)
+            parts.append(((w >= band[0]) & (w <= band[1])).any(axis=1))
+    return np.concatenate(parts, axis=1)
 
 
 def _ambiguity_errors(table: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Error indicator: the decoded set must equal exactly {truth}."""
-    trials = table.shape[0]
-    hit_truth = table[np.arange(trials), truth]
-    extras = table.sum(axis=1) - hit_truth.astype(int)
-    return ~hit_truth | (extras > 0)
+    hit_truth = table[truth, np.arange(truth.size)]
+    return ~hit_truth | (table.sum(axis=0) != 1)
 
 
 def _ml_errors(group_best: np.ndarray, truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Minimum-distance decoding; cross-group ties break uniformly at random.
 
-    ``group_best`` holds each group's least distance per trial.  Random
-    tie-breaking keeps the useless-channel limit honest: at flip bias 1/2
-    the output carries no information and the error rate sits at
-    1 - 1/n_groups instead of saturating to 1.  Only tied trials draw, one
-    bounded integer each and in trial order, all in one call: the same
+    ``group_best`` holds each group's least distance per trial, one row per
+    group.  Random tie-breaking keeps the useless-channel limit honest: at
+    flip bias 1/2 the output carries no information and the error rate sits
+    at 1 - 1/n_groups instead of saturating to 1.  Only tied trials draw,
+    one bounded integer each and in trial order, all in one call: the same
     stream as one ``rng.choice`` over the sorted winning groups per tie.
     """
-    is_best = group_best == group_best.min(axis=1, keepdims=True)
-    pick = is_best.argmax(axis=1)
-    ties = is_best.sum(axis=1)
+    is_best = group_best == group_best.min(axis=0)
+    pick = is_best.argmax(axis=0)
+    ties = is_best.sum(axis=0)
     tied = ties > 1
     draw = rng.integers(0, ties[tied])
-    pick[tied] = (is_best[tied].cumsum(axis=1) > draw[:, None]).argmax(axis=1)
+    pick[tied] = (is_best[:, tied].cumsum(axis=0) > draw).argmax(axis=0)
     return pick != truth
 
 
@@ -240,19 +239,19 @@ def _count_errors(instance, trials, rng, words, shifts, targets, decoder, dec_de
         else None
         for s, t, band in zip(shifts[:2], targets, bands)
     ]
+    biases = np.array([instance.delta1, instance.delta, instance.delta])[:, None, None]
+    sums = np.sort(targets[0])
     errors = [0, 0, 0]
     done = 0
     while done < trials:
         batch = min(BATCH_TRIALS, trials - done)
         msgs = [rng.integers(len(w), size=batch) for w in words]
-        noise = [
-            _pack_bits(rng.random((batch, n)) < bias)
-            for bias in (instance.delta1, instance.delta, instance.delta)
-        ]
+        noise = _pack_bits(rng.random((3, batch, n)) < biases)
         sent = [w[m] for w, m in zip(words, msgs)]
-        if not np.isin(sent[1] ^ sent[2], targets[0]).all():
+        inter = sent[1] ^ sent[2]
+        if not (sums.take(np.searchsorted(sums, inter), mode="clip") == inter).all():
             raise ConsistencyError("transmitted interference sum left the coset-sum range")
-        received = (sent[0] ^ sent[1] ^ sent[2] ^ noise[0], sent[1] ^ noise[1], sent[2] ^ noise[2])
+        received = (sent[0] ^ inter ^ noise[0], sent[1] ^ noise[1], sent[2] ^ noise[2])
         for r, (y, true) in enumerate(zip(received, msgs)):
             side = min(r, 1)  # receivers 2 and 3 share targets and band
             group = _group_table(y, shifts[r], targets[side], bands[side], tables[side])

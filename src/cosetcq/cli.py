@@ -11,6 +11,7 @@ overruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -311,6 +312,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, built on first use: import stays cheap
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosetcq",
@@ -360,8 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "region": cmd_region,
         "separation": cmd_separation,

@@ -13,6 +13,7 @@ from cosetcq.classical_sim import (
     simulate_independent,
     wilson_interval,
 )
+from cosetcq.errors import ConsistencyError
 from cosetcq.field_codes import NestedCosetCode, PrimeField
 from cosetcq.regions import conv, hb
 
@@ -190,6 +191,21 @@ def test_table_path_at_n20_keeps_reports(monkeypatch):
     assert len(builds) >= 4
 
 
+@pytest.mark.parametrize("sums", [[0, 7, 9], [0, 1]])
+def test_sum_outside_targets_raises_before_counting(sums, monkeypatch):
+    """One-word senders 2 and 3 always send the sum 5 ^ 3 = 6."""
+    inst = _frozen_instance()
+    packed1 = classical_sim._pack_bits(np.stack(inst.codebook1))
+    words = (packed1, np.array([5], dtype=np.uint64), np.array([3], dtype=np.uint64))
+    targets = (np.array(sums, dtype=np.uint64), np.zeros(1, dtype=np.uint64))
+    groups = _recording(monkeypatch, "_group_table")
+    with pytest.raises(ConsistencyError, match="coset-sum range"):
+        classical_sim._count_errors(
+            inst, 100, np.random.default_rng(0), words, words, targets, "ml", 0.5
+        )
+    assert not groups
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_nonpositive_trials_are_rejected_before_any_draw(trials):
     inst = _frozen_instance()
@@ -243,6 +259,24 @@ def _reference_errors(received, shifts, targets, truth, band, rng):
     return err
 
 
+def _check_both_paths(n, targets, shifts, band, entries, seed, received, truth):
+    """Table and sliced popcount paths: the loops' errors and generator state."""
+    trials = received.size
+    ref_rng = np.random.default_rng(seed)
+    expected = _reference_errors(received, shifts, targets, truth, band, ref_rng)
+    for table in (None, classical_sim._decision_table(n, targets, band)):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(classical_sim, "TABLE_ENTRIES", entries):
+            group = classical_sim._group_table(received, shifts, targets, band, table)
+        assert group.shape == (shifts.size, trials)
+        if band is None:
+            errors = classical_sim._ml_errors(group, truth, rng)
+        else:
+            errors = classical_sim._ambiguity_errors(group, truth)
+        assert np.array_equal(errors, expected), table is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 6),
@@ -252,10 +286,7 @@ def _reference_errors(received, shifts, targets, truth, band, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_both_decoder_paths_match_per_trial_loops(n, data, ml, entries, seed):
-    """Table and sliced popcount paths: the loops' errors and generator state.
-
-    Short words make cross-group ties common, so tie-break draws are exercised.
-    """
+    """Short words make cross-group ties common, so tie-break draws are exercised."""
     words = st.integers(0, 2**n - 1)
     targets = np.array(data.draw(st.lists(words, min_size=1, max_size=6)), dtype=np.uint64)
     shifts = np.array(data.draw(st.lists(words, min_size=1, max_size=6)), dtype=np.uint64)
@@ -265,20 +296,26 @@ def test_both_decoder_paths_match_per_trial_loops(n, data, ml, entries, seed):
     trials = int(sample.integers(1, 40))
     received = sample.integers(0, 2**n, size=trials).astype(np.uint64)
     truth = sample.integers(0, shifts.size, size=trials)
+    _check_both_paths(n, targets, shifts, band, entries, seed, received, truth)
 
-    ref_rng = np.random.default_rng(seed)
-    expected = _reference_errors(received, shifts, targets, truth, band, ref_rng)
-    for table in (None, classical_sim._decision_table(n, targets, band)):
-        rng = np.random.default_rng(seed)
-        with mock.patch.object(classical_sim, "TABLE_ENTRIES", entries):
-            group = classical_sim._group_table(received, shifts, targets, band, table)
-        assert group.shape == (trials, shifts.size)
-        if ml:
-            errors = classical_sim._ml_errors(group, truth, rng)
-        else:
-            errors = classical_sim._ambiguity_errors(group, truth)
-        assert np.array_equal(errors, expected), table is None
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+@pytest.mark.parametrize("band", [None, (0, 1)])
+@pytest.mark.parametrize("entries", [7, 2**19])
+def test_more_than_255_values_keep_exact_counts(band, entries):
+    """257 equal shifts: a tie or hit count in 8 bits would wrap to 1.
+
+    Half the received words are candidates of the 257-fold value, so it
+    often wins or hits alone.
+    """
+    rng = np.random.default_rng(21)
+    pair = rng.choice(2**10, size=2, replace=False).astype(np.uint64)
+    shifts = rng.permutation(np.repeat(pair, [257, 43]))
+    targets = rng.integers(0, 2**10, size=6).astype(np.uint64)
+    received = np.concatenate(
+        [pair[0] ^ rng.choice(targets, size=30), rng.integers(0, 2**10, size=30, dtype=np.uint64)]
+    )
+    truth = rng.integers(0, shifts.size, size=60)
+    _check_both_paths(10, targets, shifts, band, entries, 5, received, truth)
 
 
 def test_capacity_report_closed_forms():

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosetcq import cli
 from cosetcq.channels import CqChannel
 from cosetcq.cli import main
 from cosetcq.linalg import DensityOperator
@@ -219,9 +220,36 @@ GOLDEN = Path(__file__).parent / "golden"
         (["povm-sweep", "--family", "example2", "--delta", "0.2"], "povm_sweep_example2_delta0.2"),
         (["povm-sweep", "--mode", "ptp-error", "--delta", "0.6"], "povm_sweep_ptp_error_delta0.6"),
         (["povm-sweep", "--mode", "ptp-error", "--seed", "5"], "povm_sweep_ptp_error_seed5"),
+        (
+            ["simulate", "--seed", "1000", "--trials", "2500", "--baseline", "--decoder", "ml"],
+            "simulate_seed1000_baseline_ml",
+        ),
+        (
+            ["simulate", "--seed", "1003", "--trials", "5000", "--baseline",
+             "--decoder", "typicality"],
+            "simulate_seed1003_baseline_typicality",
+        ),
     ],
 )
 def test_output_matches_golden_bytes(argv, name, capsys):
     """Right-hand sides are printed with repr, so any reordering of a sum shows."""
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_one_parser_serves_every_call(capsys):
+    """A failed parse leaves the cached parser as it was."""
+    golden = ["region", "--example", "2", "--theorem", "3"]
+    expected = (GOLDEN / "region_example2_theorem3.txt").read_text()
+    cli._build_parser.cache_clear()
+    assert main(golden) == 0
+    assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trials", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["separation", "--example", "1", "--delta1", "0.01", "--delta", "0.1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "separation_example1.txt").read_text()
+    assert main(golden) == 0
+    assert capsys.readouterr().out == expected
+    assert cli._build_parser.cache_info().misses == 1
