@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_memory
 from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
 from .regions import _example1_closed_forms, _structured_feasible, conv
 
@@ -208,8 +208,12 @@ def _ml_errors(group_best: np.ndarray, truth: np.ndarray, rng: np.random.Generat
     one bounded integer each and in trial order, all in one call: the same
     stream as one ``rng.choice`` over the sorted winning groups per tie.
     """
-    is_best = group_best == group_best.min(axis=0)
-    pick = is_best.argmax(axis=0)
+    # One min over the key distance * groups + group gives the least distance
+    # and the first group at it; distances are uint8, so keys < 256 * groups.
+    groups = np.arange(len(group_best), dtype=np.min_scalar_type(256 * len(group_best) - 1))
+    key = (group_best * groups.dtype.type(groups.size) + groups[:, None]).min(axis=0)
+    pick = key % groups.size
+    is_best = group_best == key // groups.size
     ties = is_best.sum(axis=0)
     tied = ties > 1
     draw = rng.integers(0, ties[tied])
@@ -227,17 +231,30 @@ def _count_errors(instance, trials, rng, words, shifts, targets, decoder, dec_de
     sum must lie in ``targets[0]``, else ConsistencyError.  A receiver
     decides through a ``_decision_table`` when its 2^n entries number at
     most ``TABLE_ENTRIES`` and at most its trials x candidates.
+    Refused beyond the memory cap before any table exists, counting bytes
+    per sum (16: it and a sorted copy), decision-table entry (17), and of
+    one receiver at a time per popcount candidate (8) and slice entry (12);
+    per entry of a batch's (values, trials) tables (20) and noise letter (32).
     """
     n = instance.n
+    batch = min(BATCH_TRIALS, trials)
+    sizes = [s.size * t.size for s, t in zip(shifts[:2], targets)]
+    lookup = [(1 << n) <= min(TABLE_ENTRIES, trials * size) for size in sizes]
+    popcount = [8 * c + 12 * min(c * batch, max(c, TABLE_ENTRIES)) for c in sizes]
+    check_memory(
+        16 * targets[0].size
+        + 17 * (1 << n) * sum(lookup)
+        + max(0 if ok else cost for ok, cost in zip(lookup, popcount))
+        + batch * (20 * max(s.size for s in shifts) + 32 * n),
+        f"decoding tables over {max(sizes)} candidates",
+    )
     bands = [
         None if decoder == "ml" else _weight_band(n, bias, dec_delta)
         for bias in (instance.delta1, instance.delta)
     ]
     tables = [
-        _decision_table(n, t, band)
-        if (1 << n) <= min(TABLE_ENTRIES, trials * s.size * t.size)
-        else None
-        for s, t, band in zip(shifts[:2], targets, bands)
+        _decision_table(n, t, band) if ok else None
+        for t, band, ok in zip(targets, bands, lookup)
     ]
     biases = np.array([instance.delta1, instance.delta, instance.delta])[:, None, None]
     sums = np.sort(targets[0])
@@ -350,10 +367,11 @@ def simulate_independent(
     _check_run(decoder, trials)
     n = instance.n
     n_msgs = 2**instance.code2.l
+    # 16 bytes per drawn letter; per pairwise sum, np.unique's copies and mask.
+    check_memory(16 * n_msgs * n + 25 * n_msgs**2, f"{n_msgs}^2 pairwise codeword sums")
     packed2 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
     packed3 = _pack_bits(rng.integers(0, 2, size=(n_msgs, n)))
     packed1 = _pack_bits(np.stack(instance.codebook1))
-
     sums = np.unique((packed2[:, None] ^ packed3[None, :]).reshape(-1))
     words = (packed1, packed2, packed3)
     tables = (words, words, (sums, np.zeros(1, dtype=np.uint64)))

@@ -208,8 +208,15 @@ def cmd_povm_sweep(args) -> int:
     return 0
 
 
+def _random_code(rng, n, k, l, generators=None) -> NestedCosetCode:
+    """A binary nested coset code drawn from ``rng``: the inner and outer
+    generators (unless ``generators`` gives them), then the dither."""
+    if generators is None:
+        generators = (rng.integers(0, 2, size=(k, n)), rng.integers(0, 2, size=(l, n)))
+    return NestedCosetCode(PrimeField(2), n, k, l, *generators, rng.integers(0, 2, size=n))
+
+
 def _ptp_error_table(args, n_list) -> list:
-    field = PrimeField(2)
     layouts = {2: (1, 1), 4: (1, 2), 6: (2, 3)}
     pmf = np.array([0.75, 0.25])
     states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
@@ -220,18 +227,9 @@ def _ptp_error_table(args, n_list) -> list:
             raise SpecFileError(f"ptp-error mode supports n in {sorted(layouts)}, got {n}")
         k, l = layouts[n]
         if args.seed is None:
-            gi, go, dither = _PTP_SWEEP_CODES[n]
-            code = NestedCosetCode(field, n, k, l, gi, go, dither)
+            code = NestedCosetCode(PrimeField(2), n, k, l, *_PTP_SWEEP_CODES[n])
         else:
-            code = NestedCosetCode(
-                field,
-                n,
-                k,
-                l,
-                rng.integers(0, 2, size=(k, n)),
-                rng.integers(0, 2, size=(l, n)),
-                rng.integers(0, 2, size=n),
-            )
+            code = _random_code(rng, n, k, l)
         encoder = select_typical(code, pmf, args.delta, rng)
         povm = build_ptp_povm(code, encoder, states, args.delta)
         err = ptp_block_error(povm, encoder, states)
@@ -241,20 +239,8 @@ def _ptp_error_table(args, n_list) -> list:
 
 def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    field = PrimeField(2)
-    code2 = NestedCosetCode(
-        field,
-        args.n,
-        args.k,
-        args.l,
-        rng.integers(0, 2, size=(args.k, args.n)),
-        rng.integers(0, 2, size=(args.l, args.n)),
-        rng.integers(0, 2, size=args.n),
-    )
-    code3 = NestedCosetCode(
-        field, args.n, args.k, args.l, code2.g_inner, code2.g_outer,
-        rng.integers(0, 2, size=args.n),
-    )
+    code2 = _random_code(rng, args.n, args.k, args.l)
+    code3 = _random_code(rng, args.n, args.k, args.l, (code2.g_inner, code2.g_outer))
     max_weight = int(np.floor(args.tau * args.n + 1e-9))
     if max_weight < 1 or args.m1 * max_weight > args.n:
         raise ValueError(

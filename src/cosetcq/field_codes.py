@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .errors import BudgetExceededError
+from .errors import check_count, check_memory
 
 # Most coset members held at once while ``select_typical`` scans cosets.
 SCAN_WORDS = 2**14
+# Most coset members that one ``select_typical`` call scans.
+SCAN_BUDGET = 2**24
 
 __all__ = [
     "PrimeField",
@@ -66,13 +68,11 @@ class PrimeField(Record):
         return out
 
 
-def field_vectors(q: int, length: int, budget: int = 2**24) -> np.ndarray:
+def field_vectors(q: int, length: int) -> np.ndarray:
     """All ``q**length`` vectors over F_q as rows, in lexicographic order."""
     total = q**length
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating {q}^{length} = {total} vectors exceeds budget {budget}"
-        )
+    # Per row: the table, the row index, one remainder, room for the headers.
+    check_memory(8 * total * (length + 3), f"{q}^{length} = {total} field vectors")
     if length == 0:
         return np.zeros((1, 0), dtype=np.int64)
     idx = np.arange(total, dtype=np.int64)
@@ -149,14 +149,14 @@ class NestedCosetCode(Record):
         """All q**l messages as rows, in lexicographic order."""
         return field_vectors(self.field.q, self.l)
 
-    def range_words(self, budget: int = 2**24) -> np.ndarray:
+    def range_words(self) -> np.ndarray:
         """All distinct words v(a, m) over every (a, m) pair, as rows."""
         q = self.field.q
         total = q ** (self.k + self.l)
-        if total > budget:
-            raise BudgetExceededError(
-                f"range enumeration of {total} label pairs exceeds budget {budget}"
-            )
+        # The peak holds k + l + 3n int64 per label pair (the labels, and the
+        # words with two temporaries or np.unique's copies); n + 2 to spare.
+        need = 8 * total * (self.k + self.l + 4 * self.n + 2)
+        check_memory(need, f"range enumeration of {total} label pairs")
         am = field_vectors(q, self.k + self.l)
         words = self.codeword(am[:, : self.k], am[:, self.k :])
         return np.unique(words, axis=0)
@@ -228,14 +228,16 @@ def select_typical(
     pmf,
     delta: float,
     rng: np.random.Generator,
-    budget: int = 2**24,
 ) -> EncoderState:
     """Pick, for each message, a uniformly random typical word from its coset.
 
     Scans all q**(k+l) coset members (exact, no sampling), whole cosets at
-    a time, at most ``SCAN_WORDS`` members per block.  A message whose
-    coset contains no delta-typical word receives the all-zero inner index as
-    a sentinel and is recorded in ``failed``.
+    a time, at most ``SCAN_WORDS`` members per block.  Refused beyond
+    ``SCAN_BUDGET`` members, or beyond the memory cap for the inner table,
+    one block (3 int64 and a bool per letter and 4 float64 per field
+    element, for each member) and the results (8 l + 512 bytes a message).
+    A message whose coset contains no delta-typical word receives the
+    all-zero inner index as a sentinel and is recorded in ``failed``.
 
     Parameters
     ----------
@@ -247,8 +249,6 @@ def select_typical(
     rng : numpy Generator
         Source for the uniform choice among typical members.  The typical
         counts ``theta`` do not depend on it.
-    budget : int
-        Upper bound on q**(k+l) enumeration size.
     """
     q = code.field.q
     pmf = np.asarray(pmf, dtype=float)
@@ -257,15 +257,19 @@ def select_typical(
     if abs(pmf.sum() - 1.0) > 1e-9 or pmf.min() < 0:
         raise ValueError("pmf must be a probability vector")
     total = q ** (code.k + code.l)
-    if total > budget:
-        raise BudgetExceededError(
-            f"typical-word scan of {total} coset members exceeds budget {budget}"
-        )
+    check_count(total, SCAN_BUDGET, "coset members in a typical-word scan")
+    n_inner, n_msgs = q**code.k, q**code.l
+    block = max(1, SCAN_WORDS // n_inner)
+    check_memory(
+        8 * n_inner * (code.k + 2 + 2 * code.n)
+        + min(block, n_msgs) * n_inner * (25 * code.n + 32 * q)
+        + n_msgs * (8 * code.l + 512),
+        f"typical-word scan of {total} coset members",
+    )
 
     a_all = field_vectors(q, code.k)
     inner = code.field.matmul(a_all, code.g_inner)
     msgs = code.messages()
-    block = max(1, SCAN_WORDS // len(a_all))
     chosen: dict = {}
     theta: dict = {}
     failed = []

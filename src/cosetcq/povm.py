@@ -4,8 +4,8 @@ Everything here is exact: spectral typical projectors, their conditional
 variants, the coset-code point-to-point decoder, the receiver-1
 sum-decoder, and the pinching-overlap sweep.  Three fixed caps bound the
 work, and constructions refuse to run beyond them: DIM_BUDGET = 2**12 on a
-projector's space, LABEL_BUDGET = 2**16 on a decoder's labels, and
-MEMORY_BUDGET = 2**30 bytes on a decoder's factors and working arrays.
+projector's space, LABEL_BUDGET = 2**16 on a decoder's labels, and the
+memory cap (errors.MEMORY_BUDGET) on a decoder's factors and working arrays.
 
 Eigenvalue-label sequences are kept when their sample surprisal
 -(1/n) log2 prod(eigenvalue) sits within delta of the (average) von Neumann
@@ -41,21 +41,14 @@ import numpy as np
 
 from ._record import Record
 from .channels import _aux_sums, _fold, sigma1
-from .errors import BudgetExceededError, ConsistencyError, ModelViolationError
+from .errors import ConsistencyError, ModelViolationError, check_count, check_memory
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
-from .linalg import (
-    _as_matrix,
-    _check_square_hermitian,
-    eig_hermitian,
-    trace_distance,
-    trace_norm,
-)
+from .linalg import _as_matrix, _check_square_hermitian, eig_hermitian, trace_norm
 from .typicality import is_relative_typical, pair_sequence
 
 __all__ = [
     "DIM_BUDGET",
     "LABEL_BUDGET",
-    "MEMORY_BUDGET",
     "TypicalProjector",
     "Povm",
     "Rx1Setup",
@@ -73,8 +66,6 @@ __all__ = [
 
 DIM_BUDGET = 2**12
 LABEL_BUDGET = 2**16
-# Bytes that one decoder's factors and working arrays may hold (see _check_memory).
-MEMORY_BUDGET = 2**30
 # Columns of a factor block that one product of the normalization pass (and
 # of a complex Gram matrix) covers; wide enough for few BLAS calls, narrow
 # enough that the chunk is small beside the block.
@@ -83,21 +74,8 @@ _CHUNK = 1024
 _SUPPORT_CUTOFF = 1e-10
 
 
-def _check_dim_budget(dim: int, n: int) -> None:
-    total = dim**n
-    if total > DIM_BUDGET:
-        raise BudgetExceededError(
-            f"projector space of dimension {dim}^{n} = {total} exceeds budget {DIM_BUDGET}"
-        )
-
-
-def _check_label_budget(total: int) -> None:
-    if total > LABEL_BUDGET:
-        raise BudgetExceededError(f"{total} POVM labels exceed budget {LABEL_BUDGET}")
-
-
 def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
-    """Refuse a decoder whose arrays would not fit in MEMORY_BUDGET bytes.
+    """Refuse a decoder whose arrays would not fit in the memory cap.
 
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factor block's type), and returned in bytes:
@@ -119,12 +97,7 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     total = int(sum(ranks))
     w = max([r, *ranks, *side])
     entries = r * total + r * min(_CHUNK, total) + 3 * w * w + 66 * w + 8 * r * r + frame.dim * r
-    need = np.dtype(dtype).itemsize * entries
-    if need > MEMORY_BUDGET:
-        raise BudgetExceededError(
-            f"decoder factors need {need} bytes, exceeding budget {MEMORY_BUDGET}"
-        )
-    return need
+    return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
 def _real_if_exact(mat: np.ndarray) -> np.ndarray:
@@ -245,7 +218,7 @@ def _window(mats: list, vn: np.ndarray, delta: float, pmf=None) -> TypicalProjec
     dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise ValueError("letter states must be square and share one dimension")
-    _check_dim_budget(dim, n)
+    check_count(dim**n, DIM_BUDGET, f"dimensions of a projector space {dim}^{n}")
     if pmf is not None and not is_relative_typical(vn, np.asarray(pmf, float), delta):
         empty = np.zeros((0, n), dtype=np.int64)
         return TypicalProjector(n, (np.eye(dim, dtype=complex),) * n, empty)
@@ -487,7 +460,7 @@ def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: 
     mats = [_as_matrix(s) for s in states]
     if len(mats) != q:
         raise ValueError(f"expected {q} letter states, got {len(mats)}")
-    _check_label_budget(q ** (code.k + code.l))
+    check_count(q ** (code.k + code.l), LABEL_BUDGET, "POVM labels")
     pmf = encoder.pmf
     rho_bar = sum(p * m for p, m in zip(pmf, mats))
     pi_rho = typical_projector(rho_bar, code.n, delta)
@@ -562,24 +535,26 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     cond = {lab: mat for lab, (_, mat) in s1.blocks.items()}
     # Sufficiency of the sum: every (v2, v3) with one sum must induce the
     # same receiver-1 letter state as the sum-conditioned average.  One
-    # batch row per pair (v2, v3), each side a single auxiliary letter.
-    pairs = list(itertools.product(range(q), repeat=2))
-    per_pair = _aux_sums(
-        channel,
-        np.stack([dist.p_v2x2[v2 : v2 + 1] for v2, _ in pairs]),
-        np.stack([dist.p_v3x3[v3 : v3 + 1] for _, v3 in pairs]),
-    )
-    for x1 in range(n_x1):
-        for row, (v2, v3) in enumerate(pairs):
-            u = (v2 + v3) % q
-            weight = dist.p_v2x2[v2].sum() * dist.p_v3x3[v3].sum()
-            if (x1, u) not in cond or weight <= 0.0:
-                continue
-            if trace_distance(per_pair[row, x1, 0] / weight, cond[(x1, u)]) > 1e-9:
-                raise ModelViolationError(
-                    "receiver-1 reduction is not a function of the "
-                    f"auxiliary sum at x1={x1}, (v2, v3)=({v2}, {v3})"
-                )
+    # batch row per pair (v2, v3), each side a single auxiliary letter; one
+    # eigvalsh over every tested (x1, pair), the first violation reported.
+    v2, v3 = np.indices((q, q)).reshape(2, -1)
+    u = (v2 + v3) % q
+    weight = dist.p_v2x2.sum(axis=1)[v2] * dist.p_v3x3.sum(axis=1)[v3]
+    per_pair = _aux_sums(channel, dist.p_v2x2[v2, None], dist.p_v3x3[v3, None])
+    tested = {
+        (x1, row): per_pair[row, x1, 0] / weight[row] - cond[(x1, u[row])]
+        for x1 in range(n_x1)
+        for row in range(q * q)
+        if (x1, u[row]) in cond and weight[row] > 0.0
+    }  # never empty: sigma1 holds the blocks of nonzero weight
+    diffs = _check_square_hermitian(np.stack(list(tested.values())), atol=1e-8, ndim=3)
+    bad = np.flatnonzero(0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1) > 1e-9)
+    if bad.size:
+        x1, row = list(tested)[bad[0]]
+        raise ModelViolationError(
+            "receiver-1 reduction is not a function of the "
+            f"auxiliary sum at x1={x1}, (v2, v3)=({v2[row]}, {v3[row]})"
+        )
     return Rx1Setup(
         cond_states=cond,
         p_x1=np.asarray(dist.p_x1, dtype=float),
@@ -612,7 +587,7 @@ def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
     code = setup.sum_code
     q = code.field.q
     n_x1 = setup.p_x1.size
-    _check_label_budget(len(setup.codebook1) * q ** (code.k + code.l))
+    check_count(len(setup.codebook1) * q ** (code.k + code.l), LABEL_BUDGET, "POVM labels")
 
     # Average and x1-conditional letter states, summed in label order.
     pair_states = _pair_letters(setup)

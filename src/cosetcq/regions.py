@@ -29,7 +29,7 @@ from .channels import (
     split_sigma1,
     split_sigma_receiver,
 )
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import ConsistencyError, check_count
 from .linalg import _entropies, von_neumann_entropy
 
 __all__ = [
@@ -489,6 +489,8 @@ def simplex_grid(atoms: int, resolution: int):
 
 # Pmfs per batched region evaluation in ``grid_search``.
 GRID_CHUNK = 256
+# Most region evaluations that one ``grid_search`` makes.
+GRID_BUDGET = 10**7
 
 
 class GridSearchResult(Record):
@@ -503,7 +505,6 @@ def grid_search(
     objective,
     resolution: int,
     q: int = 2,
-    budget: int = 10**7,
 ) -> GridSearchResult:
     """Exhaustive scan of factored input pmfs maximizing a weighted sum rate.
 
@@ -516,17 +517,14 @@ def grid_search(
     Raises
     ------
     BudgetExceededError
-        If the grid holds more than ``budget`` region evaluations.
+        If the grid holds more than ``GRID_BUDGET`` region evaluations.
     """
     w = np.asarray(objective, dtype=float)
     if w.shape != (3,):
         raise ValueError("objective must be a weight triple")
     n_x1, n_x2, n_x3 = channel.input_sizes
     total = prod(comb(resolution + a - 2, a - 1) for a in (n_x1, q * n_x2, q * n_x3))
-    if total > budget:
-        raise BudgetExceededError(
-            f"grid search would evaluate {total} regions, budget is {budget}"
-        )
+    check_count(total, GRID_BUDGET, "region evaluations in a grid search")
     grids = [
         np.array([_check_pmf(p, "grid pmf") for p in simplex_grid(a, resolution)])
         for a in (n_x1, q * n_x2, q * n_x3)

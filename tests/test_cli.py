@@ -144,6 +144,14 @@ def test_povm_sweep_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_simulate_baseline_refuses_pairwise_table_beyond_memory_cap(capsys):
+    """4^14 pairwise sums need about 6.7 GB: the baseline is refused before
+    any of them exist, after the structured run."""
+    argv = "simulate --seed 1 --n 40 --k 2 --l 14 --m1 4 --trials 10 --baseline"
+    assert main(argv.split()) == 4
+    assert "16384^2 pairwise codeword sums need" in capsys.readouterr().err
+
+
 def test_povm_sweep_bad_ptp_blocklength(capsys):
     assert main(["povm-sweep", "--mode", "ptp-error", "--n", "8"]) == 2
     assert "supports n" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcq import field_codes
+from cosetcq import errors, field_codes
 from cosetcq import (
     BudgetExceededError,
     NestedCosetCode,
@@ -49,9 +49,11 @@ def test_field_vectors_lexicographic():
     assert field_vectors(2, 0).shape == (1, 0)
 
 
-def test_field_vectors_budget():
-    with pytest.raises(BudgetExceededError):
-        field_vectors(2, 30, budget=2**20)
+def test_field_vectors_budget(monkeypatch):
+    assert field_vectors(2, 14).shape == (2**14, 14)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 2**20)
+    with pytest.raises(BudgetExceededError, match="budget 1048576"):
+        field_vectors(2, 14)
 
 
 def test_codeword_by_hand_binary():
@@ -108,7 +110,7 @@ def test_coset_and_messages_counts():
         assert code.coset(m).shape == (3, 2)
 
 
-def test_range_words_distinct_and_budget():
+def test_range_words_distinct_and_budget(monkeypatch):
     code = NestedCosetCode(
         PrimeField(2), 3, 2, 2,
         [[1, 0, 0], [1, 0, 0]],  # dependent rows, range smaller than 2^(k+l)
@@ -118,8 +120,9 @@ def test_range_words_distinct_and_budget():
     words = code.range_words()
     assert words.shape[0] == 8
     assert np.unique(words, axis=0).shape[0] == words.shape[0]
-    with pytest.raises(BudgetExceededError):
-        code.range_words(budget=4)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 1024)
+    with pytest.raises(BudgetExceededError, match="range enumeration of 16 label pairs"):
+        code.range_words()
 
 
 def test_coset_sum_requires_shared_generators():
@@ -263,13 +266,14 @@ def test_blocked_scan_matches_per_message_loop(q, dims, skew, delta, scan, seed)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_select_typical_budget_and_pmf_validation():
+def test_select_typical_budget_and_pmf_validation(monkeypatch):
     code = NestedCosetCode(
         PrimeField(2), 4, 2, 2,
         [[1, 0, 0, 1], [0, 1, 1, 0]], [[1, 1, 1, 1], [1, 0, 1, 0]], [0, 0, 0, 0]
     )
-    with pytest.raises(BudgetExceededError):
-        select_typical(code, [0.5, 0.5], 0.2, np.random.default_rng(0), budget=8)
+    monkeypatch.setattr(field_codes, "SCAN_BUDGET", 8)
+    with pytest.raises(BudgetExceededError, match="16 coset members in a typical-word scan exceed budget 8"):
+        select_typical(code, [0.5, 0.5], 0.2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="probability"):
         select_typical(code, [0.9, 0.3], 0.2, np.random.default_rng(0))
 

@@ -16,11 +16,10 @@ from cosetcq.channels import (
     example2_channel,
     example2_mix,
 )
-from cosetcq.errors import BudgetExceededError, ConsistencyError, ModelViolationError
+from cosetcq.errors import MEMORY_BUDGET, BudgetExceededError, ConsistencyError, ModelViolationError
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
 from cosetcq.linalg import DensityOperator, eig_hermitian, random_density
 from cosetcq.povm import (
-    MEMORY_BUDGET,
     Povm,
     Rx1Setup,
     _FactoredElements,
@@ -474,25 +473,26 @@ def test_rx1_setup_rejects_malformed_sender1_words(bad):
 
 
 def test_rx1_setup_rejects_sum_insufficient_channel():
-    # receiver 1 sees x2 directly, which the auxiliary sum cannot express
-    states = {}
-    for x1 in range(2):
-        for x2 in range(2):
-            for x3 in range(2):
-                mat = np.kron(
-                    np.kron(
-                        np.diag([0.9, 0.1] if x2 == 0 else [0.1, 0.9]),
-                        np.diag([0.9, 0.1] if x2 == 0 else [0.1, 0.9]),
-                    ),
-                    np.diag([0.9, 0.1] if x3 == 0 else [0.1, 0.9]),
-                )
-                states[(x1, x2, x3)] = DensityOperator(mat)
-    chan = CqChannel((2, 2, 2), (2, 2, 2), states, (np.zeros(2),) * 3)
+    cases = [
+        # receiver 1 sees x2 directly, which the auxiliary sum cannot express
+        (lambda x1, x2, x3: x2, r"x1=0, \(v2, v3\)=\(0, 0\)"),
+        # x2 shows only when x1 = 1 and x2 != x3: every pair with sum 0 passes
+        (lambda x1, x2, x3: x2 if x1 == 1 and x2 != x3 else 0, r"x1=1, \(v2, v3\)=\(0, 1\)"),
+    ]
+    flip = [np.diag([0.9, 0.1]), np.diag([0.1, 0.9])]
     code = NestedCosetCode(F2, 2, 1, 1, [[1, 0]], [[0, 1]], [0, 0])
-    with pytest.raises(ModelViolationError, match="sum"):
-        rx1_setup_from_channel(
-            chan, binary_input_distribution(0.5), (np.zeros(2, dtype=int),), code, code
-        )
+    for sees_x2, first in cases:
+        states = {}
+        for x1 in range(2):
+            for x2 in range(2):
+                for x3 in range(2):
+                    y1 = flip[sees_x2(x1, x2, x3)]
+                    states[(x1, x2, x3)] = DensityOperator(np.kron(np.kron(y1, flip[x2]), flip[x3]))
+        chan = CqChannel((2, 2, 2), (2, 2, 2), states, (np.zeros(2),) * 3)
+        with pytest.raises(ModelViolationError, match=f"auxiliary sum at {first}"):
+            rx1_setup_from_channel(
+                chan, binary_input_distribution(0.5), (np.zeros(2, dtype=int),), code, code
+            )
 
 
 def _classical_pinching_oracle(p_ab, diag_states, n, delta):

@@ -392,10 +392,13 @@ def test_grid_search_small_resolution():
     assert region.contains(RatePoint(*result.best_corner), tol=1e-9)
 
 
-def test_grid_search_budget():
+def test_grid_search_budget(monkeypatch):
+    import cosetcq.regions as regions
+
     chan = example1_channel(0.05, 0.1)
-    with pytest.raises(BudgetExceededError, match="budget"):
-        grid_search(chan, (1.0, 1.0, 1.0), resolution=3, budget=100)
+    monkeypatch.setattr(regions, "GRID_BUDGET", 100)
+    with pytest.raises(BudgetExceededError, match="300 region evaluations in a grid search exceed budget 100"):
+        grid_search(chan, (1.0, 1.0, 1.0), resolution=3)
 
 
 # grid_search(example, resolution=3) at delta1 = 0.01, delta = 0.1, captured
@@ -485,5 +488,6 @@ def test_grid_search_budget_checked_before_any_grid(monkeypatch):
 
     monkeypatch.setattr(regions, "simplex_grid", refuse)
     monkeypatch.setattr(regions, "_theorem1_rhs", refuse)
+    monkeypatch.setattr(regions, "GRID_BUDGET", 299)
     with pytest.raises(BudgetExceededError, match="budget"):
-        grid_search(example1_channel(0.05, 0.1), (1.0, 1.0, 1.0), resolution=3, budget=299)
+        grid_search(example1_channel(0.05, 0.1), (1.0, 1.0, 1.0), resolution=3)
