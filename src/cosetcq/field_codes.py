@@ -150,16 +150,44 @@ class NestedCosetCode(Record):
         return field_vectors(self.field.q, self.l)
 
     def range_words(self) -> np.ndarray:
-        """All distinct words v(a, m) over every (a, m) pair, as rows."""
+        """All distinct words v(a, m) over every (a, m) pair, as sorted rows.
+
+        The range is the dither plus the row space of the stacked
+        generators, so it is enumerated from a basis of that space: q^rank
+        distinct words, not q^(k+l) label pairs, sorted lexicographically.
+        """
         q = self.field.q
-        total = q ** (self.k + self.l)
-        # The peak holds k + l + 3n int64 per label pair (the labels, and the
-        # words with two temporaries or np.unique's copies); n + 2 to spare.
-        need = 8 * total * (self.k + self.l + 4 * self.n + 2)
-        check_memory(need, f"range enumeration of {total} label pairs")
-        am = field_vectors(q, self.k + self.l)
-        words = self.codeword(am[:, : self.k], am[:, self.k :])
-        return np.unique(words, axis=0)
+        basis = _row_basis(q, np.vstack([self.g_inner, self.g_outer]))
+        rank = basis.shape[0]
+        total = q**rank
+        # The peak holds rank + 3n int64 per word (the coefficients, and the
+        # words with two temporaries or the sort keys and sorted copy); n + 2
+        # to spare.
+        check_memory(8 * total * (rank + 4 * self.n + 2), f"range enumeration of {total} words")
+        words = np.mod(field_vectors(q, rank) @ basis + self.dither, q)
+        return words[np.lexsort(words.T[::-1])]
+
+
+def _row_basis(q: int, rows: np.ndarray) -> np.ndarray:
+    """A basis of the row space of ``rows`` over F_q, as rows.
+
+    Each row in turn is reduced at the pivots of the basis rows found so
+    far, which are zero at every earlier pivot, and kept, scaled to a
+    leading 1, when something is left.  Plain Python integers: the matrix
+    is (k + l) x n, too small for array calls to pay.
+    """
+    basis, pivots = [], []
+    for row in np.mod(rows, q).tolist():
+        for b, p in zip(basis, pivots):
+            factor = row[p]
+            if factor:
+                row = [(x - factor * y) % q for x, y in zip(row, b)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inverse = pow(row[lead], -1, q)
+            basis.append([x * inverse % q for x in row])
+            pivots.append(lead)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), np.shape(rows)[1])
 
 
 def coset_sum(code_a: NestedCosetCode, code_b: NestedCosetCode) -> NestedCosetCode:

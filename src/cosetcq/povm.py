@@ -21,19 +21,20 @@ projector pi_rho: each element is E_i = (U B_i)(U B_i)^dagger with U the
 range basis and B_i an r x r_i factor.  Both decoders are built by one
 builder, ``_square_root_povm``, over chains of projectors: the
 point-to-point sandwich is a chain without a middle projector, and the
-receiver-1 sandwich passes through sender 1's projector.  A decoder's
-factors are the column slices of one r x (sum_i r_i) block, allocated once
-after the memory check; the Gram matrix, the square-root normalization and
-the completeness check are each one pass over that block.  Every exact
-error or success probability is a count-weighted sum of r x r traces
-against product states, taken by one helper, ``_success``.  Dense D x D
-elements are built only on request.  Factors, ranges and dense elements
-stay real when every letter basis is.
+receiver-1 sandwich passes through sender 1's projector.  The builder sums
+the Gram matrix S label by label and keeps S^{-1/2}, never the factors: B_i
+is generated when it is read, from S^{-1/2} scattered onto the product
+basis and multiplied by per-letter Kronecker blocks (``_kron_left``), so no
+array grows with the sum of the factor ranks.  The completeness check,
+every exact error and the dense elements read the same generated factors.
+Every exact error or success probability is a count-weighted sum of r x r
+traces against product states, taken by one helper, ``_success``.  Dense
+D x D elements are built only on request.  Factors, ranges and dense
+elements stay real when every letter basis is.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -66,10 +67,9 @@ __all__ = [
 
 DIM_BUDGET = 2**12
 LABEL_BUDGET = 2**16
-# Columns of a factor block that one product of the normalization pass (and
-# of a complex Gram matrix) covers; wide enough for few BLAS calls, narrow
-# enough that the chunk is small beside the block.
-_CHUNK = 1024
+# Side of the Kronecker table that one run of ``_kron_left`` applies: three
+# qubit positions.
+_KRON_WIDTH = 8
 # Eigenvalues of a Gram matrix at or below this lie off its support.
 _SUPPORT_CUTOFF = 1e-10
 
@@ -78,25 +78,30 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     """Refuse a decoder whose arrays would not fit in the memory cap.
 
     Counted from the projector ranks alone, before anything is allocated, in
-    entries of ``dtype`` (the factor block's type), and returned in bytes:
+    entries of ``dtype`` (the factors' type), and returned in bytes:
 
-    - the r x R factor block, R = sum r_i;
-    - one r x _CHUNK column chunk of the normalization pass;
-    - one label's build temporaries, at most 3 w^2 + 66 w for w the largest
-      of r, the ranks and the ``side`` ranks (the middle projectors that a
-      receiver-1 factor passes through): a product block, one gathered run,
-      the gathered table columns and index arrays, and a product through a
-      middle range;
-    - 8 r^2: the Gram matrix and S^{-1/2}, held to the end, and at most six
-      more r x r arrays at once (an eigendecomposition with its LAPACK copy
-      and workspace, the completion block and its products, the
-      completeness residual and its Hermitian part);
-    - the D x r range basis U that dense elements are built from.
+    - 9 r^2: the Gram matrix S and S^{-1/2}, held to the end, the left
+      matrix of a chain without a middle projector, and at most six more
+      r x r arrays at once (an eigendecomposition with its LAPACK copy and
+      workspace, the completion block and its products, the completeness
+      residual and one label's term of it);
+    - r sum(side): the left matrices (S^{-1/2} . outer)^dagger of the chains
+      that pass through a middle projector of rank in ``side``;
+    - 4 D r: a chain's D x r scattered left matrix, the two D x r arrays
+      of one ``_kron_left`` run, and the D x r range basis U that dense
+      elements are built from;
+    - one label's temporaries, at most 5 w^2 + 66 w for w the largest of r,
+      the ranks and the side ranks: a product block, one gathered run, the
+      gathered table columns and index arrays and a product through a
+      middle range while S is summed, and a generated factor with its
+      conjugate.
+
+    No array grows with the sum of the ranks: each factor is generated when
+    it is read.
     """
     r = frame.rank
-    total = int(sum(ranks))
     w = max([r, *ranks, *side])
-    entries = r * total + r * min(_CHUNK, total) + 3 * w * w + 66 * w + 8 * r * r + frame.dim * r
+    entries = 9 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -107,6 +112,24 @@ def _real_if_exact(mat: np.ndarray) -> np.ndarray:
     quarter of complex ones for the same values.
     """
     return mat.real if np.iscomplexobj(mat) and not mat.imag.any() else mat
+
+
+def _runs(letters, width: int):
+    """(start, stop, table) for consecutive runs of positions, ``table`` the
+    Kronecker product of letters[start:stop] (position ``start`` most
+    significant), of side at most ``width`` unless one letter is wider."""
+    d = letters[0].shape[0]
+    step = 1
+    while step < len(letters) and d ** (step + 1) <= width:
+        step += 1
+    for start in range(0, len(letters), step):
+        run = letters[start:start + step]
+        table = run[0]
+        for mat in run[1:]:
+            table = (table[:, None, :, None] * mat[None, :, None, :]).reshape(
+                table.shape[0] * d, table.shape[1] * d
+            )
+        yield start, start + len(run), table
 
 
 def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -121,19 +144,9 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     letters = [_real_if_exact(m) for m in letters]
     dtype = np.result_type(*letters)
     d = letters[0].shape[0]
-    step = 1
-    while step < len(letters) and d ** (step + 1) <= 64:
-        step += 1
     out = None
-    for start in range(0, len(letters), step):
-        run = letters[start:start + step]
-        table = run[0]
-        for mat in run[1:]:
-            table = (table[:, None, :, None] * mat[None, :, None, :]).reshape(
-                table.shape[0] * d, table.shape[1] * d
-            )
-        place = d ** np.arange(len(run) - 1, -1, -1)
-        stop = start + len(run)
+    for start, stop, table in _runs(letters, 64):
+        place = d ** np.arange(stop - start - 1, -1, -1)
         picked = table.take(cols[:, start:stop] @ place, axis=1)
         picked = picked.take(rows[:, start:stop] @ place, axis=0)
         if out is None:
@@ -141,6 +154,22 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         else:
             out *= picked
     return out
+
+
+def _kron_left(x: np.ndarray, letters) -> np.ndarray:
+    """(letters[0] x ... x letters[n-1])^dagger . x for x of shape (d^n, r).
+
+    Rows of ``x`` are indexed as product-basis vectors, position 0 the most
+    significant digit.  Runs of positions are merged into Kronecker tables
+    of side at most ``_KRON_WIDTH``, and each run's conjugate transpose is
+    applied to its digits by one batched ``matmul`` over x viewed as
+    (d^start, d^run, rest).
+    """
+    d = letters[0].shape[0]
+    out = x
+    for start, stop, table in _runs(letters, _KRON_WIDTH):
+        out = np.matmul(table.conj().T, out.reshape(d**start, d ** (stop - start), -1))
+    return out.reshape(x.shape)
 
 
 class TypicalProjector(Record):
@@ -181,6 +210,12 @@ class TypicalProjector(Record):
     @property
     def matrix(self) -> np.ndarray:
         return self.cols @ self.cols.conj().T
+
+    @property
+    def index(self) -> np.ndarray:
+        """Row of each kept sequence in the product basis, position 0 most significant."""
+        d = self.bases[0].shape[0]
+        return self.seqs @ d ** np.arange(self.n - 1, -1, -1)
 
     def overlap(self, other: "TypicalProjector") -> np.ndarray:
         """cols^dagger . other.cols, without forming either basis."""
@@ -257,27 +292,6 @@ def conditional_typical_projector(states, vn, delta: float, pmf=None) -> Typical
     return _window(mats, np.asarray(vn, dtype=np.int64), delta, pmf)
 
 
-def _columns(block: np.ndarray, ranks) -> list:
-    """Consecutive column views of ``block``, ``ranks[i]`` columns wide each."""
-    return [block[:, end - k:end] for k, end in zip(ranks, itertools.accumulate(ranks))]
-
-
-def _gram(block: np.ndarray) -> np.ndarray:
-    """block . block^dagger.
-
-    A real block is one symmetric rank-k product.  A complex one is summed
-    over _CHUNK-column slices, so no conjugated copy of the whole block is
-    made.
-    """
-    if not np.iscomplexobj(block):
-        return block @ block.T
-    gram = np.zeros((block.shape[0],) * 2, dtype=block.dtype)
-    for start in range(0, block.shape[1], _CHUNK):
-        chunk = block[:, start:start + _CHUNK]
-        gram += chunk @ chunk.conj().T
-    return gram
-
-
 def _norm_bound(mat: np.ndarray) -> float:
     """An upper bound on the spectral norm of the square ``mat``.
 
@@ -289,21 +303,62 @@ def _norm_bound(mat: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(herm)).max() + np.linalg.norm(mat - herm))
 
 
+class _Factors(Sequence):
+    """The decoding factors B_i of a square-root measurement, generated when read.
+
+    ``chains`` lists (left, rows, labels) in label order.  ``left`` is the
+    r_m x r matrix (S^{-1/2} . outer)^dagger of a chain, ``rows`` the
+    product-basis rows of its pass-through projector (the frame, or a
+    middle projector of rank r_m), and ``labels`` lists (letters, seqs) per
+    label: the per-position d x d blocks bases_mid^dagger . bases_inner and
+    the product-basis rows of the inner range.  With X the D x r matrix
+    that is ``left`` on ``rows`` and zero elsewhere, B_i^dagger is the
+    ``seqs`` rows of ``_kron_left(X, letters)``.  The last chain's X is
+    kept for the next read; no array of all the factors exists.
+    """
+
+    def __init__(self, frame: TypicalProjector, chains: list):
+        self.frame = frame
+        self.chains = chains
+        self.where = [(c, j) for c, (_, _, labels) in enumerate(chains) for j in range(len(labels))]
+        self.ranks = [seqs.size for _, _, labels in chains for _, seqs in labels]
+        self.dtype = np.result_type(
+            frame.dtype,
+            *(left for left, _, _ in chains),
+            *(m for _, _, labels in chains for letters, _ in labels for m in letters),
+        )
+        self._scattered = (None, None)
+
+    def __len__(self) -> int:
+        return len(self.where)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        c, j = self.where[range(len(self))[index]]
+        left, rows, labels = self.chains[c]
+        letters, seqs = labels[j]
+        if not seqs.size:
+            return np.zeros((self.frame.rank, 0), dtype=self.dtype)
+        if self._scattered[0] != c:
+            self._scattered = (None, None)  # one X alive at a time, as counted
+            x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
+            x[rows] = left
+            self._scattered = (c, x)
+        return _kron_left(self._scattered[1], letters)[seqs].conj().T
+
+
 class _FactoredElements(Sequence):
     """Dense elements of a square-root measurement held in a projector's range.
 
-    With U the range basis of ``frame``, the r x R array ``block`` is
-    [B_1 ... B_L], its i-th slice ``ranks[i]`` columns wide; ``factors[i]``
-    is a view of that slice.  Element i is (U B_i)(U B_i)^dagger, and the
-    last one, the completion, is U C U^dagger + (I - U U^dagger) for the
-    r x r block ``completion`` = C.  Indexing builds the D x D element; no
-    D x D array is kept.
+    With U the range basis of ``frame``, element i is (U B_i)(U B_i)^dagger
+    for B_i = ``factors[i]``, generated from ``chains`` (see ``_Factors``),
+    and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
+    the r x r block ``completion`` = C.  Indexing builds the D x D element;
+    no D x D array is kept.
     """
 
-    def __init__(self, frame: TypicalProjector, block: np.ndarray, ranks, completion: np.ndarray):
+    def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
         self.frame = frame
-        self.block = block
-        self.factors = _columns(block, ranks)
+        self.factors = _Factors(frame, chains)
         self.completion = completion
 
     def __len__(self) -> int:
@@ -329,6 +384,8 @@ class Povm(Record):
     to the identity within 1e-8 in operator norm (through ``_norm_bound``,
     which may only overstate the residual) and that the completion
     block has no eigenvalue below -1e-8, both in the r-dimensional range.
+    The residual C - I + sum_i B_i B_i^dagger is summed over the generated
+    factors, one at a time.
     """
 
     labels: tuple
@@ -342,7 +399,10 @@ class Povm(Record):
         block = self.elements.completion
         if not block.size:
             return
-        residual = block - np.eye(block.shape[0]) + _gram(self.elements.block)
+        factors = self.elements.factors
+        residual = block - np.eye(block.shape[0], dtype=factors.dtype)
+        for b in factors:
+            residual += b @ b.conj().T
         if _norm_bound(residual) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
         wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
@@ -379,54 +439,58 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     ``frame`` gives the range basis U (D x r) of pi_rho.  ``chains`` lists
     (middle, [(label, inner), ...]) in label order, and label i's r x r_i
     matrix is A_i = U^dagger . C_i for C_i the range basis of ``inner``, or
-    A_i = U^dagger . M M^dagger . C_i through the range basis M of the
-    projector ``middle`` when it is not None.  After the memory check the
-    A_i are written side by side into one block, ``ranks[i]`` columns each.
-    With S = sum_i A_i A_i^dagger, one product of the block, the decoding
-    factors are B_i = S^{-1/2} A_i (inverse square root on the support of
-    S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
+    A_i = outer . M^dagger C_i with outer = U^dagger M through the range
+    basis M of the projector ``middle`` when it is not None.  After the
+    memory check S = sum_i A_i A_i^dagger is summed label by label, and the
+    decoding factors are B_i = S^{-1/2} A_i (inverse square root on the
+    support of S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
     Gamma_i = U A_i A_i^dagger U^dagger and N = (sum_i Gamma_i)^{-1/2}.  The
     completion block is I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.
-    S^{-1/2} is applied to the block in place, _CHUNK columns at a time, so
-    one block of factors is held.
+    No B_i is stored: B_i^dagger = P^dagger C_i (S^{-1/2} . outer)^dagger for
+    P the pass-through range (U, or M), a product of per-position blocks
+    applied to the scattered left matrix (see ``_Factors``).
     """
     inners = [inner for _, pairs in chains for _, inner in pairs]
     middles = [middle for middle, _ in chains if middle is not None]
-    ranks = [p.rank for p in inners]
     dtype = np.result_type(frame.dtype, *(p.dtype for p in inners + middles))
-    _check_memory(frame, ranks, dtype, side=[m.rank for m in middles])
-    block = np.empty((frame.rank, sum(ranks)), dtype=dtype)
-    factors = iter(_columns(block, ranks))
+    _check_memory(frame, [p.rank for p in inners], dtype, side=[m.rank for m in middles])
+    gram = np.zeros((frame.rank, frame.rank), dtype=dtype)
+    outers = []
     for middle, pairs in chains:
         outer = None if middle is None else frame.overlap(middle)
+        outers.append(outer)
         for _, inner in pairs:
-            if outer is None:
-                next(factors)[...] = frame.overlap(inner)
-            else:
-                next(factors)[...] = outer @ middle.overlap(inner)
-    gram = _gram(block)
+            if inner.rank:
+                a = frame.overlap(inner) if outer is None else outer @ middle.overlap(inner)
+                gram += a @ a.conj().T
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
-    for start in range(0, block.shape[1], _CHUNK):
-        chunk = block[:, start:start + _CHUNK]
-        chunk[...] = norm @ chunk
     completion = np.eye(frame.rank) - norm @ gram @ norm
+    generators = []
+    for (middle, pairs), outer in zip(chains, outers):
+        passing = frame if middle is None else middle
+        left = norm if outer is None else norm @ outer
+        labels = [
+            ([_real_if_exact(b.conj().T @ c) for b, c in zip(passing.bases, inner.bases)], inner.index)
+            for _, inner in pairs
+        ]
+        generators.append((left.conj().T, passing.index, labels))
     labels = tuple(label for _, pairs in chains for label, _ in pairs)
-    return Povm(labels + (None,), _FactoredElements(frame, block, ranks, completion))
+    return Povm(labels + (None,), _FactoredElements(frame, generators, completion))
 
 
-def _success(frame: TypicalProjector, factors, letters, hits) -> float:
+def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
     """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
     ``hits`` lists (i, w, count) in summation order: B_i is ``factors[i]``,
-    U the range basis of ``frame`` and rho_w the tensor product of
-    ``letters`` along the letter word w.  Each distinct word is compressed
-    once, and its r x r state is dropped before the next one is built; a
-    zero-rank factor adds exactly 0.  The terms are summed in ``hits``
-    order by ``_fold``.
+    of ``ranks[i]`` columns, U the range basis of ``frame`` and rho_w the
+    tensor product of ``letters`` along the letter word w.  Each distinct
+    word is compressed once, and its r x r state is dropped before the next
+    one is built; a zero-rank factor adds exactly 0 and is never read.  The
+    terms are summed in ``hits`` order by ``_fold``.
     """
     by_word: dict = {}
     for pos, (i, word, _) in enumerate(hits):
-        if factors[i].shape[1]:
+        if ranks[i]:
             by_word.setdefault(tuple(int(v) for v in word), []).append(pos)
     traces = np.zeros(len(hits))
     for word, positions in by_word.items():
@@ -482,7 +546,8 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     """
     mats = [_as_matrix(s) for s in states]
     hits = [(i, encoder.codeword_for(m), 1) for i, (_, m) in enumerate(povm.labels[:-1])]
-    success = _success(povm.elements.frame, povm.elements.factors, mats, hits)
+    els = povm.elements
+    success = _success(els.frame, els.factors, els.factors.ranks, mats, hits)
     return 1.0 - success / len(encoder.code.messages())
 
 
@@ -642,7 +707,8 @@ def rx1_success_probability(
         for m1, x1_word in enumerate(setup.codebook1)
         for (a, w, u_word), count in sums.items()
     ]
-    success = _success(povm.elements.frame, povm.elements.factors, _pair_letters(setup), hits)
+    els = povm.elements
+    success = _success(els.frame, els.factors, els.factors.ranks, _pair_letters(setup), hits)
     return success / (len(setup.codebook1) * sum(sums.values()))
 
 
@@ -684,7 +750,7 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
         pi_rho = typical_projector(rho_bar, int(n), delta)
         pi_a = conditional_typical_projector(cond_states, a_seq, delta)
         _check_memory(pi_rho, [pi_a.rank], np.result_type(pi_rho.dtype, pi_a.dtype))
-        trace = _success(pi_rho, [pi_rho.overlap(pi_a)], mats, [(0, b_seq, 1)])
+        trace = _success(pi_rho, [pi_rho.overlap(pi_a)], [pi_a.rank], mats, [(0, b_seq, 1)])
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
     return rows
 

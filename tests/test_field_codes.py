@@ -121,8 +121,34 @@ def test_range_words_distinct_and_budget(monkeypatch):
     assert words.shape[0] == 8
     assert np.unique(words, axis=0).shape[0] == words.shape[0]
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 1024)
-    with pytest.raises(BudgetExceededError, match="range enumeration of 16 label pairs"):
+    # the range is enumerated from a rank-3 basis: 8 words, not 16 label pairs
+    with pytest.raises(BudgetExceededError, match="range enumeration of 8 words"):
         code.range_words()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3]),
+    n=st.integers(1, 6),
+    k=st.integers(0, 3),
+    l=st.integers(0, 3),
+    inner=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_words_equal_pair_enumeration(q, n, k, l, inner, seed):
+    """The row-space enumeration returns the sorted distinct words of all
+    q^(k+l) label pairs.  Generators are a product of random (k+l) x inner
+    and inner x n matrices, so inner < min(k + l, n) forces a rank
+    deficiency and larger values are mostly full rank."""
+    rng = np.random.default_rng(seed)
+    stacked = (rng.integers(0, q, (k + l, inner)) @ rng.integers(0, q, (inner, n))) % q
+    code = NestedCosetCode(PrimeField(q), n, k, l, stacked[:k], stacked[k:],
+                           rng.integers(0, q, n))
+    pairs = field_vectors(q, k + l)
+    want = np.unique(code.codeword(pairs[:, :k], pairs[:, k:]), axis=0)
+    got = code.range_words()
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_coset_sum_requires_shared_generators():

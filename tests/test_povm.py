@@ -93,7 +93,8 @@ def test_real_letter_bases_keep_ranges_and_elements_real():
         want = reduce(np.kron, [b[:, s] for b, s in zip(proj.bases, seq)])
         assert np.array_equal(proj.cols[:, j], want)
     _, _, povm = _ptp_instance(states, 0.6)
-    assert povm.elements.block.dtype == np.float64
+    assert povm.elements.factors.dtype == np.float64
+    assert all(b.dtype == np.float64 for b in povm.elements.factors)
     dense = list(povm.elements)
     assert all(el.dtype == np.float64 for el in dense)
     np.testing.assert_allclose(sum(dense), np.eye(povm.dim), atol=1e-12)
@@ -183,21 +184,27 @@ def test_conditional_projector_dimension_check():
 
 def test_factored_povm_validation():
     frame = typical_projector(np.eye(2) / 2, 1, 0.0)
-    b = np.array([[1.0], [0.0]])
-    good = Povm((0, None), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
+    rows = frame.index
+
+    def elements(scale, completion):
+        # one label whose factor is ``scale`` times the first range vector
+        chain = (scale * np.eye(2), rows, [([np.eye(2)], np.array([0]))])
+        return _FactoredElements(frame, [chain], completion)
+
+    good = Povm((0, None), elements(1.0, np.diag([0.0, 1.0])))
     assert good.dim == 2
+    np.testing.assert_array_equal(good.elements.factors[0], [[1.0], [0.0]])
     np.testing.assert_allclose(good.element(0), frame.cols @ np.diag([1.0, 0.0]) @ frame.cols.T)
     np.testing.assert_allclose(good.elements[0] + good.elements[-1], np.eye(2), atol=1e-15)
     with pytest.raises(ConsistencyError, match="identity"):
-        Povm((0, None), _FactoredElements(frame, b, [1], np.eye(2)))
+        Povm((0, None), elements(1.0, np.eye(2)))
     # a factor of norm above one forces a negative completion block
-    big = np.sqrt(1.5) * b
     with pytest.raises(ConsistencyError, match="below"):
-        Povm((0, None), _FactoredElements(frame, big, [1], np.diag([-0.5, 1.0])))
+        Povm((0, None), elements(np.sqrt(1.5), np.diag([-0.5, 1.0])))
     with pytest.raises(ValueError, match="last"):
-        Povm((None, 0), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
+        Povm((None, 0), elements(1.0, np.diag([0.0, 1.0])))
     with pytest.raises(ValueError, match="equal length"):
-        Povm((None,), _FactoredElements(frame, b, [1], np.diag([0.0, 1.0])))
+        Povm((None,), elements(1.0, np.diag([0.0, 1.0])))
 
 
 def _ptp_instance(states, delta, rng_seed=0):
@@ -280,6 +287,27 @@ def test_ptp_povm_memory_budget_checked_before_allocation():
     assert time.perf_counter() - start < 1.0
 
 
+def test_ptp_povm_memory_count_admits_n11_with_64_labels():
+    """The benchmark's ptp shape at n = 11 (k = 2, l = 4, example-2
+    mixtures at delta = 0.3) fits the memory cap, though one r x (sum r_i)
+    array of all its factors alone would not.  Counted from the projector
+    ranks only; no decoder is built."""
+    rng = np.random.default_rng(11)
+    code = NestedCosetCode(F2, 11, 2, 4, rng.integers(0, 2, (2, 11)), rng.integers(0, 2, (4, 11)),
+                           rng.integers(0, 2, 11))
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    states = [example2_mix(0.9), example2_mix(0.1)]
+    frame = typical_projector(0.5 * (states[0] + states[1]), 11, 0.3)
+    ranks = [
+        conditional_typical_projector(states, code.codeword(a, m), 0.3, pmf=enc.pmf).rank
+        for a in field_vectors(2, 2)
+        for m in code.messages()
+    ]
+    assert len(ranks) == 64 and frame.dtype == np.float64
+    need = povm_module._check_memory(frame, ranks, frame.dtype)
+    assert need <= MEMORY_BUDGET < 8 * frame.rank * sum(ranks)
+
+
 def _ptp_n8_build(states):
     rng = np.random.default_rng(8)
     code = NestedCosetCode(F2, 8, 2, 3, rng.integers(0, 2, (2, 8)), rng.integers(0, 2, (3, 8)),
@@ -303,9 +331,9 @@ def _rx1_n8_build():
 @pytest.mark.parametrize("case", ["ptp_real", "ptp_complex", "rx1"])
 def test_decoder_build_peak_within_memory_count(monkeypatch, case):
     """From the memory check to the validated POVM, the traced peak stays
-    within the bytes ``_check_memory`` counted, and only one block-sized
-    array (the factor block) is ever alive: a complex block makes no
-    conjugated copy of itself."""
+    within the bytes ``_check_memory`` counted, and below the bytes of one
+    r x (sum_i r_i) array of all the factors: each factor is generated when
+    it is read, and a complex factor's conjugate is one label wide."""
     phase = np.diag([1.0, np.exp(0.7j)])  # same spectra, complex eigenvectors
     build = {
         "ptp_real": lambda: _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)]),
@@ -330,11 +358,12 @@ def test_decoder_build_peak_within_memory_count(monkeypatch, case):
         peak = tracemalloc.get_traced_memory()[1] - seen["base"]
     finally:
         tracemalloc.stop()
-    block = povm.elements.block
-    assert block.dtype == (np.complex128 if case == "ptp_complex" else np.float64)
-    assert block.shape[1] > 10 * block.shape[0]  # the block dwarfs every r x r array
+    factors = povm.elements.factors
+    assert factors.dtype == (np.complex128 if case == "ptp_complex" else np.float64)
+    r = povm.elements.frame.rank
+    assert sum(factors.ranks) > 10 * r  # all factors together dwarf every r x r array
     assert peak <= seen["count"]
-    assert peak - block.nbytes < block.nbytes
+    assert peak < r * sum(factors.ranks) * factors.dtype.itemsize
 
 
 def test_rx1_decoder_on_nearly_clean_parity_channel():
