@@ -20,12 +20,12 @@ from math import prod
 import numpy as np
 
 from ._record import Record
-from .errors import ModelViolationError
+from .errors import ModelViolationError, check_pmf
 from .linalg import (
     DensityOperator,
-    _check_square_hermitian,
     _entropies,
     _row_dots,
+    _trace_norms,
     partial_trace,
 )
 
@@ -159,10 +159,7 @@ def is_3to1(channel: CqChannel, tol: float = 1e-9):
     for j in (1, 2):
         d = channel.output_dims[j]
         groups = np.moveaxis(channel.marginals[j], j, 0).reshape(sizes[j], -1, d, d)
-        diffs = _check_square_hermitian(
-            (groups[:, :1] - groups[:, 1:]).reshape(-1, d, d), atol=1e-8, ndim=3
-        )
-        dists = 0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)
+        dists = 0.5 * _trace_norms((groups[:, :1] - groups[:, 1:]).reshape(-1, d, d))
         bad = np.flatnonzero(dists > tol)
         if bad.size:
             members = np.moveaxis(inputs, j, 0).reshape(sizes[j], -1, 3).tolist()
@@ -427,13 +424,6 @@ def _shifts(q: int) -> np.ndarray:
     return table
 
 
-def _check_pmf(arr: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} is not a probability array")
-    return arr
-
-
 class InputDistribution(Record):
     """Product input pmf p(x1) p(v2, x2) p(v3, x3) with v_j over F_q.
 
@@ -452,12 +442,9 @@ class InputDistribution(Record):
     p_v3x3: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_x1", _check_pmf(self.p_x1, "p_x1"))
+        object.__setattr__(self, "p_x1", check_pmf(self.p_x1, "p_x1", (None,)))
         for name in ("p_v2x2", "p_v3x3"):
-            arr = _check_pmf(getattr(self, name), name)
-            if arr.ndim != 2 or arr.shape[0] != self.q:
-                raise ValueError(f"{name} must have shape (q, |X|)")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, check_pmf(getattr(self, name), name, (self.q, None)))
 
     @property
     def p_v2(self) -> np.ndarray:
@@ -492,12 +479,9 @@ class SplitInputDistribution(Record):
     p_u3v3x3: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_x1", _check_pmf(self.p_x1, "p_x1"))
+        object.__setattr__(self, "p_x1", check_pmf(self.p_x1, "p_x1", (None,)))
         for name in ("p_u2v2x2", "p_u3v3x3"):
-            arr = _check_pmf(getattr(self, name), name)
-            if arr.ndim != 3 or arr.shape[0] != self.q:
-                raise ValueError(f"{name} must have shape (q, |V|, |X|)")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, check_pmf(getattr(self, name), name, (self.q, None, None)))
 
     def p_uj(self, j: int) -> np.ndarray:
         arr = self.p_u2v2x2 if j == 2 else self.p_u3v3x3

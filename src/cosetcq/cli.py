@@ -4,8 +4,8 @@ Subcommands: ``region`` (constraint table + corners), ``separation``
 (structured-vs-unstructured witness), ``povm-sweep`` (pinching overlap or
 exact decoder error across blocklengths), ``simulate`` (classical Monte
 Carlo).  Every output starts with a config echo block; exit codes are 0 on
-success, 2 for spec/argument problems, 3 for model violations, 4 for budget
-overruns.
+success, 2 for spec/argument problems and output files that cannot be
+written, 3 for model violations, 4 for budget overruns.
 """
 
 from __future__ import annotations
@@ -146,18 +146,15 @@ def cmd_separation(args) -> int:
 
 
 def _pinching_instance(family: str, bias: float):
+    """Joint pmf and letter states of a ``--family`` choice: "classical" or "example2"."""
     if family == "classical":
         states = [
             np.diag([0.7, 0.3]).astype(complex),
             np.diag([0.4, 0.6]).astype(complex),
         ]
-        p_ab = np.diag([0.5, 0.5])
-    elif family == "example2":
-        states = [example2_mix(1.0 - bias), example2_mix(bias)]
-        p_ab = np.diag([0.5, 0.5])
     else:
-        raise SpecFileError(f"unknown pinching family {family!r}")
-    return p_ab, states
+        states = [example2_mix(1.0 - bias), example2_mix(bias)]
+    return np.diag([0.5, 0.5]), states
 
 
 # Hand-picked codes whose exact decoder error decreases over the sweep; used
@@ -357,16 +354,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ModelViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # SpecFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

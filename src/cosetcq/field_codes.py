@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .errors import check_count, check_memory
+from .errors import check_count, check_memory, check_pmf
+from .typicality import is_relative_typical
 
 # Most coset members held at once while ``select_typical`` scans cosets.
 SCAN_WORDS = 2**14
@@ -279,11 +280,7 @@ def select_typical(
         counts ``theta`` do not depend on it.
     """
     q = code.field.q
-    pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != (q,):
-        raise ValueError(f"pmf must have length {q}")
-    if abs(pmf.sum() - 1.0) > 1e-9 or pmf.min() < 0:
-        raise ValueError("pmf must be a probability vector")
+    pmf = check_pmf(pmf, "pmf", (q,))
     total = q ** (code.k + code.l)
     check_count(total, SCAN_BUDGET, "coset members in a typical-word scan")
     n_inner, n_msgs = q**code.k, q**code.l
@@ -304,9 +301,7 @@ def select_typical(
     for start in range(0, len(msgs), block):
         m_block = msgs[start : start + block]
         shift = code.field.matmul(m_block, code.g_outer) + code.dither
-        words = np.mod(inner + shift[:, None, :], q)
-        freq = np.stack([(words == v).mean(axis=-1) for v in range(q)], axis=-1)
-        masks = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=-1)
+        masks = is_relative_typical(np.mod(inner + shift[:, None, :], q), pmf, delta)
         for m, mask in zip(m_block.tolist(), masks):
             key = tuple(m)
             count = int(mask.sum())

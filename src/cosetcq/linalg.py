@@ -173,8 +173,15 @@ def partial_trace(rho, dims, keep):
 
 def trace_norm(op) -> float:
     """Trace norm of a Hermitian operator (sum of absolute eigenvalues)."""
-    mat = _check_square_hermitian(_as_matrix(op), atol=1e-8)
-    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
+    return float(_trace_norms(_as_matrix(op)[None])[0])
+
+
+def _trace_norms(stack) -> np.ndarray:
+    """Trace norms of a (N, d, d) stack of operators, each Hermitian within
+    1e-8 entrywise: one check and one ``eigvalsh`` over the whole stack,
+    each entry equal to ``trace_norm`` of its matrix."""
+    stack = _check_square_hermitian(stack, atol=1e-8, ndim=3)
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
 
 
 def trace_distance(a, b) -> float:

@@ -42,9 +42,9 @@ import numpy as np
 
 from ._record import Record
 from .channels import _aux_sums, _fold, sigma1
-from .errors import ConsistencyError, ModelViolationError, check_count, check_memory
+from .errors import ConsistencyError, ModelViolationError, check_count, check_memory, check_pmf
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
-from .linalg import _as_matrix, _check_square_hermitian, eig_hermitian, trace_norm
+from .linalg import _as_matrix, _check_square_hermitian, _trace_norms, eig_hermitian, trace_norm
 from .typicality import is_relative_typical, pair_sequence
 
 __all__ = [
@@ -601,7 +601,8 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
     # Sufficiency of the sum: every (v2, v3) with one sum must induce the
     # same receiver-1 letter state as the sum-conditioned average.  One
     # batch row per pair (v2, v3), each side a single auxiliary letter; one
-    # eigvalsh over every tested (x1, pair), the first violation reported.
+    # stacked trace-norm scan over every tested (x1, pair), the first
+    # violation reported.
     v2, v3 = np.indices((q, q)).reshape(2, -1)
     u = (v2 + v3) % q
     weight = dist.p_v2x2.sum(axis=1)[v2] * dist.p_v3x3.sum(axis=1)[v3]
@@ -612,8 +613,7 @@ def rx1_setup_from_channel(channel, dist, codebook1, code2, code3) -> Rx1Setup:
         for row in range(q * q)
         if (x1, u[row]) in cond and weight[row] > 0.0
     }  # never empty: sigma1 holds the blocks of nonzero weight
-    diffs = _check_square_hermitian(np.stack(list(tested.values())), atol=1e-8, ndim=3)
-    bad = np.flatnonzero(0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1) > 1e-9)
+    bad = np.flatnonzero(0.5 * _trace_norms(np.stack(list(tested.values()))) > 1e-9)
     if bad.size:
         x1, row = list(tested)[bad[0]]
         raise ModelViolationError(
@@ -729,9 +729,7 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
     With U the range basis of Pi_rho and A = U^dagger . range(Pi_{a^n}), the
     trace is tr(A^dagger U^dagger rho_{b^n} U A).
     """
-    p_ab = np.asarray(p_ab, dtype=float)
-    if p_ab.ndim != 2 or p_ab.min() < 0 or abs(p_ab.sum() - 1.0) > 1e-9:
-        raise ValueError("p_ab must be a joint probability matrix")
+    p_ab = check_pmf(p_ab, "joint pmf p_ab", (None, None))
     mats = [_as_matrix(s) for s in states_b]
     if len(mats) != p_ab.shape[1]:
         raise ValueError("one letter state per column of p_ab is required")

@@ -15,7 +15,6 @@ from .channels import (
     InputDistribution,
     SplitInputDistribution,
     _aux_sums,
-    _check_pmf,
     _cyclic_sum_pmf,
     _entropy_plan,
     _joint_state,
@@ -29,8 +28,9 @@ from .channels import (
     split_sigma1,
     split_sigma_receiver,
 )
-from .errors import ConsistencyError, check_count
-from .linalg import _entropies, von_neumann_entropy
+from . import errors
+from .errors import ConsistencyError, check_count, check_memory, check_pmf
+from .linalg import _as_matrix, _entropies, von_neumann_entropy
 
 __all__ = [
     "hb",
@@ -72,10 +72,7 @@ def conv(a: float, b: float) -> float:
 
 def shannon(pmf) -> float:
     """Shannon entropy in bits of a finite pmf."""
-    p = np.asarray(pmf, dtype=float)
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("not a probability vector")
-    return float(_shannon_bits(p[None])[0])
+    return float(_shannon_bits(check_pmf(pmf, "pmf", (None,))[None])[0])
 
 
 def _holevo(pmf, states) -> float:
@@ -296,10 +293,7 @@ class NccRateParams(Record):
             raise ValueError(f"invalid dimensions n={self.n} k={self.k} l={self.l}")
         if self.k > self.n:
             raise ValueError(f"inner rows k={self.k} exceed blocklength n={self.n}")
-        p = np.asarray(self.p_v, dtype=float)
-        if p.shape != (self.q,) or p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("p_v must be a probability vector of length q")
-        object.__setattr__(self, "p_v", p)
+        object.__setattr__(self, "p_v", check_pmf(self.p_v, "p_v", (self.q,)))
 
 
 class Theorem2Bounds(Record):
@@ -322,7 +316,7 @@ def theorem2_bounds(params: NccRateParams, states) -> Theorem2Bounds:
     rate (l/n) log q sits below the Holevo information; this is verified and
     a ConsistencyError raised otherwise.
     """
-    mats = [np.asarray(getattr(s, "matrix", s), dtype=complex) for s in states]
+    mats = [_as_matrix(s) for s in states]
     if len(mats) != params.q:
         raise ValueError(f"expected {params.q} channel states, got {len(mats)}")
     h_v = shannon(params.p_v)
@@ -380,11 +374,10 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
     receiver-1 average is the shared ``channels._aux_sums``, which the tests
     check against its definition.
     """
-    pmfs = [np.asarray(p, float) for p in (p_x1, p_x2, p_x3)]
-    for j, p in enumerate(pmfs):
-        shape_ok = p.shape == (channel.input_sizes[j],)
-        if not shape_ok or p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"bad input pmf for sender {j + 1}")
+    pmfs = [
+        check_pmf(p, f"input pmf of sender {j + 1}", (size,))
+        for j, (p, size) in enumerate(zip((p_x1, p_x2, p_x3), channel.input_sizes))
+    ]
     # Receiver 1 sees x1 against the product background of the other senders:
     # a single auxiliary letter on each side, so every pair has sum 0.
     rho1 = _aux_sums(channel, pmfs[1][None, None], pmfs[2][None, None])[0, :, 0]
@@ -493,6 +486,23 @@ GRID_CHUNK = 256
 GRID_BUDGET = 10**7
 
 
+def _grid_bytes(channel: CqChannel, q: int, sizes: list) -> tuple:
+    """Bytes that ``grid_search`` holds at the peak of a chunk, as
+    tracemalloc measured them, fixed and per pmf.  Fixed: the three pmf
+    grids of ``sizes`` pmfs, and 512 KiB for NumPy's buffers of
+    real-by-complex products and Python's object free lists.  Per pmf: the
+    joint state's (q, q, D, D) complex sum and product buffer (D the
+    product of the output dimensions), receiver 1's (|X1|, q, d1, d1) sum
+    and buffer, the input weight tables, and 16 KiB for the rest (the
+    corner search)."""
+    n_x1, n_x2, n_x3 = channel.input_sizes
+    atoms = (n_x1, q * n_x2, q * n_x3)
+    fixed = sum(size * (16 * a + 128) for a, size in zip(atoms, sizes)) + 2**19
+    d1, dim = channel.output_dims[0], prod(channel.output_dims)
+    per_pmf = 32 * q * q * dim * dim + 32 * n_x1 * q * d1 * d1
+    return fixed, per_pmf + 8 * q * q * (n_x1 + 1) * n_x2 * n_x3 + 2**14
+
+
 class GridSearchResult(Record):
     best_value: float
     best_corner: np.ndarray
@@ -511,29 +521,35 @@ def grid_search(
     Scans product distributions p(x1) p(v2, x2) p(v3, x3) on a simplex grid,
     evaluates the coset-code region at each, and maximizes
     ``objective . corner`` over region corners; the first pmf in scan order
-    attaining the maximum wins.  The grid is evaluated ``GRID_CHUNK`` pmfs
-    at a time, each chunk as one batch.
+    attaining the maximum wins.  The grid is evaluated in chunks of at most
+    ``GRID_CHUNK`` pmfs, each chunk as one batch, and as many as fit in the
+    memory cap beside the grids (``_grid_bytes``); the chunking does not
+    change the result.
 
     Raises
     ------
     BudgetExceededError
-        If the grid holds more than ``GRID_BUDGET`` region evaluations.
+        If the grid holds more than ``GRID_BUDGET`` region evaluations, or
+        the grids and one pmf's evaluation exceed the memory cap.
     """
     w = np.asarray(objective, dtype=float)
     if w.shape != (3,):
         raise ValueError("objective must be a weight triple")
     n_x1, n_x2, n_x3 = channel.input_sizes
-    total = prod(comb(resolution + a - 2, a - 1) for a in (n_x1, q * n_x2, q * n_x3))
+    atoms = (n_x1, q * n_x2, q * n_x3)
+    sizes = [comb(resolution + a - 2, a - 1) for a in atoms]
+    total = prod(sizes)
     check_count(total, GRID_BUDGET, "region evaluations in a grid search")
+    fixed, per_pmf = _grid_bytes(channel, q, sizes)
+    check_memory(fixed + per_pmf, f"grid search of {total} region evaluations")
+    chunk = min(GRID_CHUNK, (errors.MEMORY_BUDGET - fixed) // per_pmf)
     grids = [
-        np.array([_check_pmf(p, "grid pmf") for p in simplex_grid(a, resolution)])
-        for a in (n_x1, q * n_x2, q * n_x3)
+        np.array([check_pmf(p, "grid pmf") for p in simplex_grid(a, resolution)])
+        for a in atoms
     ]
     best = None
-    for start in range(0, total, GRID_CHUNK):
-        picks = np.unravel_index(
-            np.arange(start, min(start + GRID_CHUNK, total)), [len(g) for g in grids]
-        )
+    for start in range(0, total, chunk):
+        picks = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
         p_x1, p22, p33 = (g[i] for g, i in zip(grids, picks))
         p22, p33 = p22.reshape(-1, q, n_x2), p33.reshape(-1, q, n_x3)
         rhs = _theorem1_rhs(channel, p_x1, p22, p33)

@@ -97,9 +97,9 @@ def parse_channel(doc: dict) -> CqChannel:
         costs.append(mat[0])
     if not isinstance(doc["states"], dict):
         _fail("states", "expected an object keyed by input triples")
+    inputs = {",".join(map(str, x)): x for x in itertools.product(*map(range, sizes))}
     states = {}
-    for x in itertools.product(*(range(s) for s in sizes)):
-        key = ",".join(str(v) for v in x)
+    for key, x in inputs.items():
         if key not in doc["states"]:
             _fail("states", f"missing entry for input {key!r}")
         entry = doc["states"][key]
@@ -111,10 +111,7 @@ def parse_channel(doc: dict) -> CqChannel:
             states[x] = DensityOperator(re + 1j * im)
         except ValueError as exc:
             raise SpecFileError(f"states[{key!r}]: {exc}") from exc
-    extra = set(doc["states"]) - {
-        ",".join(str(v) for v in x)
-        for x in itertools.product(*(range(s) for s in sizes))
-    }
+    extra = set(doc["states"]) - set(inputs)
     if extra:
         _fail("states", f"unknown input triples {sorted(extra)}")
     try:

@@ -30,15 +30,23 @@ def letter_counts(seq: Sequence[int], alphabet_size: int) -> np.ndarray:
     return np.bincount(arr, minlength=alphabet_size)
 
 
-def is_relative_typical(seq: Sequence[int], pmf: np.ndarray, delta: float) -> bool:
-    """Check ``|freq(v) - p(v)| <= delta * p(v)`` for every letter ``v``."""
+def is_relative_typical(seq, pmf: np.ndarray, delta: float):
+    """Check ``|freq(v) - p(v)| <= delta * p(v)`` for every letter ``v``.
+
+    ``seq`` may carry leading axes: each row along its last axis is one
+    sequence, and the verdicts come back as a bool array over the leading
+    axes (a ``bool`` for one 1-d sequence).  Every verdict equals the one
+    of its row alone.
+    """
     pmf = np.asarray(pmf, dtype=float)
-    counts = letter_counts(seq, pmf.size)
-    n = counts.sum()
-    if n == 0:
-        raise ValueError("empty sequence has no letter frequencies")
-    freq = counts / n
-    return bool(np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12))
+    seqs = np.asarray(seq, dtype=np.int64)
+    if seqs.ndim == 0 or seqs.shape[-1] == 0:
+        raise ValueError(f"no letter frequencies in sequences of shape {seqs.shape}")
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= pmf.size):
+        raise ValueError(f"letters out of range for alphabet size {pmf.size}")
+    freq = np.stack([(seqs == v).mean(axis=-1) for v in range(pmf.size)], axis=-1)
+    typical = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=-1)
+    return bool(typical) if seqs.ndim == 1 else typical
 
 
 def pair_sequence(p_ab: np.ndarray, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -4,20 +4,25 @@ values."""
 
 import importlib
 import inspect
+import itertools
 import re
 import tracemalloc
+from math import comb
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetcq
-from cosetcq import errors
+from cosetcq import errors, regions
+from cosetcq.channels import CqChannel
 from cosetcq.classical_sim import ClassicalIcInstance, simulate_independent
 from cosetcq.errors import BudgetExceededError
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
+from cosetcq.linalg import DensityOperator, random_density
 
 CAPS = {"DIM_BUDGET", "LABEL_BUDGET", "MEMORY_BUDGET", "SCAN_BUDGET", "GRID_BUDGET"}
 
@@ -107,3 +112,43 @@ def test_memory_cap_bounds_every_enumeration(q, n, k, l, cap_mib, trials, seed):
     with mock.patch.object(errors, "MEMORY_BUDGET", cap):
         for call in _calls(q, n, k, l, trials, seed):
             assert _traced_peak(call) <= cap
+
+
+def _product_channel(dims, seed=0) -> CqChannel:
+    """A binary-input 3-to-1 channel with outputs rho1(x) (x) rho2(x2) (x) rho3(x3)."""
+    rng = np.random.default_rng(seed)
+    inputs = list(itertools.product(range(2), repeat=3))
+    rx1 = {x: random_density(dims[0], rng).matrix for x in inputs}
+    rx2, rx3 = ([random_density(d, rng).matrix for _ in range(2)] for d in dims[1:])
+    states = {x: DensityOperator(np.kron(np.kron(rx1[x], rx2[x[1]]), rx3[x[2]])) for x in inputs}
+    return CqChannel((2, 2, 2), dims, states, (np.zeros(2),) * 3)
+
+
+def _grid_fields(result) -> tuple:
+    d = result.best_dist
+    arrays = (result.best_corner, d.p_x1, d.p_v2x2, d.p_v3x3)
+    return (repr(result.best_value), result.evaluations) + tuple(a.tobytes() for a in arrays)
+
+
+def test_grid_search_chunks_fit_the_memory_cap():
+    """Output dims (4, 4, 4): one pmf's joint state and product buffer take
+    512 KiB.  A cap that holds the grids and one pmf gives 300 chunks of
+    one pmf, the same result and a traced peak within the count; one byte
+    less is refused before the grids exist."""
+    chan = _product_channel((4, 4, 4))
+    w = (1.0, 0.5, 0.25)
+    whole = regions.grid_search(chan, w, 3)  # also warms the channel's caches
+    fixed, per_pmf = regions._grid_bytes(chan, 2, [comb(3 + a - 2, a - 1) for a in (2, 4, 4)])
+    assert per_pmf > 2**19
+    batched, calls, out = regions._theorem1_rhs, [], []
+    with mock.patch.object(errors, "MEMORY_BUDGET", fixed + per_pmf), mock.patch.object(
+        regions, "_theorem1_rhs", lambda *a: calls.append(len(a[1])) or batched(*a)
+    ):
+        peak = _traced_peak(lambda: out.append(regions.grid_search(chan, w, 3)))
+    assert calls == [1] * 300
+    assert _grid_fields(out[0]) == _grid_fields(whole)
+    assert peak <= fixed + per_pmf
+    with mock.patch.object(errors, "MEMORY_BUDGET", fixed + per_pmf - 1):
+        with pytest.raises(BudgetExceededError, match="grid search of 300 region evaluations"):
+            regions.grid_search(chan, w, 3)
+        assert _traced_peak(lambda: regions.grid_search(chan, w, 3)) < 2**14

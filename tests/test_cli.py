@@ -84,6 +84,15 @@ def test_region_bad_spec_file(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_is_an_argument_error(tmp_path, capsys):
+    """An output file that cannot be opened is exit 2 with an error line, not a traceback."""
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["region", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not path.parent.exists()
+
+
 def test_separation_command(capsys):
     assert main(["separation", "--example", "1", "--delta1", "0.01", "--delta", "0.1"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cosetcq.linalg import (
     DensityOperator,
     _entropies,
+    _trace_norms,
     eig_hermitian,
     partial_trace,
     random_density,
@@ -116,6 +117,24 @@ def test_trace_norm_and_distance():
     p0 = DensityOperator(np.diag([1.0, 0.0]))
     p1 = DensityOperator(np.diag([0.0, 1.0]))
     assert trace_distance(p0, p1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stacked_trace_norms_keep_each_matrix_and_the_tolerance():
+    """One scan over a stack gives each matrix's ``trace_norm`` bit for bit,
+    with the same 1e-8 Hermitian tolerance."""
+    rng = np.random.default_rng(3)
+    stack = np.array([random_density(3, rng).matrix - random_density(3, rng).matrix for _ in range(6)])
+    norms = _trace_norms(stack)
+    assert [float(v) for v in norms] == [trace_norm(m) for m in stack]
+    stack[2, 0, 1] += 5e-9  # inside 1e-8
+    assert _trace_norms(stack).shape == (6,)
+    stack[2, 0, 1] += 1e-8
+    with pytest.raises(ValueError, match="Hermitian"):
+        _trace_norms(stack)
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(stack[2])
+    with pytest.raises(ValueError, match="square"):
+        trace_norm(stack)
 
 
 def test_random_density_is_a_state():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcq.typicality import is_relative_typical, letter_counts, pair_sequence
 
@@ -63,3 +65,37 @@ def test_pair_sequence_infeasible_band():
     p_ab = np.array([[0.5, 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError, match="typical"):
         pair_sequence(p_ab, 3, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+    n=st.integers(1, 12),
+    delta=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_typicality_equals_each_row(q, lead, n, delta, seed):
+    """Sequences with leading axes get one verdict per row, each the 1-d
+    call's and the band |count/n - p| <= delta p + 1e-12 on letter counts;
+    the pmf is one row's own frequencies, so some rows pass."""
+    rng = np.random.default_rng(seed)
+    seqs = rng.integers(0, q, tuple(lead) + (n,))
+    pmf = letter_counts(seqs.reshape(-1, n)[0], q) / n if seqs.size else np.full(q, 1.0 / q)
+    got = is_relative_typical(seqs, pmf, delta)
+    assert got.shape == tuple(lead) and got.dtype == bool
+    for idx in np.ndindex(*lead):
+        row = seqs[idx]
+        assert got[idx] == is_relative_typical(row, pmf, delta)
+        band = np.abs(letter_counts(row, q) / n - pmf) <= delta * pmf + 1e-12
+        assert got[idx] == bool(band.all())
+
+
+def test_typicality_rejects_malformed_sequences():
+    pmf = np.array([0.5, 0.5])
+    assert type(is_relative_typical([0, 1], pmf, 0.0)) is bool
+    for empty in (np.zeros((3, 0), dtype=int), 1):
+        with pytest.raises(ValueError, match="no letter frequencies"):
+            is_relative_typical(empty, pmf, 0.1)
+    with pytest.raises(ValueError, match="out of range"):
+        is_relative_typical([[0, 1], [2, 0]], pmf, 0.1)
