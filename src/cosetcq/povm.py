@@ -27,6 +27,9 @@ is generated when it is read, from S^{-1/2} scattered onto the product
 basis and multiplied by per-letter Kronecker blocks (``_kron_left``), so no
 array grows with the sum of the factor ranks.  The completeness check,
 every exact error and the dense elements read the same generated factors.
+The Gram sum, the completeness residual and the traces read each label from
+the shorter side of its range: its r_i rows, or the D - r_i rows outside it,
+whose block is subtracted from the chain's full block (``_Factors.split``).
 Every exact error or success probability is a count-weighted sum of r x r
 traces against product states, taken by one helper, ``_success``.  Dense
 D x D elements are built only on request.  Factors, ranges and dense
@@ -80,11 +83,12 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factors' type), and returned in bytes:
 
-    - 9 r^2: the Gram matrix S and S^{-1/2}, held to the end, the left
-      matrix of a chain without a middle projector, and at most six more
-      r x r arrays at once (an eigendecomposition with its LAPACK copy and
-      workspace, the completion block and its products, the completeness
-      residual and one label's term of it);
+    - 10 r^2: the Gram matrix S and S^{-1/2}, held to the end, the left
+      matrix of a chain without a middle projector, the full block held
+      with X (below), and at most six more r x r arrays at once (an
+      eigendecomposition with its LAPACK copy and workspace, the completion
+      block and its products, the completeness residual and one label's
+      term of it);
     - r sum(side): the left matrices (S^{-1/2} . outer)^dagger of the chains
       that pass through a middle projector of rank in ``side``;
     - 4 D r: a chain's D x r scattered left matrix, the two D x r arrays
@@ -101,7 +105,7 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     """
     r = frame.rank
     w = max([r, *ranks, *side])
-    entries = 9 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
+    entries = 10 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -170,6 +174,16 @@ def _kron_left(x: np.ndarray, letters) -> np.ndarray:
     for start, stop, table in _runs(letters, _KRON_WIDTH):
         out = np.matmul(table.conj().T, out.reshape(d**start, d ** (stop - start), -1))
     return out.reshape(x.shape)
+
+
+def _shorter_side(index: np.ndarray, dim: int) -> tuple:
+    """(rows, flipped): the product-basis rows ``index`` of a range, or the
+    rows outside it (flipped) when those are fewer."""
+    if 2 * index.size <= dim:
+        return index, False
+    outside = np.ones(dim, dtype=bool)
+    outside[index] = False
+    return np.flatnonzero(outside), True
 
 
 class TypicalProjector(Record):
@@ -327,23 +341,40 @@ class _Factors(Sequence):
             *(left for left, _, _ in chains),
             *(m for _, _, labels in chains for letters, _ in labels for m in letters),
         )
-        self._scattered = (None, None)
+        self._held = (None, None, None)
 
     def __len__(self) -> int:
         return len(self.where)
 
     def __getitem__(self, index: int) -> np.ndarray:
+        return self.split(index, shorter=False)[1]
+
+    def split(self, index: int, shorter: bool = True) -> tuple:
+        """(full, m): B_i B_i^dagger = m m^dagger when ``full`` is None, else
+        full - m m^dagger, for m = B_i or, when ``shorter``, the rows of the
+        shorter side of the label's range (``_shorter_side``).  Every
+        per-position block is unitary, so the rows of Y = _kron_left(X,
+        letters) split Y^dagger Y = X^dagger X = left^dagger . left, the
+        chain's full block, kept with X until the next chain or ``release``."""
         c, j = self.where[range(len(self))[index]]
         left, rows, labels = self.chains[c]
         letters, seqs = labels[j]
-        if not seqs.size:
-            return np.zeros((self.frame.rank, 0), dtype=self.dtype)
-        if self._scattered[0] != c:
-            self._scattered = (None, None)  # one X alive at a time, as counted
+        picked, flipped = _shorter_side(seqs, self.frame.dim) if shorter else (seqs, False)
+        if self._held[0] != c:
+            self._held = (None, None, None)  # one X and full block alive at a time, as counted
             x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
             x[rows] = left
-            self._scattered = (c, x)
-        return _kron_left(self._scattered[1], letters)[seqs].conj().T
+            self._held = (c, x, None)
+        m = np.zeros((self.frame.rank, 0), self.dtype)
+        if picked.size:
+            m = _kron_left(self._held[1], letters)[picked].conj().T
+        if flipped and self._held[2] is None:  # after the _kron_left temporaries are gone
+            self._held = (c, self._held[1], left.conj().T @ left)
+        return self._held[2] if flipped else None, m
+
+    def release(self) -> None:
+        """Drop the held X and full block at the end of a pass over the labels."""
+        self._held = (None, None, None)
 
 
 class _FactoredElements(Sequence):
@@ -353,7 +384,8 @@ class _FactoredElements(Sequence):
     for B_i = ``factors[i]``, generated from ``chains`` (see ``_Factors``),
     and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
     the r x r block ``completion`` = C.  Indexing builds the D x D element;
-    no D x D array is kept.
+    no D x D array is kept, and the factors' X is dropped before the D x D
+    product, which costs D^2 r_i against D r to scatter X again.
     """
 
     def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
@@ -371,6 +403,7 @@ class _FactoredElements(Sequence):
             block = np.eye(self.frame.rank) - self.completion
             return np.eye(self.frame.dim) - u @ block @ u.conj().T
         w = u @ self.factors[index]
+        self.factors.release()
         return w @ w.conj().T
 
 
@@ -385,7 +418,7 @@ class Povm(Record):
     which may only overstate the residual) and that the completion
     block has no eigenvalue below -1e-8, both in the r-dimensional range.
     The residual C - I + sum_i B_i B_i^dagger is summed over the generated
-    factors, one at a time.
+    factors, one at a time, each from its shorter side (``_Factors.split``).
     """
 
     labels: tuple
@@ -401,8 +434,12 @@ class Povm(Record):
             return
         factors = self.elements.factors
         residual = block - np.eye(block.shape[0], dtype=factors.dtype)
-        for b in factors:
-            residual += b @ b.conj().T
+        for i in range(len(factors)):
+            full, m = factors.split(i)
+            if full is not None:
+                residual += full
+            (np.add if full is None else np.subtract)(residual, m @ m.conj().T, out=residual)
+        factors.release()
         if _norm_bound(residual) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
         wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
@@ -441,7 +478,9 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     matrix is A_i = U^dagger . C_i for C_i the range basis of ``inner``, or
     A_i = outer . M^dagger C_i with outer = U^dagger M through the range
     basis M of the projector ``middle`` when it is not None.  After the
-    memory check S = sum_i A_i A_i^dagger is summed label by label, and the
+    memory check S = sum_i A_i A_i^dagger is summed label by label, a term
+    read from the D - r_i rows outside the inner range (``_shorter_side``)
+    as L - Abar_i Abar_i^dagger for L = I_r, or outer . outer^dagger.  The
     decoding factors are B_i = S^{-1/2} A_i (inverse square root on the
     support of S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
     Gamma_i = U A_i A_i^dagger U^dagger and N = (sum_i Gamma_i)^{-1/2}.  The
@@ -455,14 +494,21 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     dtype = np.result_type(frame.dtype, *(p.dtype for p in inners + middles))
     _check_memory(frame, [p.rank for p in inners], dtype, side=[m.rank for m in middles])
     gram = np.zeros((frame.rank, frame.rank), dtype=dtype)
+    digits = field_vectors(frame.bases[0].shape[0], frame.n)  # row j of the product basis
     outers = []
     for middle, pairs in chains:
         outer = None if middle is None else frame.overlap(middle)
         outers.append(outer)
+        flipped = 0
         for _, inner in pairs:
-            if inner.rank:
-                a = frame.overlap(inner) if outer is None else outer @ middle.overlap(inner)
-                gram += a @ a.conj().T
+            rows, flip = _shorter_side(inner.index, inner.dim)
+            flipped += flip
+            if rows.size:
+                side = TypicalProjector(inner.n, inner.bases, digits[rows])
+                a = frame.overlap(side) if outer is None else outer @ middle.overlap(side)
+                (np.subtract if flip else np.add)(gram, a @ a.conj().T, out=gram)
+        if flipped:
+            gram += flipped * (np.eye(frame.rank) if outer is None else outer @ outer.conj().T)
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
     completion = np.eye(frame.rank) - norm @ gram @ norm
     generators = []
@@ -483,11 +529,13 @@ def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
 
     ``hits`` lists (i, w, count) in summation order: B_i is ``factors[i]``,
     of ``ranks[i]`` columns, U the range basis of ``frame`` and rho_w the
-    tensor product of ``letters`` along the letter word w.  Each distinct
-    word is compressed once, and its r x r state is dropped before the next
-    one is built; a zero-rank factor adds exactly 0 and is never read.  The
-    terms are summed in ``hits`` order by ``_fold``.
+    tensor product of ``letters`` along the letter word w; a flipped label
+    of a ``_Factors`` (``_Factors.split``) adds tr(rho L) - tr(m^dagger rho m).
+    Each distinct word is compressed once, and its r x r state is dropped
+    before the next one is built; a zero-rank factor adds exactly 0 and is
+    never read.  The terms are summed in ``hits`` order by ``_fold``.
     """
+    split = factors.split if isinstance(factors, _Factors) else lambda i: (None, factors[i])
     by_word: dict = {}
     for pos, (i, word, _) in enumerate(hits):
         if ranks[i]:
@@ -496,9 +544,12 @@ def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
     for word, positions in by_word.items():
         rho = frame.compress([letters[v] for v in word])
         for pos in positions:
-            b = factors[hits[pos][0]]
-            traces[pos] = np.vdot(b, rho @ b).real
+            full, m = split(hits[pos][0])
+            trace = np.vdot(m, rho @ m).real
+            traces[pos] = trace if full is None else np.vdot(full, rho).real - trace
         del rho
+    if isinstance(factors, _Factors):
+        factors.release()
     return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))
 
 

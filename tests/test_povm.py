@@ -22,7 +22,9 @@ from cosetcq.linalg import DensityOperator, eig_hermitian, random_density
 from cosetcq.povm import (
     Povm,
     Rx1Setup,
+    TypicalProjector,
     _FactoredElements,
+    _Factors,
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
@@ -308,11 +310,15 @@ def test_ptp_povm_memory_count_admits_n11_with_64_labels():
     assert need <= MEMORY_BUDGET < 8 * frame.rank * sum(ranks)
 
 
-def _ptp_n8_build(states):
+def _ptp_n8_code() -> tuple:
     rng = np.random.default_rng(8)
     code = NestedCosetCode(F2, 8, 2, 3, rng.integers(0, 2, (2, 8)), rng.integers(0, 2, (3, 8)),
                            rng.integers(0, 2, 8))
-    enc = select_typical(code, UNIFORM, 0.5, rng)
+    return code, select_typical(code, UNIFORM, 0.5, rng)
+
+
+def _ptp_n8_build(states):
+    code, enc = _ptp_n8_code()
     return lambda: build_ptp_povm(code, enc, states, 0.3)
 
 
@@ -364,6 +370,39 @@ def test_decoder_build_peak_within_memory_count(monkeypatch, case):
     assert sum(factors.ranks) > 10 * r  # all factors together dwarf every r x r array
     assert peak <= seen["count"]
     assert peak < r * sum(factors.ranks) * factors.dtype.itemsize
+
+
+def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
+    """Every label block that the Gram sum, the completeness residual and
+    the traces multiply has at most min(r_i, D - r_i) columns: on this
+    decoder most inner ranges hold more than half of the D rows."""
+    states = [example2_mix(0.9), example2_mix(0.1)]
+    code, enc = _ptp_n8_code()
+    gram, reads = [], []
+    overlap = TypicalProjector.overlap
+
+    def recorded_overlap(self, other):
+        gram.append(other.rank)  # the columns of the block A_i (or Abar_i)
+        return overlap(self, other)
+
+    split = _Factors.split  # indexing reads through it too, from the label's own rows
+
+    def recorded_split(self, index, *args, **kwargs):
+        out = split(self, index, *args, **kwargs)
+        reads.append((index, out[1].shape[1]))
+        return out
+
+    monkeypatch.setattr(TypicalProjector, "overlap", recorded_overlap)
+    monkeypatch.setattr(_Factors, "split", recorded_split)
+    povm = build_ptp_povm(code, enc, states, 0.3)
+    residual_reads = len(reads)
+    ptp_block_error(povm, enc, states)
+    dim, ranks = povm.dim, povm.elements.factors.ranks
+    shorter = [min(r, dim - r) for r in ranks]
+    assert sum(2 * r > dim for r in ranks) > len(ranks) // 2
+    assert gram == [w for w in shorter if w]
+    assert residual_reads == len(ranks) and len(reads) > residual_reads
+    assert all(width <= shorter[index] for index, width in reads)
 
 
 def test_rx1_decoder_on_nearly_clean_parity_channel():
@@ -454,7 +493,7 @@ def test_rx1_success_probability_matches_reference_loop():
         povm = build_rx1_povm(setup, 0.6)
         got = rx1_success_probability(povm, setup, enc2, enc3)
         assert 0.0 < got <= 1.0
-        assert got == _reference_rx1_success(povm, setup, enc2, enc3)
+        assert abs(got - _reference_rx1_success(povm, setup, enc2, enc3)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -487,7 +526,7 @@ def test_rx1_decoder_with_zero_probability_letters(dist):
     zero = np.zeros_like(next(iter(setup.cond_states.values())))
     full = {(x1, u): setup.cond_states.get((x1, u), zero) for x1 in range(2) for u in range(2)}
     padded = Rx1Setup(full, setup.p_x1, setup.p_u, setup.codebook1, setup.sum_code)
-    assert got == _reference_rx1_success(povm, padded, enc2, enc3)
+    assert abs(got - _reference_rx1_success(povm, padded, enc2, enc3)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [[0, 2, 0, 0], [0, 1, 0], [0, -1, 0, 0]],
@@ -643,8 +682,6 @@ def _reference_ptp_block_error(povm, encoder, states) -> float:
 
 def test_ptp_block_error_holds_one_compressed_state(monkeypatch):
     import weakref
-
-    from cosetcq.povm import TypicalProjector
 
     rng = np.random.default_rng(21)
     states = [random_density(2, rng).matrix, random_density(2, rng).matrix]

@@ -334,6 +334,11 @@ def _assert_factors_match(povm, factors, completion, atol) -> None:
     s1=np.diag([0.08333333333333333, 0.9166666666666666]).astype(complex),
     s2=None, real=False, delta=0.25, seed=0,
 )
+@example(  # an open window: every typical-word label has rank D, an empty complement
+    code=NestedCosetCode(F2, 3, 1, 1, [[1, 0, 1]], [[0, 1, 1]], [1, 0, 0]),
+    s0=np.array([[0.7, 0.2j], [-0.2j, 0.3]]), s1=np.diag([0.4, 0.6]).astype(complex),
+    s2=None, real=False, delta=50.0, seed=0,
+)
 def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, s2, real, delta, seed):
     # the factors are generated from S^{-1/2} by letter-Kronecker products,
     # the oracle multiplies S^{-1/2} by each A_i; a ternary code takes the
@@ -359,6 +364,10 @@ def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, s2, real, delta,
 @PROPERTY
 @given(code=binary_codes(), family=st.sampled_from([example1_channel, example2_channel]),
        tau=st.floats(0.05, 0.95), delta=deltas, seed=st.integers(0, 2**16))
+@example(  # an open window: every typical-word label has rank D, an empty complement
+    code=NestedCosetCode(F2, 3, 1, 1, [[1, 0, 1]], [[0, 1, 1]], [1, 0, 0]),
+    family=example2_channel, tau=0.5, delta=50.0, seed=0,
+)
 def test_block_rx1_decoder_matches_per_label_loop(code, family, tau, delta, seed):
     rng = np.random.default_rng(seed)
     code3 = NestedCosetCode(F2, code.n, code.k, code.l, code.g_inner, code.g_outer,
