@@ -30,6 +30,7 @@ every exact error and the dense elements read the same generated factors.
 The Gram sum, the completeness residual and the traces read each label from
 the shorter side of its range: its r_i rows, or the D - r_i rows outside it,
 whose block is subtracted from the chain's full block (``_Factors.split``).
+Those thin blocks are summed in products r columns wide (``_GramSum``).
 Every exact error or success probability is a count-weighted sum of r x r
 traces against product states, taken by one helper, ``_success``.  Dense
 D x D elements are built only on request.  Factors, ranges and dense
@@ -83,12 +84,11 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factors' type), and returned in bytes:
 
-    - 10 r^2: the Gram matrix S and S^{-1/2}, held to the end, the left
-      matrix of a chain without a middle projector, the full block held
-      with X (below), and at most six more r x r arrays at once (an
-      eigendecomposition with its LAPACK copy and workspace, the completion
-      block and its products, the completeness residual and one label's
-      term of it);
+    - 12 r^2: S^{-1/2}, held to the end, the left matrix of a chain without
+      a middle projector, the full block held with X (below), and at most
+      nine more r x r arrays at once (S and an eigendecomposition with its
+      LAPACK copy and workspace, the completion block and its products, the
+      completeness residual, and ``_GramSum``'s buffer, product and conjugate);
     - r sum(side): the left matrices (S^{-1/2} . outer)^dagger of the chains
       that pass through a middle projector of rank in ``side``;
     - 4 D r: a chain's D x r scattered left matrix, the two D x r arrays
@@ -105,7 +105,7 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     """
     r = frame.rank
     w = max([r, *ranks, *side])
-    entries = 10 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
+    entries = 12 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -184,6 +184,40 @@ def _shorter_side(index: np.ndarray, dim: int) -> tuple:
     outside = np.ones(dim, dtype=bool)
     outside[index] = False
     return np.flatnonzero(outside), True
+
+
+class _GramSum:
+    """target +- m m^dagger for r x w blocks m, in products r columns wide.
+
+    Added blocks fill one r-column buffer from the left, subtracted
+    (``negative``) ones from the right; when the parts P and N meet,
+    ``flush`` adds P P^dagger - N N^dagger (two symmetric rank-k updates for
+    a real buffer, half the work of one signed product).  ``close`` flushes
+    the rest and lets the buffer and ``target`` go.
+    """
+
+    def __init__(self, target: np.ndarray):
+        self.target, self.buf, self.ends = target, np.empty_like(target), (0, len(target))
+
+    def add(self, m: np.ndarray, negative: bool = False) -> None:
+        while m.size:
+            lo, hi = self.ends
+            take = min(m.shape[1], hi - lo)
+            self.buf[:, slice(hi - take, hi) if negative else slice(lo, lo + take)] = m[:, :take]
+            self.ends, m = ((lo, hi - take) if negative else (lo + take, hi)), m[:, take:]
+            if self.ends[0] == self.ends[1]:
+                self.flush()
+
+    def flush(self) -> None:
+        lo, hi = self.ends
+        for add, b in ((np.add, self.buf[:, :lo]), (np.subtract, self.buf[:, hi:])):
+            if b.size:
+                add(self.target, b @ b.conj().T, out=self.target)
+        self.ends = (0, len(self.target))
+
+    def close(self) -> None:
+        self.flush()
+        self.target = self.buf = None
 
 
 class TypicalProjector(Record):
@@ -309,9 +343,10 @@ def conditional_typical_projector(states, vn, delta: float, pmf=None) -> Typical
 def _norm_bound(mat: np.ndarray) -> float:
     """An upper bound on the spectral norm of the square ``mat``.
 
-    The largest |eigenvalue| of the Hermitian part plus the Frobenius norm
-    of the anti-Hermitian part: one ``eigvalsh`` instead of an SVD, and by
-    the triangle inequality never below ``np.linalg.norm(mat, 2)``.
+    The largest |eigenvalue| of the Hermitian part H plus the Frobenius norm
+    of the anti-Hermitian part K: one ``eigvalsh`` instead of an SVD, and by
+    the triangle inequality never below ``np.linalg.norm(mat, 2)``; at most
+    |H|_F + |K|_F <= sqrt(2) |mat|_F.
     """
     herm = 0.5 * (mat + mat.conj().T)
     return float(np.abs(np.linalg.eigvalsh(herm)).max() + np.linalg.norm(mat - herm))
@@ -418,7 +453,9 @@ class Povm(Record):
     which may only overstate the residual) and that the completion
     block has no eigenvalue below -1e-8, both in the r-dimensional range.
     The residual C - I + sum_i B_i B_i^dagger is summed over the generated
-    factors, one at a time, each from its shorter side (``_Factors.split``).
+    factors, each from its shorter side (``_Factors.split``), by ``_GramSum``.
+    A valid decoder passes both checks without an eigenvalue call, with the
+    same verdicts: see the comments below.
     """
 
     labels: tuple
@@ -434,17 +471,32 @@ class Povm(Record):
             return
         factors = self.elements.factors
         residual = block - np.eye(block.shape[0], dtype=factors.dtype)
-        for i in range(len(factors)):
-            full, m = factors.split(i)
-            if full is not None:
-                residual += full
-            (np.add if full is None else np.subtract)(residual, m @ m.conj().T, out=residual)
+        grams, start = _GramSum(residual), 0
+        for _, _, labels in factors.chains:
+            flipped, full = 0, None
+            for i in range(start, start + len(labels)):
+                chain_full, m = factors.split(i)
+                if chain_full is not None:
+                    flipped, full = flipped + 1, chain_full
+                grams.add(m, chain_full is not None)
+            if flipped:
+                residual += flipped * full
+            start += len(labels)
+        grams.close()
         factors.release()
-        if _norm_bound(residual) > 1e-8:
-            raise ConsistencyError("POVM elements do not sum to the identity within 1e-8")
-        wmin = float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
-        if wmin < -1e-8:
-            raise ConsistencyError(f"POVM element None has eigenvalue {wmin:.3e} below -1e-8")
+        # _norm_bound(R) <= sqrt(2) |R|_F: it can only pass 1e-8 above this
+        if 1.5 * np.linalg.norm(residual) > 1e-8 and (bound := _norm_bound(residual)) > 1e-8:
+            raise ConsistencyError("POVM elements do not sum to the identity: "
+                                   f"completeness residual {bound:.1e} above 1e-8")
+        herm = 0.5 * (block + block.conj().T)
+        # a factor exists only when every eigenvalue is above -5e-9 (up to
+        # rounding), so the -1e-8 test can fail only when there is none
+        try:
+            np.linalg.cholesky(herm + 5e-9 * np.eye(len(herm)))
+        except np.linalg.LinAlgError:
+            wmin = float(np.linalg.eigvalsh(herm).min())
+            if wmin < -1e-8:
+                raise ConsistencyError(f"POVM element None has eigenvalue {wmin:.3e} below -1e-8")
 
     @cached_property
     def _position(self) -> dict:
@@ -494,6 +546,7 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     dtype = np.result_type(frame.dtype, *(p.dtype for p in inners + middles))
     _check_memory(frame, [p.rank for p in inners], dtype, side=[m.rank for m in middles])
     gram = np.zeros((frame.rank, frame.rank), dtype=dtype)
+    grams = _GramSum(gram)
     digits = field_vectors(frame.bases[0].shape[0], frame.n)  # row j of the product basis
     outers = []
     for middle, pairs in chains:
@@ -505,12 +558,13 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
             flipped += flip
             if rows.size:
                 side = TypicalProjector(inner.n, inner.bases, digits[rows])
-                a = frame.overlap(side) if outer is None else outer @ middle.overlap(side)
-                (np.subtract if flip else np.add)(gram, a @ a.conj().T, out=gram)
+                grams.add(frame.overlap(side) if outer is None else outer @ middle.overlap(side), flip)
         if flipped:
             gram += flipped * (np.eye(frame.rank) if outer is None else outer @ outer.conj().T)
+    grams.close()
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
     completion = np.eye(frame.rank) - norm @ gram @ norm
+    del gram  # not held through the completeness check
     generators = []
     for (middle, pairs), outer in zip(chains, outers):
         passing = frame if middle is None else middle
@@ -524,6 +578,19 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     return Povm(labels + (None,), _FactoredElements(frame, generators, completion))
 
 
+def _trace_group(rho: np.ndarray, group: list, traces: np.ndarray) -> None:
+    """traces[pos] = tr(m^dagger rho m), or tr(rho L) minus it, for each
+    (pos, tr(rho L) or None, m) of ``group``, with one product rho . [m ...]
+    for all the blocks; a lone block is multiplied as it is."""
+    blocks = [m for _, _, m in group]
+    y = rho @ (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+    stop = 0
+    for pos, base, m in group:
+        start, stop = stop, stop + m.shape[1]
+        trace = np.vdot(m, y[:, start:stop]).real
+        traces[pos] = trace if base is None else base - trace
+
+
 def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
     """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
@@ -532,8 +599,9 @@ def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
     tensor product of ``letters`` along the letter word w; a flipped label
     of a ``_Factors`` (``_Factors.split``) adds tr(rho L) - tr(m^dagger rho m).
     Each distinct word is compressed once, and its r x r state is dropped
-    before the next one is built; a zero-rank factor adds exactly 0 and is
-    never read.  The terms are summed in ``hits`` order by ``_fold``.
+    before the next one is built, and multiplies the word's blocks in groups
+    (``_trace_group``); a zero-rank factor adds exactly 0 and is never read.
+    The terms are summed in ``hits`` order by ``_fold``.
     """
     split = factors.split if isinstance(factors, _Factors) else lambda i: (None, factors[i])
     by_word: dict = {}
@@ -543,11 +611,15 @@ def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
     traces = np.zeros(len(hits))
     for word, positions in by_word.items():
         rho = frame.compress([letters[v] for v in word])
+        group: list = []  # (pos, tr(rho L) or None, m), at most r columns unless one m is wider
         for pos in positions:
             full, m = split(hits[pos][0])
-            trace = np.vdot(m, rho @ m).real
-            traces[pos] = trace if full is None else np.vdot(full, rho).real - trace
-        del rho
+            if group and sum(g[2].shape[1] for g in group) + m.shape[1] > frame.rank:
+                _trace_group(rho, group, traces)
+                group = []
+            group.append((pos, None if full is None else np.vdot(full, rho).real, m))
+        _trace_group(rho, group, traces)
+        del rho, group
     if isinstance(factors, _Factors):
         factors.release()
     return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))

@@ -25,6 +25,7 @@ from cosetcq.povm import (
     TypicalProjector,
     _FactoredElements,
     _Factors,
+    _GramSum,
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
@@ -403,6 +404,76 @@ def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
     assert gram == [w for w in shorter if w]
     assert residual_reads == len(ranks) and len(reads) > residual_reads
     assert all(width <= shorter[index] for index, width in reads)
+
+
+def test_label_blocks_are_summed_in_wide_products(monkeypatch):
+    """The Gram sum and the completeness residual each empty their column
+    buffer into the r x r target at most ceil(sum_i min(r_i, D - r_i) / r) + 1
+    times.  On this decoder every nonzero block is subtracted, so each flush
+    is one product: a handful of products, not one per label."""
+    counts = []
+    init, flush = _GramSum.__init__, _GramSum.flush
+
+    def recorded_init(self, target):
+        init(self, target)
+        counts.append({"flushes": 0, "products": 0})
+        self.count = counts[-1]
+
+    def recorded_flush(self):
+        lo, hi = self.ends
+        self.count["flushes"] += 1
+        self.count["products"] += (lo > 0) + (hi < self.target.shape[0])
+        flush(self)
+
+    monkeypatch.setattr(_GramSum, "__init__", recorded_init)
+    monkeypatch.setattr(_GramSum, "flush", recorded_flush)
+    povm = _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)])()
+    dim, r = povm.dim, povm.elements.frame.rank
+    widths = [min(rank, dim - rank) for rank in povm.elements.factors.ranks]
+    bound = -(-sum(widths) // r) + 1
+    assert len(counts) == 2  # the Gram pass, then the residual pass
+    assert sum(w > 0 for w in widths) > 3 * bound
+    for count in counts:
+        assert 0 < count["products"] <= count["flushes"] <= bound
+
+
+def test_valid_ptp_build_settles_both_checks_without_eigvalsh(monkeypatch):
+    """A valid decoder passes the completeness check on the Frobenius norm of
+    its residual and the completion check on a Cholesky factor: no
+    ``eigvalsh`` runs (S^{-1/2} is one ``eigh``)."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    povm = _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)])()
+    assert len(povm.labels) == 33 and calls == []
+
+
+def _completed(completion: np.ndarray) -> _FactoredElements:
+    """Elements of one label whose factor B has B B^dagger = I - completion."""
+    frame = typical_projector(np.eye(len(completion)) / len(completion), 1, 0.0)
+    w, v = np.linalg.eigh(np.eye(len(completion)) - completion)
+    left = (v * np.sqrt(np.clip(w, 0.0, None))).T  # left^dagger . left = I - completion
+    chain = (left, frame.index, [([np.eye(len(completion))], frame.index)])
+    return _FactoredElements(frame, [chain], completion)
+
+
+@pytest.mark.parametrize("least, refused", [(-2e-8, True), (-5e-9, False), (-1e-13, False)])
+def test_completion_positivity_verdict_at_the_tolerance(least, refused):
+    """A completion block with an eigenvalue below -1e-8 is refused and the
+    message names it; one at -5e-9 passes, as with ``eigvalsh`` alone."""
+    rotation = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    completion = rotation @ np.diag([least, 0.3, 1.0]) @ rotation.T
+    completion = 0.5 * (completion + completion.T)
+    if refused:
+        with pytest.raises(ConsistencyError, match=f"element None has eigenvalue {least:.3e} below -1e-8"):
+            Povm((0, None), _completed(completion))
+    else:
+        assert Povm((0, None), _completed(completion)).dim == 3
 
 
 def test_rx1_decoder_on_nearly_clean_parity_channel():

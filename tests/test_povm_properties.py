@@ -6,7 +6,9 @@ arrays.  Inputs are random qubit density operators, random binary nested
 coset codes with n <= 4, and random blocklengths and slacks.  The generated
 factors are also compared with the per-label construction (on binary and
 ternary codes), the product-block gathers with the np.ix_ / np.kron
-formula, and the letter-Kronecker kernel with a dense np.kron product.
+formula, the letter-Kronecker kernel with a dense np.kron product, the
+wide-product Gram sum with one product per label, and the completeness
+verdict with the spectral-norm bound it skips.
 """
 
 from functools import reduce
@@ -19,8 +21,12 @@ from hypothesis import strategies as st
 from cosetcq.channels import binary_input_distribution, example1_channel, example2_channel
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
 import cosetcq.povm as povm_module
+from cosetcq.errors import ConsistencyError
 from cosetcq.povm import (
     _SUPPORT_CUTOFF,
+    Povm,
+    _FactoredElements,
+    _GramSum,
     _inverse_sqrt_on_support,
     _kron_left,
     _norm_bound,
@@ -416,3 +422,69 @@ def test_norm_bound_is_never_below_the_operator_norm(size, complex_entries, skew
     exact = np.linalg.norm(residual, 2)
     # the bound and the SVD round differently; allow a few ulps of the norm
     assert _norm_bound(residual) >= exact * (1.0 - 1e-13)
+
+
+@PROPERTY
+@given(r=st.integers(1, 7), complex_entries=st.booleans(),
+       blocks=st.lists(st.tuples(st.integers(0, 17), st.booleans()), max_size=12),
+       seed=st.integers(0, 2**16))
+def test_gram_sum_equals_per_label_sum(r, complex_entries, blocks, seed):
+    """Widths up to 17 > 2r cross the flush point, zero widths add nothing,
+    and added and subtracted blocks share the buffer."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if complex_entries else m
+
+    start = draw((r, r))
+    ms = [(draw((r, width)), negative) for width, negative in blocks]
+    want = start.copy()
+    for m, negative in ms:
+        want += (-1.0 if negative else 1.0) * (m @ m.conj().T)
+    got = start.copy()
+    sums = _GramSum(got)
+    for m, negative in ms:
+        sums.add(m, negative)
+    sums.close()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(size=st.integers(1, 6), complex_entries=st.booleans(),
+       skew=st.sampled_from([0.0, 1e-3, 1.0]), rank_one=st.booleans(),
+       anchor=st.sampled_from(["bound", "frobenius"]), factor=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**16))
+@example(size=2, complex_entries=False, skew=0.0, rank_one=True, anchor="bound", factor=1.0, seed=0)
+@example(size=3, complex_entries=True, skew=1.0, rank_one=True, anchor="frobenius", factor=1.3, seed=1)
+def test_completeness_verdict_equals_the_norm_bound(size, complex_entries, skew, rank_one, anchor,
+                                                     factor, seed):
+    """The completeness check refuses exactly when ``_norm_bound`` of the
+    residual is above 1e-8, though it computes the bound only when 1.5 times
+    the residual's Frobenius norm is.  Residuals are scaled across both
+    thresholds; a rank-one Hermitian part and an anti-Hermitian part of the
+    same Frobenius norm (``skew`` = 1) bring the bound to sqrt(2) times the
+    Frobenius norm, its largest ratio."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        m = rng.normal(size=(size, size))
+        return m + 1j * rng.normal(size=(size, size)) if complex_entries else m
+
+    h = draw()
+    if rank_one:
+        h = np.outer(h[:, 0], h[:, 0].conj())
+    k = draw()
+    herm, anti = 0.5 * (h + h.conj().T), 0.5 * (k - k.conj().T)
+    shape = herm + skew * np.linalg.norm(herm) / max(np.linalg.norm(anti), 1e-300) * anti
+    norm = _norm_bound(shape) if anchor == "bound" else 1.5 * np.linalg.norm(shape)
+    completion = np.eye(size) + factor * 1e-8 / norm * shape
+    frame = typical_projector(np.eye(size) / size, 1, 0.0)
+    chain = (np.zeros((size, size)), frame.index, [([np.eye(size)], frame.index[:0])])
+    bound = _norm_bound(completion - np.eye(size))  # the residual: the one factor is empty
+    try:
+        Povm((0, None), _FactoredElements(frame, [chain], completion))
+    except ConsistencyError as err:
+        assert bound > 1e-8 and f"residual {bound:.1e} above 1e-8" in str(err)
+    else:
+        assert bound <= 1e-8
