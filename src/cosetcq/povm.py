@@ -31,9 +31,9 @@ The Gram sum, the completeness residual and the traces read each label from
 the shorter side of its range: its r_i rows, or the D - r_i rows outside it,
 whose block is subtracted from the chain's full block (``_Factors.split``).
 Those thin blocks are summed in products r columns wide (``_GramSum``).
-Every exact error or success probability is a count-weighted sum of r x r
-traces against product states, taken by one helper, ``_success``.  Dense
-D x D elements are built only on request.  Factors, ranges and dense
+Every exact error or success probability is a count-weighted sum of their
+traces against product states, taken in the product basis by ``_success``.
+Dense D x D elements are built only on request.  Factors, ranges and dense
 elements stay real when every letter basis is.
 """
 
@@ -84,28 +84,27 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factors' type), and returned in bytes:
 
-    - 12 r^2: S^{-1/2}, held to the end, the left matrix of a chain without
-      a middle projector, the full block held with X (below), and at most
+    - 12 r^2: S^{-1/2} and its conjugate transpose (the left matrix of a
+      chain without a middle projector), a chain's full block and at most
       nine more r x r arrays at once (S and an eigendecomposition with its
       LAPACK copy and workspace, the completion block and its products, the
-      completeness residual, and ``_GramSum``'s buffer, product and conjugate);
-    - r sum(side): the left matrices (S^{-1/2} . outer)^dagger of the chains
-      that pass through a middle projector of rank in ``side``;
-    - 4 D r: a chain's D x r scattered left matrix, the two D x r arrays
-      of one ``_kron_left`` run, and the D x r range basis U that dense
-      elements are built from;
-    - one label's temporaries, at most 5 w^2 + 66 w for w the largest of r,
-      the ranks and the side ranks: a product block, one gathered run, the
-      gathered table columns and index arrays and a product through a
-      middle range while S is summed, and a generated factor with its
-      conjugate.
-
-    No array grows with the sum of the ranks: each factor is generated when
-    it is read.
+      completeness residual, ``_GramSum``'s buffer, product and conjugate,
+      or a state that ``_success`` compresses and its temporaries);
+    - r sum(side): the left matrices of the chains that pass through a
+      middle projector of rank in ``side``;
+    - 4 D r: the range basis U of dense elements, the head that ``_Factors``
+      holds, and two more D x r arrays while a label is generated;
+    - 3 D t for t the widest shorter side min(r_i, D - r_i): a thin block
+      scattered onto the frame's rows and one ``_kron_left`` run on it;
+    - 5 w^2 + 66 w for w the largest of r, the ranks and the side ranks: a
+      product block, a gathered run with its index arrays and a product
+      through a middle range while S is summed, or a generated factor with
+      its conjugate.  No array grows with the sum of the ranks.
     """
-    r = frame.rank
+    r, dim = frame.rank, frame.dim
     w = max([r, *ranks, *side])
-    entries = 12 * r * r + r * int(sum(side)) + 4 * frame.dim * r + 5 * w * w + 66 * w
+    t = max([min(rank, dim - rank) for rank in ranks], default=0)
+    entries = 12 * r * r + r * int(sum(side)) + 4 * dim * r + 3 * dim * t + 5 * w * w + 66 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -160,20 +159,28 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron_left(x: np.ndarray, letters) -> np.ndarray:
-    """(letters[0] x ... x letters[n-1])^dagger . x for x of shape (d^n, r).
+def _kron_left(x: np.ndarray, letters, rows=None, skip: int = 0) -> np.ndarray:
+    """(letters[0] x ... x letters[n-1])^dagger . x for x of shape (d^n, r), or its ``rows``.
 
     Rows of ``x`` are indexed as product-basis vectors, position 0 the most
     significant digit.  Runs of positions are merged into Kronecker tables
-    of side at most ``_KRON_WIDTH``, and each run's conjugate transpose is
-    applied to its digits by one batched ``matmul`` over x viewed as
-    (d^start, d^run, rest).
+    of side at most ``_KRON_WIDTH``, and each run's conjugate transpose but
+    the first ``skip`` is applied by one batched ``matmul`` over x viewed as
+    (d^start, d^run, rest).  When ``rows`` lie in blocks of at most d^n
+    rows in all, the last run is applied per row, to its gathered block.
     """
     d = letters[0].shape[0]
+    runs = list(_runs(letters, _KRON_WIDTH))[skip:]
+    gather = rows is not None and runs and rows.size * len(runs[-1][2]) <= len(x)
+    last = runs.pop()[2].conj().T if gather else None
     out = x
-    for start, stop, table in _runs(letters, _KRON_WIDTH):
+    for start, stop, table in runs:
         out = np.matmul(table.conj().T, out.reshape(d**start, d ** (stop - start), -1))
-    return out.reshape(x.shape)
+    out = out.reshape(x.shape)
+    if last is None:
+        return out if rows is None else out[rows]
+    out = out.reshape(len(x) // len(last), len(last), x.shape[1])[rows // len(last)]
+    return np.matmul(last[rows % len(last), None, :], out)[:, 0]
 
 
 def _shorter_side(index: np.ndarray, dim: int) -> tuple:
@@ -276,46 +283,38 @@ class TypicalProjector(Record):
         return _product_block(letters, self.seqs, self.seqs)
 
 
-def _surprisal(spectrum: np.ndarray) -> np.ndarray:
-    out = np.full(spectrum.shape, np.inf)
-    pos = spectrum > 0.0
-    out[pos] = -np.log2(spectrum[pos])
-    return out
+def _windows(mats: list, words: np.ndarray, delta: float, pmf=None) -> list:
+    """The entropy window of the letter states ``mats`` along each row of ``words``.
 
-
-def _spectrum_entropy(spectrum: np.ndarray) -> float:
-    pos = spectrum[spectrum > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
-def _window(mats: list, vn: np.ndarray, delta: float, pmf=None) -> TypicalProjector:
-    """The entropy window of the letter states ``mats`` along the word ``vn``.
-
-    Each letter state is decomposed separately; a label sequence is kept
-    when its sample surprisal -(1/n) log2 prod_t eig(mats[vn_t]) lies within
-    ``delta`` of the average letter entropy (1/n) sum_t S(mats[vn_t]), and
-    labels on zero eigenvalues never pass.  When ``pmf`` is given and ``vn``
-    is not relative delta-typical for it, the projector is zero.
+    For a word vn of length n, a label sequence is kept when its sample
+    surprisal -(1/n) log2 prod_t eig(mats[vn_t]) lies within ``delta`` of the
+    average letter entropy (1/n) sum_t S(mats[vn_t]); labels on zero
+    eigenvalues never pass.  Words not relative delta-typical for a given
+    ``pmf`` (one batched test) get the zero projector.  Each letter state
+    is decomposed once and shared by every window that uses it.
     """
-    n = vn.size
-    dim = mats[0].shape[0]
+    words = np.asarray(words, dtype=np.int64)
+    n, dim = words.shape[1], mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise ValueError("letter states must be square and share one dimension")
     check_count(dim**n, DIM_BUDGET, f"dimensions of a projector space {dim}^{n}")
-    if pmf is not None and not is_relative_typical(vn, np.asarray(pmf, float), delta):
-        empty = np.zeros((0, n), dtype=np.int64)
-        return TypicalProjector(n, (np.eye(dim, dtype=complex),) * n, empty)
+    typical = np.ones(len(words), bool) if pmf is None else is_relative_typical(words, pmf, delta)
     eigs = {}
-    for v in np.unique(vn):
+    for v in np.unique(words[typical]).tolist():
         w, basis = eig_hermitian(mats[v])
-        eigs[int(v)] = (np.clip(w, 0.0, None), basis)
-    seqs = field_vectors(dim, n)
-    surpr = np.stack([_surprisal(eigs[int(v)][0]) for v in vn])
-    sample = surpr[np.arange(n)[None, :], seqs].mean(axis=1)
-    target = float(np.mean([_spectrum_entropy(eigs[int(v)][0]) for v in vn]))
-    mask = np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
-    bases = tuple(eigs[int(v)][1] for v in vn)
-    return TypicalProjector(n, bases, seqs[mask])
+        pos = w > 0.0
+        surprisal = np.where(pos, -np.log2(np.where(pos, w, 1.0)), np.inf)
+        eigs[v] = (surprisal, float((w[pos] * surprisal[pos]).sum()), basis)
+    seqs, out = field_vectors(dim, n), []
+    for vn, kept in zip(words.tolist(), typical):
+        if not kept:
+            out.append(TypicalProjector(n, (np.eye(dim, dtype=complex),) * n, seqs[:0]))
+            continue
+        sample = np.stack([eigs[v][0] for v in vn])[np.arange(n)[None, :], seqs].mean(axis=1)
+        target = float(np.mean([eigs[v][1] for v in vn]))
+        mask = np.isfinite(sample) & (np.abs(sample - target) <= delta + 1e-12)
+        out.append(TypicalProjector(n, tuple(eigs[v][2] for v in vn), seqs[mask]))
+    return out
 
 
 def typical_projector(rho, n: int, delta: float) -> TypicalProjector:
@@ -325,19 +324,18 @@ def typical_projector(rho, n: int, delta: float) -> TypicalProjector:
     when the sample surprisal of its eigenvalue product lies within
     ``delta`` (bits) of the von Neumann entropy of ``rho``.
     """
-    return _window([_as_matrix(rho)], np.zeros(n, dtype=np.int64), delta)
+    return _windows([_as_matrix(rho)], np.zeros((1, n), dtype=np.int64), delta)[0]
 
 
 def conditional_typical_projector(states, vn, delta: float, pmf=None) -> TypicalProjector:
     """Projector onto conditionally typical eigenvector products given ``vn``.
 
-    The window of the letter states ``states[vn_t]`` (see ``_window``).  When
+    The window of the letter states ``states[vn_t]`` (see ``_windows``).  When
     ``pmf`` is given, ``vn`` itself is first tested for *relative*
     delta-typicality against it; an atypical conditioning word yields the
     zero projector (the decoder's indicator clause).
     """
-    mats = [_as_matrix(s) for s in states]
-    return _window(mats, np.asarray(vn, dtype=np.int64), delta, pmf)
+    return _windows([_as_matrix(s) for s in states], [vn], delta, pmf)[0]
 
 
 def _norm_bound(mat: np.ndarray) -> float:
@@ -362,8 +360,10 @@ class _Factors(Sequence):
     label: the per-position d x d blocks bases_mid^dagger . bases_inner and
     the product-basis rows of the inner range.  With X the D x r matrix
     that is ``left`` on ``rows`` and zero elsewhere, B_i^dagger is the
-    ``seqs`` rows of ``_kron_left(X, letters)``.  The last chain's X is
-    kept for the next read; no array of all the factors exists.
+    ``seqs`` rows of ``_kron_left(X, letters)``.  A chain's labels with one
+    first-run table (``_prefix``) share that run's output, the head, kept
+    until the next one; X is rebuilt for each from ``left``, C-contiguous
+    so that its rows copy fast.  No array of all the factors exists.
     """
 
     def __init__(self, frame: TypicalProjector, chains: list):
@@ -376,7 +376,7 @@ class _Factors(Sequence):
             *(left for left, _, _ in chains),
             *(m for _, _, labels in chains for letters, _ in labels for m in letters),
         )
-        self._held = (None, None, None)
+        self.release()
 
     def __len__(self) -> int:
         return len(self.where)
@@ -384,32 +384,40 @@ class _Factors(Sequence):
     def __getitem__(self, index: int) -> np.ndarray:
         return self.split(index, shorter=False)[1]
 
+    def _prefix(self, index: int) -> tuple:
+        """(chain, bytes of the table of the label's first Kronecker run)."""
+        c, j = self.where[index]
+        return c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH))[2].tobytes()
+
+    def order(self, chain: int) -> list:
+        """``chain``'s labels grouped by ``_prefix``, so that a pass makes one head per prefix."""
+        return sorted([i for i, (c, _) in enumerate(self.where) if c == chain], key=self._prefix)
+
     def split(self, index: int, shorter: bool = True) -> tuple:
-        """(full, m): B_i B_i^dagger = m m^dagger when ``full`` is None, else
-        full - m m^dagger, for m = B_i or, when ``shorter``, the rows of the
-        shorter side of the label's range (``_shorter_side``).  Every
-        per-position block is unitary, so the rows of Y = _kron_left(X,
-        letters) split Y^dagger Y = X^dagger X = left^dagger . left, the
-        chain's full block, kept with X until the next chain or ``release``."""
-        c, j = self.where[range(len(self))[index]]
+        """(flipped, m): B_i B_i^dagger is m m^dagger, or the chain's full
+        block left^dagger . left minus m m^dagger when flipped, for m = B_i
+        or, when ``shorter``, the rows of the shorter side of the label's
+        range (``_shorter_side``): the blocks are unitary, so the rows of
+        Y = _kron_left(X, letters) have Y^dagger Y = left^dagger . left."""
+        index = range(len(self))[index]
+        c, j = self.where[index]
         left, rows, labels = self.chains[c]
         letters, seqs = labels[j]
         picked, flipped = _shorter_side(seqs, self.frame.dim) if shorter else (seqs, False)
-        if self._held[0] != c:
-            self._held = (None, None, None)  # one X and full block alive at a time, as counted
-            x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
-            x[rows] = left
-            self._held = (c, x, None)
         m = np.zeros((self.frame.rank, 0), self.dtype)
         if picked.size:
-            m = _kron_left(self._held[1], letters)[picked].conj().T
-        if flipped and self._held[2] is None:  # after the _kron_left temporaries are gone
-            self._held = (c, self._held[1], left.conj().T @ left)
-        return self._held[2] if flipped else None, m
+            if self._head[0] != (key := self._prefix(index)):
+                self._head = (None, None)  # one head alive at a time, as counted
+                x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
+                x[rows] = left
+                self._head = (key, _kron_left(x, [next(_runs(letters, _KRON_WIDTH))[2]]))  # first run
+                del x
+            m = _kron_left(self._head[1], letters, picked, skip=1).conj().T
+        return flipped, m
 
     def release(self) -> None:
-        """Drop the held X and full block at the end of a pass over the labels."""
-        self._held = (None, None, None)
+        """Drop the held head at the end of a pass over the labels."""
+        self._head = (None, None)
 
 
 class _FactoredElements(Sequence):
@@ -419,8 +427,8 @@ class _FactoredElements(Sequence):
     for B_i = ``factors[i]``, generated from ``chains`` (see ``_Factors``),
     and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
     the r x r block ``completion`` = C.  Indexing builds the D x D element;
-    no D x D array is kept, and the factors' X is dropped before the D x D
-    product, which costs D^2 r_i against D r to scatter X again.
+    no D x D array is kept, and the factors' head is dropped before the
+    D x D product, which costs D^2 r_i against D r to make the head again.
     """
 
     def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
@@ -453,7 +461,8 @@ class Povm(Record):
     which may only overstate the residual) and that the completion
     block has no eigenvalue below -1e-8, both in the r-dimensional range.
     The residual C - I + sum_i B_i B_i^dagger is summed over the generated
-    factors, each from its shorter side (``_Factors.split``), by ``_GramSum``.
+    factors, each from its shorter side (``_Factors.split``) and in its
+    chain's ``_Factors.order``, by ``_GramSum``.
     A valid decoder passes both checks without an eigenvalue call, with the
     same verdicts: see the comments below.
     """
@@ -471,17 +480,16 @@ class Povm(Record):
             return
         factors = self.elements.factors
         residual = block - np.eye(block.shape[0], dtype=factors.dtype)
-        grams, start = _GramSum(residual), 0
-        for _, _, labels in factors.chains:
-            flipped, full = 0, None
-            for i in range(start, start + len(labels)):
-                chain_full, m = factors.split(i)
-                if chain_full is not None:
-                    flipped, full = flipped + 1, chain_full
-                grams.add(m, chain_full is not None)
+        grams = _GramSum(residual)
+        for c in range(len(factors.chains)):
+            flipped = 0
+            for i in factors.order(c):
+                flip, m = factors.split(i)
+                flipped += flip
+                grams.add(m, flip)
             if flipped:
-                residual += flipped * full
-            start += len(labels)
+                left = factors.chains[c][0]
+                residual += flipped * (left.conj().T @ left)
         grams.close()
         factors.release()
         # _norm_bound(R) <= sqrt(2) |R|_F: it can only pass 1e-8 above this
@@ -565,63 +573,62 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     norm = _real_if_exact(_inverse_sqrt_on_support(gram))
     completion = np.eye(frame.rank) - norm @ gram @ norm
     del gram  # not held through the completeness check
-    generators = []
+    generators, blocks = [], {}  # b^dagger c per pair of letter basis arrays
     for (middle, pairs), outer in zip(chains, outers):
         passing = frame if middle is None else middle
         left = norm if outer is None else norm @ outer
-        labels = [
-            ([_real_if_exact(b.conj().T @ c) for b, c in zip(passing.bases, inner.bases)], inner.index)
-            for _, inner in pairs
-        ]
-        generators.append((left.conj().T, passing.index, labels))
+        labels = []
+        for _, inner in pairs:
+            for b, c in zip(passing.bases, inner.bases):
+                if (id(b), id(c)) not in blocks:
+                    blocks[id(b), id(c)] = _real_if_exact(b.conj().T @ c)
+            letters = [blocks[id(b), id(c)] for b, c in zip(passing.bases, inner.bases)]
+            labels.append((letters, inner.index))
+        generators.append((np.ascontiguousarray(left.conj().T), passing.index, labels))
+    norm = left = None  # held through the completeness check only as the chains' copies
     labels = tuple(label for _, pairs in chains for label, _ in pairs)
     return Povm(labels + (None,), _FactoredElements(frame, generators, completion))
 
 
-def _trace_group(rho: np.ndarray, group: list, traces: np.ndarray) -> None:
-    """traces[pos] = tr(m^dagger rho m), or tr(rho L) minus it, for each
-    (pos, tr(rho L) or None, m) of ``group``, with one product rho . [m ...]
-    for all the blocks; a lone block is multiplied as it is."""
-    blocks = [m for _, _, m in group]
-    y = rho @ (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
-    stop = 0
-    for pos, base, m in group:
-        start, stop = stop, stop + m.shape[1]
-        trace = np.vdot(m, y[:, start:stop]).real
-        traces[pos] = trace if base is None else base - trace
-
-
-def _success(frame: TypicalProjector, factors, ranks, letters, hits) -> float:
+def _success(factors: _Factors, letters, hits) -> float:
     """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
     ``hits`` lists (i, w, count) in summation order: B_i is ``factors[i]``,
-    of ``ranks[i]`` columns, U the range basis of ``frame`` and rho_w the
-    tensor product of ``letters`` along the letter word w; a flipped label
-    of a ``_Factors`` (``_Factors.split``) adds tr(rho L) - tr(m^dagger rho m).
-    Each distinct word is compressed once, and its r x r state is dropped
-    before the next one is built, and multiplies the word's blocks in groups
-    (``_trace_group``); a zero-rank factor adds exactly 0 and is never read.
-    The terms are summed in ``hits`` order by ``_fold``.
+    U the range basis of the factors' frame and rho_w the tensor product of
+    ``letters`` along the letter word w.  Each label is read once, from its
+    shorter side, in its chain's ``_Factors.order``, and traced in the
+    product basis: with z the block m scattered onto the frame's rows,
+    tr(m^dagger U^dagger rho_w U m) = <z, K_w z> for the Hermitian K_w =
+    (x)_t b_t^dagger rho_{w_t} b_t, b_t the frame's basis at position t.  A
+    flipped label adds tr(rho_c L) minus that, for rho_c = U^dagger rho_w U
+    compressed once per chain and word and dropped at once.  A zero-rank
+    factor adds exactly 0 and is never read.  The terms are summed in
+    ``hits`` order by ``_fold``.
     """
-    split = factors.split if isinstance(factors, _Factors) else lambda i: (None, factors[i])
-    by_word: dict = {}
+    frame, by_label, kw = factors.frame, {}, {}  # kw: the blocks of K_w per word
     for pos, (i, word, _) in enumerate(hits):
-        if ranks[i]:
-            by_word.setdefault(tuple(int(v) for v in word), []).append(pos)
+        if factors.ranks[i]:
+            by_label.setdefault(i, []).append((pos, tuple(int(v) for v in word)))
     traces = np.zeros(len(hits))
-    for word, positions in by_word.items():
-        rho = frame.compress([letters[v] for v in word])
-        group: list = []  # (pos, tr(rho L) or None, m), at most r columns unless one m is wider
-        for pos in positions:
-            full, m = split(hits[pos][0])
-            if group and sum(g[2].shape[1] for g in group) + m.shape[1] > frame.rank:
-                _trace_group(rho, group, traces)
-                group = []
-            group.append((pos, None if full is None else np.vdot(full, rho).real, m))
-        _trace_group(rho, group, traces)
-        del rho, group
-    if isinstance(factors, _Factors):
-        factors.release()
+    for c in range(len(factors.chains)):
+        order = [i for i in factors.order(c) if i in by_label]
+        left, full = factors.chains[c][0], None
+        if any(2 * factors.ranks[i] > frame.dim for i in order):  # a flipped label (_shorter_side)
+            full = left.conj().T @ left
+        bases = dict.fromkeys(word for i in order for _, word in by_label[i])
+        for word in bases:
+            rho = frame.compress([letters[v] for v in word])
+            bases[word] = 0.0 if full is None else np.vdot(full, rho).real
+            kw[word] = [_real_if_exact(b.conj().T @ letters[v] @ b) for b, v in zip(frame.bases, word)]
+            del rho
+        for i in order:
+            flipped, m = factors.split(i)
+            z = np.zeros((frame.dim, m.shape[1]), dtype=m.dtype)
+            z[frame.index] = m
+            for pos, word in by_label[i]:
+                trace = np.vdot(z, _kron_left(z, kw[word])).real
+                traces[pos] = bases[word] - trace if flipped else trace
+    factors.release()
     return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))
 
 
@@ -651,11 +658,8 @@ def build_ptp_povm(code: NestedCosetCode, encoder: EncoderState, states, delta: 
     pmf = encoder.pmf
     rho_bar = sum(p * m for p, m in zip(pmf, mats))
     pi_rho = typical_projector(rho_bar, code.n, delta)
-    inners = [
-        (label, conditional_typical_projector(mats, word, delta, pmf=pmf))
-        for label, word in _code_words(code)
-    ]
-    return _square_root_povm(pi_rho, [(None, inners)])
+    labels, words = zip(*_code_words(code))
+    return _square_root_povm(pi_rho, [(None, list(zip(labels, _windows(mats, words, delta, pmf))))])
 
 
 def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
@@ -669,8 +673,7 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     """
     mats = [_as_matrix(s) for s in states]
     hits = [(i, encoder.codeword_for(m), 1) for i, (_, m) in enumerate(povm.labels[:-1])]
-    els = povm.elements
-    success = _success(els.frame, els.factors, els.factors.ranks, mats, hits)
+    success = _success(povm.elements.factors, mats, hits)
     return 1.0 - success / len(encoder.code.messages())
 
 
@@ -788,17 +791,13 @@ def build_rx1_povm(setup: Rx1Setup, delta: float) -> Povm:
     ]
     pi_rho = typical_projector(rho_bar, code.n, delta)
     pair_pmf = np.concatenate([setup.p_x1[x1] * setup.p_u for x1 in range(n_x1)])
-    words = list(_code_words(code))
-    chains = []
-    for m1, x1_word in enumerate(setup.codebook1):
-        middle = conditional_typical_projector(rho_x1, x1_word, delta)
-        inners = [
-            ((m1, a, w), conditional_typical_projector(
-                pair_states, x1_word * q + word, delta, pmf=pair_pmf
-            ))
-            for (a, w), word in words
-        ]
-        chains.append((middle, inners))
+    labels, words = zip(*_code_words(code))
+    book1 = np.reshape(setup.codebook1, (-1, code.n))
+    middles = _windows(rho_x1, book1, delta)
+    pairs = np.reshape([x1 * q + word for x1 in book1 for word in words], (-1, code.n))
+    inners = iter(_windows(pair_states, pairs, delta, pair_pmf))
+    chains = [(middle, [((m1, a, w), next(inners)) for a, w in labels])
+              for m1, middle in enumerate(middles)]
     return _square_root_povm(pi_rho, chains)
 
 
@@ -830,8 +829,7 @@ def rx1_success_probability(
         for m1, x1_word in enumerate(setup.codebook1)
         for (a, w, u_word), count in sums.items()
     ]
-    els = povm.elements
-    success = _success(els.frame, els.factors, els.factors.ranks, _pair_letters(setup), hits)
+    success = _success(povm.elements.factors, _pair_letters(setup), hits)
     return success / (len(setup.codebook1) * sum(sums.values()))
 
 
@@ -871,7 +869,8 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
         pi_rho = typical_projector(rho_bar, int(n), delta)
         pi_a = conditional_typical_projector(cond_states, a_seq, delta)
         _check_memory(pi_rho, [pi_a.rank], np.result_type(pi_rho.dtype, pi_a.dtype))
-        trace = _success(pi_rho, [pi_rho.overlap(pi_a)], [pi_a.rank], mats, [(0, b_seq, 1)])
+        a = pi_rho.overlap(pi_a)
+        trace = float(np.vdot(a, pi_rho.compress([mats[v] for v in b_seq]) @ a).real)
         rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
     return rows
 

@@ -323,7 +323,13 @@ def _ptp_n8_build(states):
     return lambda: build_ptp_povm(code, enc, states, 0.3)
 
 
-def _rx1_n8_build():
+def _ptp_n8_exact(states):
+    """(build, exact): the ptp n = 8 decoder and its exact block error."""
+    code, enc = _ptp_n8_code()
+    return lambda: build_ptp_povm(code, enc, states, 0.3), lambda povm: ptp_block_error(povm, enc, states)
+
+
+def _rx1_n8_setup() -> tuple:
     rng = np.random.default_rng(9)
     code2 = NestedCosetCode(F2, 8, 1, 2, rng.integers(0, 2, (1, 8)), rng.integers(0, 2, (2, 8)),
                             rng.integers(0, 2, 8))
@@ -332,22 +338,34 @@ def _rx1_n8_build():
     setup = rx1_setup_from_channel(
         example2_channel(0.01, 0.1), binary_input_distribution(0.5), book1, code2, code3
     )
+    return setup, select_typical(code2, UNIFORM, 0.5, rng), select_typical(code3, UNIFORM, 0.5, rng)
+
+
+def _rx1_n8_build():
+    setup, _, _ = _rx1_n8_setup()
     return lambda: build_rx1_povm(setup, 0.5)
+
+
+def _rx1_n8_exact():
+    """(build, exact): the rx1 n = 8 decoder and its exact success probability."""
+    setup, enc2, enc3 = _rx1_n8_setup()
+    return lambda: build_rx1_povm(setup, 0.5), lambda povm: rx1_success_probability(povm, setup, enc2, enc3)
 
 
 @pytest.mark.parametrize("case", ["ptp_real", "ptp_complex", "rx1"])
 def test_decoder_build_peak_within_memory_count(monkeypatch, case):
-    """From the memory check to the validated POVM, the traced peak stays
+    """From the memory check to the validated POVM and then through its
+    exact error (ptp) or success probability (rx1), the traced peak stays
     within the bytes ``_check_memory`` counted, and below the bytes of one
     r x (sum_i r_i) array of all the factors: each factor is generated when
     it is read, and a complex factor's conjugate is one label wide."""
     phase = np.diag([1.0, np.exp(0.7j)])  # same spectra, complex eigenvectors
-    build = {
-        "ptp_real": lambda: _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)]),
-        "ptp_complex": lambda: _ptp_n8_build(
+    build, exact = {
+        "ptp_real": lambda: _ptp_n8_exact([example2_mix(0.9), example2_mix(0.1)]),
+        "ptp_complex": lambda: _ptp_n8_exact(
             [phase @ example2_mix(p) @ phase.conj().T for p in (0.9, 0.1)]
         ),
-        "rx1": _rx1_n8_build,
+        "rx1": _rx1_n8_exact,
     }[case]()
     seen = {}
     check = povm_module._check_memory
@@ -362,6 +380,7 @@ def test_decoder_build_peak_within_memory_count(monkeypatch, case):
     tracemalloc.start()
     try:
         povm = build()
+        assert 0.0 < exact(povm) < 1.0
         peak = tracemalloc.get_traced_memory()[1] - seen["base"]
     finally:
         tracemalloc.stop()
@@ -371,6 +390,64 @@ def test_decoder_build_peak_within_memory_count(monkeypatch, case):
     assert sum(factors.ranks) > 10 * r  # all factors together dwarf every r x r array
     assert peak <= seen["count"]
     assert peak < r * sum(factors.ranks) * factors.dtype.itemsize
+
+
+@pytest.mark.parametrize("case", ["ptp", "rx1"])
+def test_each_pass_makes_one_head_per_prefix(monkeypatch, case):
+    """The completeness pass of a build and the exact-error pass each compute
+    the first Kronecker run at most once per distinct prefix (the letters of
+    the first three positions) of a chain's nonzero labels.  The ptp decoder
+    has fewer prefixes than nonzero labels: labels that share a prefix share
+    the run's output."""
+    build, exact = {
+        "ptp": lambda: _ptp_n8_exact([example2_mix(0.9), example2_mix(0.1)]),
+        "rx1": _rx1_n8_exact,
+    }[case]()
+    made = []
+    split = _Factors.split
+
+    def recorded(self, index, *args, **kwargs):
+        held = self._head[1]
+        out = split(self, index, *args, **kwargs)
+        if self._head[1] is not held:  # a new head: one first run computed
+            made.append(self._head[0])
+        return out
+
+    monkeypatch.setattr(_Factors, "split", recorded)
+    povm = build()
+    in_build, made[:] = list(made), []
+    exact(povm)
+    factors = povm.elements.factors
+    prefixes = {
+        (c, tuple(m.tobytes() for m in factors.chains[c][2][j][0][:3]))
+        for i, (c, j) in enumerate(factors.where)
+        if factors.ranks[i]
+    }
+    assert case == "rx1" or len(prefixes) < sum(r > 0 for r in factors.ranks)
+    for heads in (in_build, made):
+        assert 0 < len(heads) == len(set(heads)) <= len(prefixes)
+
+
+@pytest.mark.parametrize("case", ["ptp", "rx1"])
+def test_build_decomposes_each_letter_state_once(monkeypatch, case):
+    """A build calls ``eig_hermitian`` once for the frame's average state and
+    once per distinct letter state that a window uses: two letters for ptp,
+    and for rx1 sender 1's two conditional states plus the pair letters."""
+    build = {
+        "ptp": _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)]),
+        "rx1": _rx1_n8_build(),
+    }[case]
+    calls = []
+
+    def counted(mat, *args, **kwargs):
+        calls.append(np.asarray(mat).tobytes())
+        return eig_hermitian(mat, *args, **kwargs)
+
+    monkeypatch.setattr(povm_module, "eig_hermitian", counted)
+    povm = build()
+    assert len(calls) == len(set(calls))
+    assert len(calls) == (3 if case == "ptp" else 1 + 2 + 4)
+    assert len(povm.labels) == (33 if case == "ptp" else 4 * 2 * 4 + 1)
 
 
 def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
@@ -776,7 +853,7 @@ def test_ptp_block_error_holds_one_compressed_state(monkeypatch):
 
     monkeypatch.setattr(TypicalProjector, "compress", counted)
     got = ptp_block_error(povm, enc, states)
-    assert got == want  # same bits: traces added in label order
+    assert abs(got - want) <= 1e-12
     traced = {m for (_, m), b in zip(povm.labels, povm.elements.factors) if b.shape[1]}
     assert len(traced) >= 2
     assert len(seen_alive) == len(traced) and max(seen_alive) == 0

@@ -6,9 +6,10 @@ arrays.  Inputs are random qubit density operators, random binary nested
 coset codes with n <= 4, and random blocklengths and slacks.  The generated
 factors are also compared with the per-label construction (on binary and
 ternary codes), the product-block gathers with the np.ix_ / np.kron
-formula, the letter-Kronecker kernel with a dense np.kron product, the
-wide-product Gram sum with one product per label, and the completeness
-verdict with the spectral-norm bound it skips.
+formula, the letter-Kronecker kernel and the prefix-shared factors with a
+dense np.kron product, the product-basis traces with r x r traces against
+compressed states, the wide-product Gram sum with one product per label,
+and the completeness verdict with the spectral-norm bound it skips.
 """
 
 from functools import reduce
@@ -25,12 +26,15 @@ from cosetcq.errors import ConsistencyError
 from cosetcq.povm import (
     _SUPPORT_CUTOFF,
     Povm,
+    TypicalProjector,
     _FactoredElements,
+    _Factors,
     _GramSum,
     _inverse_sqrt_on_support,
     _kron_left,
     _norm_bound,
     _product_block,
+    _success,
     build_ptp_povm,
     build_rx1_povm,
     conditional_typical_projector,
@@ -263,6 +267,97 @@ def test_kron_left_equals_dense_kron(d, n, complex_letters, cols, picks, seed):
         assert got.dtype == (np.complex128 if complex_letters else np.float64)
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
         np.testing.assert_allclose(got[rows], want_rows, rtol=0, atol=atol)
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 5), complex_letters=st.booleans(),
+       kinds=st.lists(st.sampled_from(["empty", "single", "full", "some"]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_prefix_shared_generator_equals_kron_left(d, n, complex_letters, kinds, seed, data):
+    """Factors read through one ``_Factors`` in any order equal the rows of
+    ``_kron_left`` on the scattered left matrix and of the dense Kronecker
+    product, for every run split.  Each position draws its letter from two,
+    so some labels share the first run's letters and some do not; a label
+    reads no row, one row, all rows or some rows, and also its shorter side."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if complex_letters else m
+
+    dim = d**n
+    alphabet = [[draw((d, d)) for _ in range(2)] for _ in range(n)]
+    r = int(rng.integers(1, dim + 1))
+    frame = TypicalProjector(n, (np.eye(d),) * n, field_vectors(d, n)[:r])
+    rows = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+    left = draw((rows.size, r))
+    x = np.zeros((dim, r), dtype=left.dtype)
+    x[rows] = left
+    some = lambda: np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+    labels = [
+        ([alphabet[t][int(rng.integers(0, 2))] for t in range(n)],
+         {"empty": rows[:0], "single": rows[:1], "full": np.arange(dim), "some": some()}[kind])
+        for kind in kinds
+    ]
+    factors = _Factors(frame, [(left, rows, labels)])
+    order = data.draw(st.permutations(range(len(labels))))
+    for step in range(1, n + 1):
+        with mock.patch.object(povm_module, "_KRON_WIDTH", d**step):
+            for i in [*order, *factors.order(0)]:
+                letters, seqs = labels[i]
+                want = _kron_left(x, letters)
+                atol = 1e-12 * (1.0 + np.abs(want).max(initial=0.0))
+                got = factors[i]
+                assert got.shape == (r, seqs.size)
+                np.testing.assert_allclose(got, want[seqs].conj().T, rtol=0, atol=atol)
+                np.testing.assert_allclose(got, (_kron(letters).conj().T @ x)[seqs].conj().T,
+                                           rtol=0, atol=atol)
+                flipped, m = factors.split(i)
+                picked = np.setdiff1d(np.arange(dim), seqs) if flipped else seqs
+                assert flipped == (2 * seqs.size > dim)
+                np.testing.assert_allclose(m, want[picked].conj().T, rtol=0, atol=atol)
+            factors.release()
+
+
+def _dense_traces(factors, letters, hits) -> float:
+    """sum of count * trace over ``hits`` as an r x r reference takes them:
+    tr(m^dagger rho m) against the compressed state rho, or tr(rho L) minus
+    it for a flipped label, L the chain's full block."""
+    total = 0.0
+    for i, word, count in hits:
+        rho = factors.frame.compress([letters[v] for v in word])
+        flipped, m = factors.split(i)
+        trace = np.vdot(m, rho @ m).real
+        if flipped:
+            left = factors.chains[factors.where[i][0]][0]
+            trace = np.vdot(left.conj().T @ left, rho).real - trace
+        total += count * trace
+    factors.release()
+    return total
+
+
+@PROPERTY
+@given(code=binary_codes(max_n=5), s0=qubit_states(), s1=qubit_states(), real=st.booleans(),
+       delta=deltas, seed=st.integers(0, 2**16))
+@example(  # an open window: every typical-word label is flipped, with an empty complement
+    code=NestedCosetCode(F2, 3, 1, 1, [[1, 0, 1]], [[0, 1, 1]], [1, 0, 0]),
+    s0=np.array([[0.7, 0.2j], [-0.2j, 0.3]]), s1=np.diag([0.4, 0.6]).astype(complex),
+    real=False, delta=50.0, seed=0,
+)
+def test_product_basis_traces_equal_dense_traces(code, s0, s1, real, delta, seed):
+    """``_success``'s product-basis traces equal the dense r x r reference on
+    random hits: labels read once or several times, against any received
+    word and with any count, flipped or not, complex letters or real."""
+    states = [s.real if real else s for s in (s0, s1)]
+    rng = np.random.default_rng(seed)
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    factors = build_ptp_povm(code, enc, states, delta).elements.factors
+    hits = [
+        (int(rng.integers(0, len(factors))), rng.integers(0, 2, code.n), int(rng.integers(1, 4)))
+        for _ in range(int(rng.integers(1, 2 * len(factors) + 1)))
+    ]
+    want = _dense_traces(factors, states, [hit for hit in hits if factors.ranks[hit[0]]])
+    assert abs(_success(factors, states, hits) - want) <= 1e-12
 
 
 def _per_label_square_root(frame, factors: list) -> tuple:
