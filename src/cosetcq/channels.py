@@ -108,8 +108,8 @@ class CqChannel(Record):
         for j, c in enumerate(costs):
             if c.shape != (sizes[j],):
                 raise ValueError(f"cost table {j} has shape {c.shape}")
-            if c.min() < 0:
-                raise ValueError(f"cost table {j} has negative entries")
+            if not np.all(np.isfinite(c) & (c >= 0)):
+                raise ValueError(f"cost table {j} has negative or non-finite entries")
         object.__setattr__(self, "input_sizes", sizes)
         object.__setattr__(self, "output_dims", dims)
         object.__setattr__(self, "costs", costs)

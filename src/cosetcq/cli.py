@@ -235,6 +235,8 @@ def _ptp_error_table(args, n_list) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 <= args.tau <= 1.0:  # before any draw, as region and separation check it
+        raise ValueError(f"tau must lie in [0, 1], got {args.tau}")
     rng = np.random.default_rng(args.seed)
     code2 = _random_code(rng, args.n, args.k, args.l)
     code3 = _random_code(rng, args.n, args.k, args.l, (code2.g_inner, code2.g_outer))

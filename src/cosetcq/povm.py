@@ -22,11 +22,11 @@ range basis and B_i an r x r_i factor.  Both decoders are built by one
 builder, ``_square_root_povm``, over chains of projectors: the
 point-to-point sandwich is a chain without a middle projector, and the
 receiver-1 sandwich passes through sender 1's projector.  The builder sums
-the Gram matrix S label by label and keeps S^{-1/2}, never the factors: B_i
-is generated when it is read, from S^{-1/2} scattered onto the product
-basis and multiplied by per-letter Kronecker blocks (``_kron_left``), so no
-array grows with the sum of the factor ranks.  The completeness check,
-every exact error and the dense elements read the same generated factors.
+the Gram matrix S label by label and keeps S^{-1/2} and the completion
+block, never the factors: B_i is generated when it is read, from S^{-1/2}
+scattered onto the product basis and multiplied by per-letter Kronecker
+blocks (``_kron_left``), so no array grows with the sum of the factor ranks.
+The completeness check, every exact error and the dense elements read them.
 The Gram sum, the completeness residual and the traces read each label from
 the shorter side of its range: its r_i rows, or the D - r_i rows outside it,
 whose block is subtracted from the chain's full block (``_Factors.split``).
@@ -49,7 +49,7 @@ from .channels import _aux_sums, _fold, sigma1
 from .errors import ConsistencyError, ModelViolationError, check_count, check_memory, check_pmf
 from .field_codes import EncoderState, NestedCosetCode, coset_sum, field_vectors
 from .linalg import _as_matrix, _check_square_hermitian, _trace_norms, eig_hermitian, trace_norm
-from .typicality import is_relative_typical, pair_sequence
+from .typicality import check_slack, is_relative_typical, pair_sequence
 
 __all__ = [
     "DIM_BUDGET",
@@ -84,12 +84,12 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factors' type), and returned in bytes:
 
-    - 12 r^2: S^{-1/2} and its conjugate transpose (the left matrix of a
+    - 10 r^2: S^{-1/2} and its conjugate transpose (the left matrix of a
       chain without a middle projector), a chain's full block and at most
-      nine more r x r arrays at once (S and an eigendecomposition with its
-      LAPACK copy and workspace, the completion block and its products, the
-      completeness residual, ``_GramSum``'s buffer, product and conjugate,
-      or a state that ``_success`` compresses and its temporaries);
+      seven more r x r arrays at once (S and an eigendecomposition with its
+      LAPACK copy and workspace, the completion block and any products, the
+      completeness residual, ``_GramSum``'s buffer, product and conjugate);
+    - D^2: a chain's full block scattered onto the frame's rows (``_success``);
     - r sum(side): the left matrices of the chains that pass through a
       middle projector of rank in ``side``;
     - 4 D r: the range basis U of dense elements, the head that ``_Factors``
@@ -104,7 +104,7 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     r, dim = frame.rank, frame.dim
     w = max([r, *ranks, *side])
     t = max([min(rank, dim - rank) for rank in ranks], default=0)
-    entries = 12 * r * r + r * int(sum(side)) + 4 * dim * r + 3 * dim * t + 5 * w * w + 66 * w
+    entries = 10 * r * r + dim * (dim + 4 * r + 3 * t) + r * int(sum(side)) + 5 * w * w + 66 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -144,7 +144,6 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     gathers the table's columns, then copies whole rows of that narrow
     table: two ``take`` calls, about twice as fast as one ``np.ix_`` gather.
     """
-    letters = [_real_if_exact(m) for m in letters]
     dtype = np.result_type(*letters)
     d = letters[0].shape[0]
     out = None
@@ -274,12 +273,12 @@ class TypicalProjector(Record):
 
     def overlap(self, other: "TypicalProjector") -> np.ndarray:
         """cols^dagger . other.cols, without forming either basis."""
-        letters = [b.conj().T @ c for b, c in zip(self.bases, other.bases)]
+        letters = [_real_if_exact(b.conj().T @ c) for b, c in zip(self.bases, other.bases)]
         return _product_block(letters, self.seqs, other.seqs)
 
     def compress(self, mats) -> np.ndarray:
         """cols^dagger . (mats[0] x ... x mats[n-1]) . cols for letter operators ``mats``."""
-        letters = [b.conj().T @ m @ b for b, m in zip(self.bases, mats)]
+        letters = [_real_if_exact(b.conj().T @ m @ b) for b, m in zip(self.bases, mats)]
         return _product_block(letters, self.seqs, self.seqs)
 
 
@@ -293,7 +292,7 @@ def _windows(mats: list, words: np.ndarray, delta: float, pmf=None) -> list:
     ``pmf`` (one batched test) get the zero projector.  Each letter state
     is decomposed once and shared by every window that uses it.
     """
-    words = np.asarray(words, dtype=np.int64)
+    delta, words = check_slack(delta), np.asarray(words, dtype=np.int64)
     n, dim = words.shape[1], mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise ValueError("letter states must be square and share one dimension")
@@ -384,14 +383,17 @@ class _Factors(Sequence):
     def __getitem__(self, index: int) -> np.ndarray:
         return self.split(index, shorter=False)[1]
 
-    def _prefix(self, index: int) -> tuple:
-        """(chain, bytes of the table of the label's first Kronecker run)."""
-        c, j = self.where[index]
-        return c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH))[2].tobytes()
+    @cached_property
+    def _prefix(self) -> list:
+        """(chain, bytes of the table of the label's first Kronecker run) per
+        label, made once: a pass groups and keys its labels by it."""
+        return [(c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH))[2].tobytes())
+                for c, j in self.where]
 
     def order(self, chain: int) -> list:
         """``chain``'s labels grouped by ``_prefix``, so that a pass makes one head per prefix."""
-        return sorted([i for i, (c, _) in enumerate(self.where) if c == chain], key=self._prefix)
+        labels = [i for i, (c, _) in enumerate(self.where) if c == chain]
+        return sorted(labels, key=self._prefix.__getitem__)
 
     def split(self, index: int, shorter: bool = True) -> tuple:
         """(flipped, m): B_i B_i^dagger is m m^dagger, or the chain's full
@@ -406,7 +408,7 @@ class _Factors(Sequence):
         picked, flipped = _shorter_side(seqs, self.frame.dim) if shorter else (seqs, False)
         m = np.zeros((self.frame.rank, 0), self.dtype)
         if picked.size:
-            if self._head[0] != (key := self._prefix(index)):
+            if self._head[0] != (key := self._prefix[index]):
                 self._head = (None, None)  # one head alive at a time, as counted
                 x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
                 x[rows] = left
@@ -518,16 +520,23 @@ class Povm(Record):
         return self.elements.frame.dim
 
 
-def _inverse_sqrt_on_support(mat: np.ndarray) -> np.ndarray:
-    """S^{-1/2} on the eigenvalues of the Hermitian S above ``_SUPPORT_CUTOFF``,
-    0 off them.  A real S (symmetric within 1e-10) is diagonalised by a real
-    ``eigh``, about four times cheaper than the complex one."""
+def _inverse_sqrt_on_support(mat: np.ndarray) -> tuple:
+    """(N, I - N S N), N = S^{-1/2} on the eigenvalues of the Hermitian S above
+    ``_SUPPORT_CUTOFF`` (0 off them).  I - N S N is read off the other
+    eigenvectors V_off as V_off V_off^dagger while 16 eps kappa <= 1e-12
+    (kappa the kept eigenvalues' ratio); above, the products N S N differ
+    from it by more, and the completeness check needs them.  A real S takes
+    a real ``eigh``, about four times cheaper than the complex one."""
     if np.iscomplexobj(mat):
         w, v = eig_hermitian(mat)
     else:
         w, v = np.linalg.eigh(_check_square_hermitian(mat, dtype=float))
-    inv = np.where(w > _SUPPORT_CUTOFF, 1.0 / np.sqrt(np.clip(w, _SUPPORT_CUTOFF, None)), 0.0)
-    return (v * inv) @ v.conj().T
+    support = w > _SUPPORT_CUTOFF
+    inv = np.where(support, 1.0 / np.sqrt(np.clip(w, _SUPPORT_CUTOFF, None)), 0.0)
+    norm = _real_if_exact((v * inv) @ v.conj().T)
+    if support.any() and 16 * np.finfo(float).eps * w.max() > 1e-12 * w[support].min():
+        return norm, np.eye(len(mat)) - norm @ mat @ norm
+    return norm, v[:, ~support] @ v[:, ~support].conj().T
 
 
 def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
@@ -544,20 +553,30 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     decoding factors are B_i = S^{-1/2} A_i (inverse square root on the
     support of S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
     Gamma_i = U A_i A_i^dagger U^dagger and N = (sum_i Gamma_i)^{-1/2}.  The
-    completion block is I_r - sum_i B_i B_i^dagger = I_r - S^{-1/2} S S^{-1/2}.
-    No B_i is stored: B_i^dagger = P^dagger C_i (S^{-1/2} . outer)^dagger for
-    P the pass-through range (U, or M), a product of per-position blocks
-    applied to the scattered left matrix (see ``_Factors``).
+    completion block is I_r - N S N (``_inverse_sqrt_on_support``).  No B_i
+    is stored: B_i^dagger = P^dagger C_i (S^{-1/2} . outer)^dagger for P the
+    pass-through range (U, or M), a product of per-position blocks b^dagger c
+    (made once per pair of basis arrays, for the Gram sum too) applied to
+    the scattered left matrix (see ``_Factors``).
     """
     inners = [inner for _, pairs in chains for _, inner in pairs]
     middles = [middle for middle, _ in chains if middle is not None]
     dtype = np.result_type(frame.dtype, *(p.dtype for p in inners + middles))
     _check_memory(frame, [p.rank for p in inners], dtype, side=[m.rank for m in middles])
+    blocks = {}
+
+    def letters(passing, inner) -> list:  # b^dagger c per pair of basis arrays
+        for b, c in zip(passing.bases, inner.bases):
+            if (id(b), id(c)) not in blocks:
+                blocks[id(b), id(c)] = _real_if_exact(b.conj().T @ c)
+        return [blocks[id(b), id(c)] for b, c in zip(passing.bases, inner.bases)]
+
     gram = np.zeros((frame.rank, frame.rank), dtype=dtype)
     grams = _GramSum(gram)
     digits = field_vectors(frame.bases[0].shape[0], frame.n)  # row j of the product basis
     outers = []
     for middle, pairs in chains:
+        passing = frame if middle is None else middle
         outer = None if middle is None else frame.overlap(middle)
         outers.append(outer)
         flipped = 0
@@ -565,29 +584,32 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
             rows, flip = _shorter_side(inner.index, inner.dim)
             flipped += flip
             if rows.size:
-                side = TypicalProjector(inner.n, inner.bases, digits[rows])
-                grams.add(frame.overlap(side) if outer is None else outer @ middle.overlap(side), flip)
+                a = _product_block(letters(passing, inner), passing.seqs, digits[rows])
+                grams.add(a if outer is None else outer @ a, flip)
+                del a  # else the last block lives through the completeness check
         if flipped:
             gram += flipped * (np.eye(frame.rank) if outer is None else outer @ outer.conj().T)
     grams.close()
-    norm = _real_if_exact(_inverse_sqrt_on_support(gram))
-    completion = np.eye(frame.rank) - norm @ gram @ norm
-    del gram  # not held through the completeness check
-    generators, blocks = [], {}  # b^dagger c per pair of letter basis arrays
+    norm, completion = _inverse_sqrt_on_support(gram)
+    del gram  # S is not held past its eigendecomposition
+    generators = []
     for (middle, pairs), outer in zip(chains, outers):
         passing = frame if middle is None else middle
         left = norm if outer is None else norm @ outer
-        labels = []
-        for _, inner in pairs:
-            for b, c in zip(passing.bases, inner.bases):
-                if (id(b), id(c)) not in blocks:
-                    blocks[id(b), id(c)] = _real_if_exact(b.conj().T @ c)
-            letters = [blocks[id(b), id(c)] for b, c in zip(passing.bases, inner.bases)]
-            labels.append((letters, inner.index))
+        labels = [(letters(passing, inner), inner.index) for _, inner in pairs]
         generators.append((np.ascontiguousarray(left.conj().T), passing.index, labels))
-    norm = left = None  # held through the completeness check only as the chains' copies
+    norm = left = outers = None  # held through the completeness check only as chain copies
     labels = tuple(label for _, pairs in chains for label, _ in pairs)
     return Povm(labels + (None,), _FactoredElements(frame, generators, completion))
+
+
+def _kron_trace(mats, z: np.ndarray):
+    """tr((mats[0] x ... x mats[n-1]) . z) for z of shape (d^n, d^n), contracted
+    one run of positions (``_runs``) at a time: about D^2 multiply-adds in all."""
+    for _, _, table in _runs(mats, _KRON_WIDTH):
+        w = len(table)
+        z = np.einsum("ij,jaib->ab", table, z.reshape(w, len(z) // w, w, len(z) // w))
+    return z[0, 0]
 
 
 def _success(factors: _Factors, letters, hits) -> float:
@@ -598,29 +620,32 @@ def _success(factors: _Factors, letters, hits) -> float:
     ``letters`` along the letter word w.  Each label is read once, from its
     shorter side, in its chain's ``_Factors.order``, and traced in the
     product basis: with z the block m scattered onto the frame's rows,
-    tr(m^dagger U^dagger rho_w U m) = <z, K_w z> for the Hermitian K_w =
-    (x)_t b_t^dagger rho_{w_t} b_t, b_t the frame's basis at position t.  A
-    flipped label adds tr(rho_c L) minus that, for rho_c = U^dagger rho_w U
-    compressed once per chain and word and dropped at once.  A zero-rank
-    factor adds exactly 0 and is never read.  The terms are summed in
-    ``hits`` order by ``_fold``.
+    tr(m^dagger U^dagger rho_w U m) = <z, K_w z> for K_w = (x)_t b_t^dagger
+    rho_{w_t} b_t, b_t the frame's basis at position t (one block per basis
+    and letter).  A flipped label adds tr(U^dagger rho_w U L) - that for the
+    chain's full block L: tr(K_w Z) by ``_kron_trace``, Z the D x D scatter
+    of L, made once per chain with no head held.  A zero-rank factor adds
+    exactly 0 and is never read.  Terms are summed in ``hits`` order (``_fold``).
     """
-    frame, by_label, kw = factors.frame, {}, {}  # kw: the blocks of K_w per word
+    frame, by_label = factors.frame, {}
     for pos, (i, word, _) in enumerate(hits):
         if factors.ranks[i]:
             by_label.setdefault(i, []).append((pos, tuple(int(v) for v in word)))
+    table = {(id(b), v): _real_if_exact(b.conj().T @ mat @ b)
+             for b in {id(b): b for b in frame.bases}.values() for v, mat in enumerate(letters)}
     traces = np.zeros(len(hits))
     for c in range(len(factors.chains)):
         order = [i for i in factors.order(c) if i in by_label]
-        left, full = factors.chains[c][0], None
+        kw = {word: [table[id(b), v] for b, v in zip(frame.bases, word)]
+              for i in order for _, word in by_label[i]}  # the letter blocks of K_w
+        bases = {}
         if any(2 * factors.ranks[i] > frame.dim for i in order):  # a flipped label (_shorter_side)
-            full = left.conj().T @ left
-        bases = dict.fromkeys(word for i in order for _, word in by_label[i])
-        for word in bases:
-            rho = frame.compress([letters[v] for v in word])
-            bases[word] = 0.0 if full is None else np.vdot(full, rho).real
-            kw[word] = [_real_if_exact(b.conj().T @ letters[v] @ b) for b, v in zip(frame.bases, word)]
-            del rho
+            factors.release()
+            left = factors.chains[c][0]
+            z = np.zeros((frame.dim, frame.dim), dtype=factors.dtype)
+            z[frame.index[:, None], frame.index] = left.conj().T @ left
+            bases = {word: _kron_trace(blocks, z).real for word, blocks in kw.items()}
+            del z
         for i in order:
             flipped, m = factors.split(i)
             z = np.zeros((frame.dim, m.shape[1]), dtype=m.dtype)
@@ -669,7 +694,7 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     product of letter states.  The decoder succeeds on any outcome (a, m)
     with the correct message part.  ``povm`` must come from
     ``build_ptp_povm``: each success trace tr(B^dagger U^dagger rho U B) is
-    taken in the range of pi_rho, each received word's state built once.
+    taken in the product basis (``_success``).
     """
     mats = [_as_matrix(s) for s in states]
     hits = [(i, encoder.codeword_for(m), 1) for i, (_, m) in enumerate(povm.labels[:-1])]

@@ -14,10 +14,18 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "check_slack",
     "letter_counts",
     "is_relative_typical",
     "pair_sequence",
 ]
+
+
+def check_slack(delta) -> float:
+    """``delta`` as a typicality slack: >= 0, inf the fully open window; else ValueError."""
+    if not float(delta) >= 0.0:
+        raise ValueError(f"typicality slack delta must be >= 0, got {delta}")
+    return float(delta)
 
 
 def letter_counts(seq: Sequence[int], alphabet_size: int) -> np.ndarray:
@@ -38,6 +46,7 @@ def is_relative_typical(seq, pmf: np.ndarray, delta: float):
     axes (a ``bool`` for one 1-d sequence).  Every verdict equals the one
     of its row alone.
     """
+    delta = check_slack(delta)
     pmf = np.asarray(pmf, dtype=float)
     seqs = np.asarray(seq, dtype=np.int64)
     if seqs.ndim == 0 or seqs.shape[-1] == 0:

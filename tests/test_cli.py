@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -270,3 +271,36 @@ def test_one_parser_serves_every_call(capsys):
     assert main(golden) == 0
     assert capsys.readouterr().out == expected
     assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mode", ["ptp-error", "pinching"])
+@pytest.mark.parametrize("delta", ["nan", "-0.5"])
+def test_povm_sweep_refuses_nan_or_negative_slack(capsys, mode, delta):
+    """Every window would be empty: exit 2 with the slack message, no table."""
+    assert main(["povm-sweep", "--mode", mode, "--n", "2", "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert "slack delta must be >= 0" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-0.1"])
+def test_simulate_refuses_tau_outside_unit_interval(capsys, tau):
+    assert main(["simulate", "--seed", "1", "--trials", "10", "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert f"tau must lie in [0, 1], got {float(tau)}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
+def test_region_refuses_non_finite_or_negative_cost(tmp_path, capsys, cost):
+    """json reads NaN and Infinity; a spec file carrying one as a cost is
+    refused (exit 2) instead of printing nan cost expectations."""
+    from cosetcq.channels import example2_channel
+    from cosetcq.specfile import serialize_channel
+
+    doc = serialize_channel(example2_channel(0.01, 0.1))
+    doc["costs"][0][1] = cost
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(doc))
+    assert main(["region", "--spec", str(path), "--theorem", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "cost table 0 has negative or non-finite entries" in captured.err
+    assert captured.out == ""

@@ -254,7 +254,7 @@ def test_ptp_povm_manual_sandwich_cross_check():
                 states, word, delta, pmf=UNIFORM
             ).matrix
             gammas[((a,), (m,))] = pi_rho @ cond @ pi_rho
-    norm = _inverse_sqrt_on_support(sum(gammas.values()))
+    norm, _ = _inverse_sqrt_on_support(sum(gammas.values()))
     for label, gamma in gammas.items():
         np.testing.assert_allclose(
             povm.element(label), norm @ gamma @ norm, atol=1e-10
@@ -457,11 +457,11 @@ def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
     states = [example2_mix(0.9), example2_mix(0.1)]
     code, enc = _ptp_n8_code()
     gram, reads = [], []
-    overlap = TypicalProjector.overlap
+    product_block = povm_module._product_block
 
-    def recorded_overlap(self, other):
-        gram.append(other.rank)  # the columns of the block A_i (or Abar_i)
-        return overlap(self, other)
+    def recorded_block(letters, rows, cols):
+        gram.append(len(cols))  # the columns of the block A_i (or Abar_i)
+        return product_block(letters, rows, cols)
 
     split = _Factors.split  # indexing reads through it too, from the label's own rows
 
@@ -470,7 +470,7 @@ def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
         reads.append((index, out[1].shape[1]))
         return out
 
-    monkeypatch.setattr(TypicalProjector, "overlap", recorded_overlap)
+    monkeypatch.setattr(povm_module, "_product_block", recorded_block)
     monkeypatch.setattr(_Factors, "split", recorded_split)
     povm = build_ptp_povm(code, enc, states, 0.3)
     residual_reads = len(reads)
@@ -802,9 +802,9 @@ def test_inverse_sqrt_real_path_matches_complex_path():
     for r, rank in ((6, 6), (9, 4), (40, 23)):
         g = rng.normal(size=(r, rank)) / np.sqrt(rank)
         gram = g @ g.T
-        got = _inverse_sqrt_on_support(gram)
+        got, _ = _inverse_sqrt_on_support(gram)
         assert got.dtype == np.float64
-        want = _inverse_sqrt_on_support(gram.astype(complex))
+        want, _ = _inverse_sqrt_on_support(gram.astype(complex))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     skew = np.eye(3)
     skew[0, 1] = 2e-10
@@ -828,9 +828,9 @@ def _reference_ptp_block_error(povm, encoder, states) -> float:
     return 1.0 - success / len(encoder.code.messages())
 
 
-def test_ptp_block_error_holds_one_compressed_state(monkeypatch):
-    import weakref
-
+def _ptp_n6_value() -> tuple:
+    """(value, reference): the exact block error of a random-state n = 6 decoder
+    and ``_reference_ptp_block_error``, each a callable of no argument."""
     rng = np.random.default_rng(21)
     states = [random_density(2, rng).matrix, random_density(2, rng).matrix]
     code = NestedCosetCode(
@@ -839,21 +839,47 @@ def test_ptp_block_error_holds_one_compressed_state(monkeypatch):
     )
     enc = select_typical(code, UNIFORM, 0.5, rng)
     povm = build_ptp_povm(code, enc, states, 0.3)
-    want = _reference_ptp_block_error(povm, enc, states)
+    traced = {m for (_, m), b in zip(povm.labels, povm.elements.factors) if b.shape[1]}
+    assert len(traced) >= 2
+    return (lambda: ptp_block_error(povm, enc, states),
+            lambda: _reference_ptp_block_error(povm, enc, states))
 
-    alive, seen_alive = [0], []
+
+def _ptp_n8_value() -> tuple:
+    """(value, reference) for the ptp n = 8 decoder, most of whose labels are flipped."""
+    states = [example2_mix(0.9), example2_mix(0.1)]
+    code, enc = _ptp_n8_code()
+    povm = build_ptp_povm(code, enc, states, 0.3)
+    assert sum(2 * r > povm.dim for r in povm.elements.factors.ranks) > 16
+    return (lambda: ptp_block_error(povm, enc, states),
+            lambda: _reference_ptp_block_error(povm, enc, states))
+
+
+def _rx1_n8_value() -> tuple:
+    """(value, reference) for the rx1 n = 8 decoder's exact success probability."""
+    setup, enc2, enc3 = _rx1_n8_setup()
+    povm = build_rx1_povm(setup, 0.5)
+    return (lambda: rx1_success_probability(povm, setup, enc2, enc3),
+            lambda: _reference_rx1_success(povm, setup, enc2, enc3))
+
+
+@pytest.mark.parametrize("case", ["ptp", "ptp_flipped", "rx1"])
+def test_exact_errors_never_compress_a_state(monkeypatch, case):
+    """``ptp_block_error`` and ``rx1_success_probability`` take every trace in
+    the product basis, the flipped labels' base traces included (the n = 6
+    ptp decoder has none, the others many): no r x r compressed state is
+    formed, and the values match the references, which trace against
+    compressed states, within 1e-12."""
+    value, reference = {"ptp": _ptp_n6_value, "ptp_flipped": _ptp_n8_value, "rx1": _rx1_n8_value}[case]()
+    want = reference()
+    calls = []
     compress = TypicalProjector.compress
 
     def counted(self, mats):
-        seen_alive.append(alive[0])  # compressed states still alive at this call
-        out = compress(self, mats)
-        alive[0] += 1
-        weakref.finalize(out, lambda: alive.__setitem__(0, alive[0] - 1))
-        return out
+        calls.append(len(mats))
+        return compress(self, mats)
 
     monkeypatch.setattr(TypicalProjector, "compress", counted)
-    got = ptp_block_error(povm, enc, states)
+    got = value()
+    assert calls == []
     assert abs(got - want) <= 1e-12
-    traced = {m for (_, m), b in zip(povm.labels, povm.elements.factors) if b.shape[1]}
-    assert len(traced) >= 2
-    assert len(seen_alive) == len(traced) and max(seen_alive) == 0

@@ -32,6 +32,7 @@ from cosetcq.povm import (
     _GramSum,
     _inverse_sqrt_on_support,
     _kron_left,
+    _kron_trace,
     _norm_bound,
     _product_block,
     _success,
@@ -83,7 +84,7 @@ def binary_codes(draw, max_n=4, field=F2):
 
 def _square_root(gammas: list) -> list:
     """Dense square-root measurement: N Gamma_i N, then I minus their sum."""
-    norm = _inverse_sqrt_on_support(sum(gammas))
+    norm, _ = _inverse_sqrt_on_support(sum(gammas))
     elements = [norm @ g @ norm for g in gammas]
     return elements + [np.eye(gammas[0].shape[0]) - sum(elements)]
 
@@ -299,10 +300,10 @@ def test_prefix_shared_generator_equals_kron_left(d, n, complex_letters, kinds, 
          {"empty": rows[:0], "single": rows[:1], "full": np.arange(dim), "some": some()}[kind])
         for kind in kinds
     ]
-    factors = _Factors(frame, [(left, rows, labels)])
     order = data.draw(st.permutations(range(len(labels))))
     for step in range(1, n + 1):
         with mock.patch.object(povm_module, "_KRON_WIDTH", d**step):
+            factors = _Factors(frame, [(left, rows, labels)])  # keys its labels at this width
             for i in [*order, *factors.order(0)]:
                 letters, seqs = labels[i]
                 want = _kron_left(x, letters)
@@ -374,7 +375,7 @@ def _per_label_square_root(frame, factors: list) -> tuple:
     gram = np.zeros((frame.rank, frame.rank))
     for a in factors:
         gram = gram + a @ a.conj().T
-    norm = _inverse_sqrt_on_support(gram)
+    norm, _ = _inverse_sqrt_on_support(gram)
     kept = np.linalg.eigvalsh(gram)
     kept = kept[kept > _SUPPORT_CUTOFF]
     kappa = kept.max() / kept.min() if kept.size else 1.0
@@ -583,3 +584,105 @@ def test_completeness_verdict_equals_the_norm_bound(size, complex_entries, skew,
         assert bound > 1e-8 and f"residual {bound:.1e} above 1e-8" in str(err)
     else:
         assert bound <= 1e-8
+
+
+def _completion_tolerance(gram: np.ndarray) -> float:
+    """max(1e-12, 16 eps kappa), kappa over the eigenvalues of S above the
+    support cutoff: the tolerance of the block tests."""
+    kept = np.linalg.eigvalsh(gram)
+    kept = kept[kept > _SUPPORT_CUTOFF]
+    kappa = kept.max() / kept.min() if kept.size else 1.0
+    return max(1e-12, 16 * np.finfo(float).eps * kappa)
+
+
+@PROPERTY
+@given(r=st.integers(1, 8), rank=st.integers(0, 10), repeats=st.integers(1, 3),
+       weak=st.sampled_from([1.0, 1e-3, 1e-4]), complex_entries=st.booleans(),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+@example(r=4, rank=0, repeats=1, weak=1.0, complex_entries=False, scale=1.0, seed=0)  # S = 0
+@example(r=3, rank=2, repeats=1, weak=1e-4, complex_entries=True, scale=1.0, seed=0)
+def test_completion_equals_one_minus_nsn(r, rank, repeats, weak, complex_entries, scale, seed):
+    """The completion block from ``_inverse_sqrt_on_support`` equals I - N S N
+    within the block tests' tolerance.  S = sum of the columns' outer
+    products, each column repeated (as repeated codewords repeat a label's
+    term), the first scaled by ``weak``; with fewer distinct columns than r,
+    S is rank-deficient.  Well conditioned (tolerance 1e-12), the block is
+    the projector onto the kernel of S; else it is I - N S N itself."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(r, rank))
+    if complex_entries:
+        g = g + 1j * rng.normal(size=(r, rank))
+    g[:, :1] *= weak
+    gram = scale * np.tile(g, repeats) @ np.tile(g, repeats).conj().T
+    norm, completion = _inverse_sqrt_on_support(gram)
+    want = np.eye(r) - norm @ gram @ norm
+    tolerance = _completion_tolerance(gram)
+    np.testing.assert_allclose(completion, want, rtol=0, atol=tolerance)
+    if tolerance > 1e-12:
+        np.testing.assert_array_equal(completion, want)
+        return
+    assert completion.any() == (rank < r)  # exactly zero at full support: no product formed
+    np.testing.assert_allclose(completion @ completion, completion, rtol=0, atol=1e-12)
+    assert abs(np.trace(completion) - (r - min(r, rank))) <= 1e-12 * r
+    np.testing.assert_allclose(gram @ completion, 0.0, rtol=0, atol=1e-12 * scale * (1 + rank) * r)
+
+
+def test_ill_conditioned_decoder_keeps_the_product_completion():
+    """A decoder whose S has kappa = 4e8 (a letter 6e-6 off diagonal): the
+    kernel projector misses I - N S N by 7e-8, above the completeness
+    check's 1e-8, so the block is I - N S N itself and the decoder builds."""
+    code = NestedCosetCode(F2, 4, 1, 1, [[0, 0, 0, 0]], [[0, 0, 0, 0]], [0, 0, 1, 1])
+    states = [np.diag([0.38095238, 0.61904762]).astype(complex),
+              np.array([[0.53623188, -5.79710145e-06j], [5.79710145e-06j, 0.46376812]])]
+    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(0))
+    seen = []
+
+    def recorded(gram):
+        seen.append((gram, *_inverse_sqrt_on_support(gram)))
+        return seen[-1][1:]
+
+    with mock.patch.object(povm_module, "_inverse_sqrt_on_support", recorded):
+        povm = build_ptp_povm(code, enc, states, 0.0625)
+    [(gram, norm, completion)] = seen
+    assert _completion_tolerance(gram) > 1e-6
+    np.testing.assert_array_equal(completion, np.eye(len(gram)) - norm @ gram @ norm)
+    assert povm.elements.completion is completion
+    _assert_valid(povm)
+
+
+def test_rank_deficient_decoder_completion_is_the_kernel_projector():
+    """A ptp decoder whose four labels name two codewords, each twice, on
+    orthogonal letters: S has rank 2 in the rank-4 frame, and the completion
+    block is the projector onto the two frame vectors no label covers,
+    equal to I - N S N of the per-label loop."""
+    code = NestedCosetCode(F2, 2, 1, 1, [[1, 1]], [[1, 1]], [0, 0])
+    assert {tuple(code.codeword(a, m)) for a in ([0], [1]) for m in ([0], [1])} == {(0, 0), (1, 1)}
+    states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    enc = select_typical(code, UNIFORM, 1.0, np.random.default_rng(0))
+    povm = build_ptp_povm(code, enc, states, 1.0)
+    completion = povm.elements.completion
+    assert povm.elements.frame.rank == 4 and sorted(povm.elements.factors.ranks) == [1, 1, 1, 1]
+    np.testing.assert_allclose(completion @ completion, completion, rtol=0, atol=1e-12)
+    assert abs(np.trace(completion) - 2.0) <= 1e-12
+    _, _, want, atol = _per_label_ptp(code, enc, states, 1.0)
+    np.testing.assert_allclose(completion, want, rtol=0, atol=atol)
+    _assert_valid(povm)
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 5), complex_entries=st.booleans(),
+       width=st.sampled_from([2, 8, 64]), seed=st.integers(0, 2**16))
+def test_kron_trace_equals_dense_trace(d, n, complex_entries, width, seed):
+    """``_kron_trace`` equals np.trace(kron(mats) @ M) for any run width."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if complex_entries else m
+
+    mats = [draw((d, d)) for _ in range(n)]
+    z = draw((d**n, d**n))
+    want = np.trace(_kron(mats) @ z)
+    with mock.patch.object(povm_module, "_KRON_WIDTH", width):
+        got = _kron_trace(mats, z)
+    assert abs(got - want) <= 1e-12 * (1.0 + np.abs(z).sum() * max(np.abs(m).max() for m in mats) ** n)

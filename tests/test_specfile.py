@@ -95,3 +95,15 @@ def test_bad_json_reports_line(tmp_path):
 def test_missing_file():
     with pytest.raises(SpecFileError, match="cannot read"):
         parse_channel_file("/no/such/file.json")
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_costs_must_be_finite_and_non_negative(tmp_path, cost):
+    doc = serialize_channel(example2_channel(0.05, 0.2))
+    doc["costs"][2][0] = cost
+    with pytest.raises(SpecFileError, match="cost table 2 has negative or non-finite entries"):
+        parse_channel(doc)
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity are valid json tokens for the parser
+    with pytest.raises(SpecFileError, match="cost table 2"):
+        parse_channel_file(str(path))

@@ -99,3 +99,26 @@ def test_typicality_rejects_malformed_sequences():
             is_relative_typical(empty, pmf, 0.1)
     with pytest.raises(ValueError, match="out of range"):
         is_relative_typical([[0, 1], [2, 0]], pmf, 0.1)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), -0.5, -1e-300, float("-inf")])
+def test_negative_or_nan_slack_is_refused(delta):
+    """A NaN or negative slack is refused by the one slack check, by the
+    classical test and by the spectral windows, instead of reading every
+    window as empty; inf stays the fully open window."""
+    from cosetcq.povm import conditional_typical_projector, typical_projector
+    from cosetcq.typicality import check_slack
+
+    pmf = np.array([0.5, 0.5])
+    for call in (
+        lambda: check_slack(delta),
+        lambda: is_relative_typical([0, 1], pmf, delta),
+        lambda: pair_sequence(np.diag(pmf), 4, delta),
+        lambda: typical_projector(np.eye(2) / 2, 2, delta),
+        lambda: conditional_typical_projector([np.eye(2) / 2] * 2, [0, 1], delta),
+    ):
+        with pytest.raises(ValueError, match="slack delta must be >= 0"):
+            call()
+    assert check_slack(float("inf")) == float("inf") and check_slack(0) == 0.0
+    assert is_relative_typical([0, 0, 0, 1], pmf, float("inf"))
+    assert typical_projector(np.diag([0.9, 0.1]), 3, float("inf")).rank == 8
