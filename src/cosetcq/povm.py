@@ -7,34 +7,22 @@ work, and constructions refuse to run beyond them: DIM_BUDGET = 2**12 on a
 projector's space, LABEL_BUDGET = 2**16 on a decoder's labels, and the
 memory cap (errors.MEMORY_BUDGET) on a decoder's factors and working arrays.
 
-Eigenvalue-label sequences are kept when their sample surprisal
--(1/n) log2 prod(eigenvalue) sits within delta of the (average) von Neumann
-entropy; labels on zero eigenvalues never pass.  Classical codeword
-indicators use the relative letter-frequency flavor, matching codeword
-selection.
+Eigenvalue-label sequences are kept by an entropy window (``_windows``);
+codeword indicators use relative letter typicality, as codeword selection.
 
 Projectors are held as their ranges: the kept label sequences select
 orthonormal columns of a product eigenbasis, so overlaps between two
 projectors and compressions of product states are products of per-letter
-d x d blocks.  Square-root decoders live in the rank-r range of the typical
-projector pi_rho: each element is E_i = (U B_i)(U B_i)^dagger with U the
-range basis and B_i an r x r_i factor.  Both decoders are built by one
-builder, ``_square_root_povm``, over chains of projectors: the
-point-to-point sandwich is a chain without a middle projector, and the
-receiver-1 sandwich passes through sender 1's projector.  The builder sums
-the Gram matrix S label by label and keeps S^{-1/2} and the completion
-block, never the factors: B_i is generated when it is read, from S^{-1/2}
-scattered onto the product basis and multiplied by per-letter Kronecker
-blocks (``_kron_left``), so no array grows with the sum of the factor ranks.
-The completeness check, every exact error and the dense elements read them.
-The Gram sum, the completeness residual and the traces read each label from
-the shorter side of its range: its r_i rows, or the D - r_i rows outside it,
-whose block is subtracted from the chain's full block (``_Factors.split``).
-Those thin blocks are summed in products r columns wide (``_GramSum``).
-Every exact error or success probability is a count-weighted sum of their
-traces against product states, taken in the product basis by ``_success``.
-Dense D x D elements are built only on request.  Factors, ranges and dense
-elements stay real when every letter basis is.
+d x d blocks.  Square-root decoders live in the rank-r range U of the
+typical projector pi_rho, E_i = (U B_i)(U B_i)^dagger for r x r_i factors
+B_i, and both come from one builder over chains of projectors
+(``_square_root_povm``).  It keeps S^{-1/2} and the completion block, never
+the factors: each B_i is generated when it is read (``_Factors``), from
+the shorter side of its range when it is summed or traced, so no array
+grows with the sum of the factor ranks.  Exact errors are count-weighted
+traces in the product basis (``_success``); dense D x D elements are built
+only on request.  Factors, ranges and dense elements stay real when every
+letter basis is.
 """
 
 from __future__ import annotations
@@ -90,21 +78,21 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
       LAPACK copy and workspace, the completion block and any products, the
       completeness residual, ``_GramSum``'s buffer, product and conjugate);
     - D^2: a chain's full block scattered onto the frame's rows (``_success``);
-    - r sum(side): the left matrices of the chains that pass through a
-      middle projector of rank in ``side``;
-    - 4 D r: the range basis U of dense elements, the head that ``_Factors``
-      holds, and two more D x r arrays while a label is generated;
+    - r sum(side): the left matrices of chains through a middle projector;
+    - 3 D r (4 past qubits, where two runs or more may lie between a
+      label's head and tail): the range basis U, the head ``_Factors``
+      holds, and its scattered X or those runs' output;
     - 3 D t for t the widest shorter side min(r_i, D - r_i): a thin block
       scattered onto the frame's rows and one ``_kron_left`` run on it;
-    - 5 w^2 + 66 w for w the largest of r, the ranks and the side ranks: a
-      product block, a gathered run with its index arrays and a product
-      through a middle range while S is summed, or a generated factor with
-      its conjugate.  No array grows with the sum of the ranks.
+    - 5 w^2 + 170 w for w the largest of r, the ranks and the side ranks:
+      a product block, its gathered columns and a product through a middle
+      range while S is summed, and a factor, its conjugate and its tail
+      rows (up to 84 w), with index arrays.
     """
-    r, dim = frame.rank, frame.dim
+    r, dim, heads = frame.rank, frame.dim, 3 if frame.bases[0].shape[0] == 2 else 4
     w = max([r, *ranks, *side])
     t = max([min(rank, dim - rank) for rank in ranks], default=0)
-    entries = 10 * r * r + dim * (dim + 4 * r + 3 * t) + r * int(sum(side)) + 5 * w * w + 66 * w
+    entries = 10 * r * r + dim * (dim + heads * r + 3 * t) + r * int(sum(side)) + 5 * w * w + 170 * w
     return check_memory(np.dtype(dtype).itemsize * entries, "decoder factors")
 
 
@@ -117,22 +105,23 @@ def _real_if_exact(mat: np.ndarray) -> np.ndarray:
     return mat.real if np.iscomplexobj(mat) and not mat.imag.any() else mat
 
 
-def _runs(letters, width: int):
+def _runs(letters, width: int, tables=None):
     """(start, stop, table) for consecutive runs of positions, ``table`` the
     Kronecker product of letters[start:stop] (position ``start`` most
-    significant), of side at most ``width`` unless one letter is wider."""
-    d = letters[0].shape[0]
-    step = 1
+    significant), of side at most ``width`` unless one letter is wider.
+    ``tables`` keeps each table under its letters' ids, with the letters,
+    so that no id is reused while it is kept."""
+    d, step, tables = letters[0].shape[0], 1, {} if tables is None else tables
     while step < len(letters) and d ** (step + 1) <= width:
         step += 1
     for start in range(0, len(letters), step):
         run = letters[start:start + step]
-        table = run[0]
-        for mat in run[1:]:
-            table = (table[:, None, :, None] * mat[None, :, None, :]).reshape(
-                table.shape[0] * d, table.shape[1] * d
-            )
-        yield start, start + len(run), table
+        if (key := tuple(map(id, run))) not in tables:
+            table = run[0]
+            for mat in run[1:]:
+                table = (table[:, None, :, None] * mat[None, :, None, :]).reshape(len(table) * d, -1)
+            tables[key] = (run, table)
+        yield start, start + len(run), tables[key][1]
 
 
 def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -158,28 +147,19 @@ def _product_block(letters, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron_left(x: np.ndarray, letters, rows=None, skip: int = 0) -> np.ndarray:
-    """(letters[0] x ... x letters[n-1])^dagger . x for x of shape (d^n, r), or its ``rows``.
+def _kron_left(x: np.ndarray, letters, tables=None) -> np.ndarray:
+    """(I x letters[0] x ... x letters[n-1])^dagger . x for x of shape (m d^n, c).
 
-    Rows of ``x`` are indexed as product-basis vectors, position 0 the most
-    significant digit.  Runs of positions are merged into Kronecker tables
-    of side at most ``_KRON_WIDTH``, and each run's conjugate transpose but
-    the first ``skip`` is applied by one batched ``matmul`` over x viewed as
-    (d^start, d^run, rest).  When ``rows`` lie in blocks of at most d^n
-    rows in all, the last run is applied per row, to its gathered block.
+    Rows of ``x`` are product-basis vectors, position 0 the most significant
+    digit, and the letters act on the last n digits.  Each run of ``_runs``
+    at ``_KRON_WIDTH`` is applied in full, by one batched ``matmul`` over x
+    viewed as (rows before, d^run, rows after).
     """
-    d = letters[0].shape[0]
-    runs = list(_runs(letters, _KRON_WIDTH))[skip:]
-    gather = rows is not None and runs and rows.size * len(runs[-1][2]) <= len(x)
-    last = runs.pop()[2].conj().T if gather else None
+    d, n = letters[0].shape[0], len(letters)
     out = x
-    for start, stop, table in runs:
-        out = np.matmul(table.conj().T, out.reshape(d**start, d ** (stop - start), -1))
-    out = out.reshape(x.shape)
-    if last is None:
-        return out if rows is None else out[rows]
-    out = out.reshape(len(x) // len(last), len(last), x.shape[1])[rows // len(last)]
-    return np.matmul(last[rows % len(last), None, :], out)[:, 0]
+    for start, stop, table in _runs(letters, _KRON_WIDTH, tables):
+        out = np.matmul(table.conj().T, out.reshape(len(x) // d ** (n - start), d ** (stop - start), -1))
+    return out.reshape(x.shape)
 
 
 def _shorter_side(index: np.ndarray, dim: int) -> tuple:
@@ -265,7 +245,7 @@ class TypicalProjector(Record):
     def matrix(self) -> np.ndarray:
         return self.cols @ self.cols.conj().T
 
-    @property
+    @cached_property
     def index(self) -> np.ndarray:
         """Row of each kept sequence in the product basis, position 0 most significant."""
         d = self.bases[0].shape[0]
@@ -359,10 +339,10 @@ class _Factors(Sequence):
     label: the per-position d x d blocks bases_mid^dagger . bases_inner and
     the product-basis rows of the inner range.  With X the D x r matrix
     that is ``left`` on ``rows`` and zero elsewhere, B_i^dagger is the
-    ``seqs`` rows of ``_kron_left(X, letters)``.  A chain's labels with one
-    first-run table (``_prefix``) share that run's output, the head, kept
-    until the next one; X is rebuilt for each from ``left``, C-contiguous
-    so that its rows copy fast.  No array of all the factors exists.
+    ``seqs`` rows of ``_kron_left(X, letters)``.  Labels with one first-run
+    table (``_prefix``) share that run's output, the head, kept until the
+    next; X is rebuilt for each from ``left``, C-contiguous so that its rows
+    copy fast.  Run tables are made once per decoder and held by it.
     """
 
     def __init__(self, frame: TypicalProjector, chains: list):
@@ -375,6 +355,7 @@ class _Factors(Sequence):
             *(left for left, _, _ in chains),
             *(m for _, _, labels in chains for letters, _ in labels for m in letters),
         )
+        self._tables = {}
         self.release()
 
     def __len__(self) -> int:
@@ -387,7 +368,7 @@ class _Factors(Sequence):
     def _prefix(self) -> list:
         """(chain, bytes of the table of the label's first Kronecker run) per
         label, made once: a pass groups and keys its labels by it."""
-        return [(c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH))[2].tobytes())
+        return [(c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH, self._tables))[2].tobytes())
                 for c, j in self.where]
 
     def order(self, chain: int) -> list:
@@ -400,22 +381,41 @@ class _Factors(Sequence):
         block left^dagger . left minus m m^dagger when flipped, for m = B_i
         or, when ``shorter``, the rows of the shorter side of the label's
         range (``_shorter_side``): the blocks are unitary, so the rows of
-        Y = _kron_left(X, letters) have Y^dagger Y = left^dagger . left."""
+        Y = _kron_left(X, letters) have Y^dagger Y = left^dagger . left.
+        Runs between the head and the tail (the trailing runs of w <=
+        _KRON_WIDTH^2 rows) are applied in full; then each head block of w
+        rows holding picked rows gets one product with their rows of the
+        tail's conjugated table."""
         index = range(len(self))[index]
         c, j = self.where[index]
         left, rows, labels = self.chains[c]
         letters, seqs = labels[j]
         picked, flipped = _shorter_side(seqs, self.frame.dim) if shorter else (seqs, False)
-        m = np.zeros((self.frame.rank, 0), self.dtype)
-        if picked.size:
-            if self._head[0] != (key := self._prefix[index]):
-                self._head = (None, None)  # one head alive at a time, as counted
-                x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
-                x[rows] = left
-                self._head = (key, _kron_left(x, [next(_runs(letters, _KRON_WIDTH))[2]]))  # first run
-                del x
-            m = _kron_left(self._head[1], letters, picked, skip=1).conj().T
-        return flipped, m
+        if not picked.size:
+            return flipped, np.zeros((self.frame.rank, 0), self.dtype)
+        d, n, r = letters[0].shape[0], len(letters), self.frame.rank
+        first = tail = next(_runs(letters, _KRON_WIDTH, self._tables))[1]  # the head's run
+        while tail < n and d ** (n - tail) > _KRON_WIDTH**2:
+            tail += first
+        w = d ** (n - tail)
+        if self._head[0] != (key := self._prefix[index]):
+            self._head = (None, None)  # one head alive at a time, as counted
+            x = np.zeros((self.frame.dim, r), dtype=left.dtype)
+            x[rows] = left
+            self._head = (key, _kron_left(x.reshape(d**first, -1), letters[:first], self._tables))
+            del x
+        body = self._head[1]
+        if tail > first:
+            body = _kron_left(body.reshape(self.frame.dim // w, -1), letters[first:tail], self._tables)
+        coef = np.ones((picked.size, 1))
+        if tail < n:
+            coef = _kron_left(np.eye(w), letters[tail:], self._tables)[picked % w]
+        out = np.empty((picked.size, r), np.result_type(coef, body))
+        block, body = picked // w, body.reshape(self.frame.dim // w, w, r)
+        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), picked.size]
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(coef[lo:hi], body[block[lo]], out=out[lo:hi])
+        return flipped, out.conj().T
 
     def release(self) -> None:
         """Drop the held head at the end of a pass over the labels."""
@@ -429,8 +429,7 @@ class _FactoredElements(Sequence):
     for B_i = ``factors[i]``, generated from ``chains`` (see ``_Factors``),
     and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
     the r x r block ``completion`` = C.  Indexing builds the D x D element;
-    no D x D array is kept, and the factors' head is dropped before the
-    D x D product, which costs D^2 r_i against D r to make the head again.
+    none is kept, and the factors' head is dropped before the D x D product.
     """
 
     def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
@@ -458,15 +457,13 @@ class Povm(Record):
     ``elements`` holds the decoding factors in the range of a typical
     projector and builds each dense element on request (see
     ``_FactoredElements``).  The decoding elements are Gram matrices, so
-    positive by construction; construction verifies that the elements sum
-    to the identity within 1e-8 in operator norm (through ``_norm_bound``,
-    which may only overstate the residual) and that the completion
-    block has no eigenvalue below -1e-8, both in the r-dimensional range.
-    The residual C - I + sum_i B_i B_i^dagger is summed over the generated
-    factors, each from its shorter side (``_Factors.split``) and in its
-    chain's ``_Factors.order``, by ``_GramSum``.
-    A valid decoder passes both checks without an eigenvalue call, with the
-    same verdicts: see the comments below.
+    positive by construction; construction verifies, in the r-dimensional
+    range, that the elements sum to the identity within 1e-8 in operator
+    norm (through ``_norm_bound``, which may only overstate it) and that the
+    completion block has no eigenvalue below -1e-8.  The residual
+    C - I + sum_i B_i B_i^dagger is summed in the passes' order
+    (``_Factors.order``, ``_GramSum``).  A valid decoder passes both
+    without an eigenvalue call, with the same verdicts (see the comments).
     """
 
     labels: tuple
@@ -498,6 +495,8 @@ class Povm(Record):
         if 1.5 * np.linalg.norm(residual) > 1e-8 and (bound := _norm_bound(residual)) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity: "
                                    f"completeness residual {bound:.1e} above 1e-8")
+        if not block.any():  # every eigenvalue is 0: the test below passes
+            return
         herm = 0.5 * (block + block.conj().T)
         # a factor exists only when every eigenvalue is above -5e-9 (up to
         # rounding), so the -1e-8 test can fail only when there is none
@@ -543,21 +542,19 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     """Square-root measurement of the operators U A_i A_i^dagger U^dagger.
 
     ``frame`` gives the range basis U (D x r) of pi_rho.  ``chains`` lists
-    (middle, [(label, inner), ...]) in label order, and label i's r x r_i
-    matrix is A_i = U^dagger . C_i for C_i the range basis of ``inner``, or
+    (middle, [(label, inner), ...]) in label order; label i's r x r_i matrix
+    is A_i = U^dagger C_i for C_i the range basis of ``inner``, or
     A_i = outer . M^dagger C_i with outer = U^dagger M through the range
-    basis M of the projector ``middle`` when it is not None.  After the
-    memory check S = sum_i A_i A_i^dagger is summed label by label, a term
-    read from the D - r_i rows outside the inner range (``_shorter_side``)
-    as L - Abar_i Abar_i^dagger for L = I_r, or outer . outer^dagger.  The
-    decoding factors are B_i = S^{-1/2} A_i (inverse square root on the
-    support of S), so E_i = (U B_i)(U B_i)^dagger equals N Gamma_i N for
-    Gamma_i = U A_i A_i^dagger U^dagger and N = (sum_i Gamma_i)^{-1/2}.  The
-    completion block is I_r - N S N (``_inverse_sqrt_on_support``).  No B_i
-    is stored: B_i^dagger = P^dagger C_i (S^{-1/2} . outer)^dagger for P the
-    pass-through range (U, or M), a product of per-position blocks b^dagger c
-    (made once per pair of basis arrays, for the Gram sum too) applied to
-    the scattered left matrix (see ``_Factors``).
+    basis M of ``middle`` when it is not None.  After the memory check
+    S = sum_i A_i A_i^dagger is summed label by label, a term read from the
+    D - r_i rows outside the inner range (``_shorter_side``) as
+    L - Abar_i Abar_i^dagger, L = I_r or outer . outer^dagger.  The factors
+    B_i = S^{-1/2} A_i (on the support of S) give E_i = (U B_i)(U B_i)^dagger
+    = N Gamma_i N for Gamma_i = U A_i A_i^dagger U^dagger and
+    N = (sum_i Gamma_i)^{-1/2}, and the completion block is I_r - N S N
+    (``_inverse_sqrt_on_support``).  No B_i is stored: each is generated
+    from per-position blocks b^dagger c, made once per pair of basis arrays
+    (``_Factors``).
     """
     inners = [inner for _, pairs in chains for _, inner in pairs]
     middles = [middle for middle, _ in chains if middle is not None]
@@ -615,17 +612,16 @@ def _kron_trace(mats, z: np.ndarray):
 def _success(factors: _Factors, letters, hits) -> float:
     """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
-    ``hits`` lists (i, w, count) in summation order: B_i is ``factors[i]``,
-    U the range basis of the factors' frame and rho_w the tensor product of
-    ``letters`` along the letter word w.  Each label is read once, from its
-    shorter side, in its chain's ``_Factors.order``, and traced in the
-    product basis: with z the block m scattered onto the frame's rows,
-    tr(m^dagger U^dagger rho_w U m) = <z, K_w z> for K_w = (x)_t b_t^dagger
-    rho_{w_t} b_t, b_t the frame's basis at position t (one block per basis
-    and letter).  A flipped label adds tr(U^dagger rho_w U L) - that for the
-    chain's full block L: tr(K_w Z) by ``_kron_trace``, Z the D x D scatter
-    of L, made once per chain with no head held.  A zero-rank factor adds
-    exactly 0 and is never read.  Terms are summed in ``hits`` order (``_fold``).
+    ``hits`` lists (i, w, count) in summation order, B_i = ``factors[i]``,
+    U the frame's range basis and rho_w the tensor product of ``letters``
+    along the word w.  Each label is read once, from its shorter side, in
+    its chain's ``_Factors.order``, and traced in the product basis as
+    <z, K_w z>, z the block m scattered onto the frame's rows and K_w the
+    product of b_t^dagger rho_{w_t} b_t over the frame's bases b_t.  A
+    flipped label takes that from tr(K_w Z), Z the
+    D x D scatter of the chain's full block, made once per chain with no
+    head held (``_kron_trace``).  Zero-rank factors add exactly 0 and are
+    never read; terms are summed in ``hits`` order (``_fold``).
     """
     frame, by_label = factors.frame, {}
     for pos, (i, word, _) in enumerate(hits):
@@ -633,7 +629,7 @@ def _success(factors: _Factors, letters, hits) -> float:
             by_label.setdefault(i, []).append((pos, tuple(int(v) for v in word)))
     table = {(id(b), v): _real_if_exact(b.conj().T @ mat @ b)
              for b in {id(b): b for b in frame.bases}.values() for v, mat in enumerate(letters)}
-    traces = np.zeros(len(hits))
+    traces, tables = np.zeros(len(hits)), {}  # run tables of the K_w, made once per call
     for c in range(len(factors.chains)):
         order = [i for i in factors.order(c) if i in by_label]
         kw = {word: [table[id(b), v] for b, v in zip(frame.bases, word)]
@@ -651,7 +647,7 @@ def _success(factors: _Factors, letters, hits) -> float:
             z = np.zeros((frame.dim, m.shape[1]), dtype=m.dtype)
             z[frame.index] = m
             for pos, word in by_label[i]:
-                trace = np.vdot(z, _kron_left(z, kw[word])).real
+                trace = np.vdot(z, _kron_left(z, kw[word], tables)).real
                 traces[pos] = bases[word] - trace if flipped else trace
     factors.release()
     return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))
@@ -703,21 +699,12 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
 
 
 class Rx1Setup(Record):
-    """Inputs of the receiver-1 sum decoder.
-
-    Attributes
-    ----------
-    cond_states : dict
-        (x1, u) -> receiver-1 letter state ndarray; pairs of probability 0
-        are absent.
-    p_x1, p_u : ndarrays
-        Letter distributions of sender 1 and of the interference sum.
-    codebook1 : tuple of int ndarrays
-        Sender-1 words, indexed by its message.
-    sum_code : NestedCosetCode
-        The coset-sum code whose words enumerate the decodable interference;
-        its dither is the sum of the two senders' dithers.
-    """
+    """Inputs of the receiver-1 sum decoder: ``cond_states`` maps (x1, u) to
+    the receiver-1 letter state (pairs of probability 0 absent), ``p_x1``
+    and ``p_u`` are the letter pmfs of sender 1 and of the interference
+    sum, ``codebook1`` holds sender 1's words by message, and ``sum_code``
+    is the coset-sum code of the interference, its dither the sum of the
+    two senders' dithers."""
 
     cond_states: dict
     p_x1: np.ndarray

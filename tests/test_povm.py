@@ -553,6 +553,34 @@ def test_completion_positivity_verdict_at_the_tolerance(least, refused):
         assert Povm((0, None), _completed(completion)).dim == 3
 
 
+@pytest.mark.parametrize("case", ["ptp", "rx1"])
+def test_full_support_build_makes_no_cholesky_call(monkeypatch, case):
+    """When S has full support the completion block is exactly zero, every
+    eigenvalue 0: the build settles the positivity check without a
+    ``cholesky`` call (and without ``eigvalsh``)."""
+    build = _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)]) if case == "ptp" else _rx1_n8_build()
+    calls = []
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def counted(name, fn):
+        return lambda a, *args, **kwargs: calls.append(name) or fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    povm = build()
+    assert povm.elements.completion.shape[0] == povm.elements.frame.rank > 0
+    assert not povm.elements.completion.any()
+    assert calls == []
+
+
+def test_projector_index_is_computed_once():
+    """``TypicalProjector.index`` is made once and kept, like ``cols``."""
+    proj = conditional_typical_projector([example2_mix(0.9), example2_mix(0.1)], [0, 1, 1, 0], 0.3)
+    d = proj.bases[0].shape[0]
+    assert proj.index is proj.index
+    np.testing.assert_array_equal(proj.index, proj.seqs @ d ** np.arange(proj.n - 1, -1, -1))
+
+
 def test_rx1_decoder_on_nearly_clean_parity_channel():
     """Exact success probability against the independent closed form.
 

@@ -6,20 +6,27 @@ arrays.  Inputs are random qubit density operators, random binary nested
 coset codes with n <= 4, and random blocklengths and slacks.  The generated
 factors are also compared with the per-label construction (on binary and
 ternary codes), the product-block gathers with the np.ix_ / np.kron
-formula, the letter-Kronecker kernel and the prefix-shared factors with a
-dense np.kron product, the product-basis traces with r x r traces against
-compressed states, the wide-product Gram sum with one product per label,
-and the completeness verdict with the spectral-norm bound it skips.
+formula, the letter-Kronecker kernel, the prefix-shared factors and the
+tail generator with a dense np.kron product, the product-basis traces
+with r x r traces against compressed states, the wide-product Gram sum
+with one product per label, and the completeness verdict with the
+spectral-norm bound it skips.
 """
 
 from functools import reduce
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcq.channels import binary_input_distribution, example1_channel, example2_channel
+from cosetcq.channels import (
+    binary_input_distribution,
+    example1_channel,
+    example2_channel,
+    example2_mix,
+)
 from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, select_typical
 import cosetcq.povm as povm_module
 from cosetcq.errors import ConsistencyError
@@ -320,6 +327,67 @@ def test_prefix_shared_generator_equals_kron_left(d, n, complex_letters, kinds, 
             factors.release()
 
 
+def _tail_layout(d: int, n: int) -> tuple:
+    """(first, tail) at the patched ``_KRON_WIDTH``: the head's run is
+    positions [0, first), and the tail the trailing runs from ``tail`` on,
+    of at most _KRON_WIDTH^2 rows; the runs in between are applied in full."""
+    width = povm_module._KRON_WIDTH
+    first = max([k for k in range(1, n + 1) if d**k <= width], default=1)
+    return first, next((s for s in range(first, n, first) if d ** (n - s) <= width**2), n)
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 8), complex_letters=st.booleans(),
+       kind=st.sampled_from(["empty", "single", "all", "random", "one block", "every block"]),
+       seed=st.integers(0, 2**16))
+@example(d=2, n=8, complex_letters=False, kind="every block", seed=0)
+@example(d=3, n=5, complex_letters=True, kind="one block", seed=1)
+def test_tail_generator_equals_dense_kron(d, n, complex_letters, kind, seed):
+    """A factor made from its head, the runs up to its tail in full and one
+    product per head block with the tail's rows, equals those rows of the
+    dense np.kron product and of the full-pass ``_kron_left`` within 1e-12,
+    at every run width d^step.  Rows: none, one, all, a random set, a set
+    inside one head block, and one row in every head block; widths with and
+    without runs between head and tail (for n >= 4 at step 1)."""
+    n = min(n, 5) if d == 3 else n  # D <= 256: the dense product stays small
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if complex_letters else m
+
+    dim = d**n
+    letters = [draw((d, d)) for _ in range(n)]
+    r = int(rng.integers(1, dim + 1))
+    frame = TypicalProjector(n, (np.eye(d),) * n, field_vectors(d, n)[:r])
+    rows = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+    left = draw((rows.size, r))
+    x = np.zeros((dim, r), dtype=left.dtype)
+    x[rows] = left
+    dense = _kron(letters).conj().T @ x
+    atol = 1e-12 * (1.0 + np.abs(dense).max())
+    middles = set()
+    for step in range(1, n + 1):
+        with mock.patch.object(povm_module, "_KRON_WIDTH", d**step):
+            first, tail = _tail_layout(d, n)
+            w = d ** (n - tail)
+            middles.add(tail > first)
+            block = int(rng.integers(0, dim // w))
+            seqs = {
+                "empty": np.arange(0),
+                "single": rng.integers(0, dim, 1),
+                "all": np.arange(dim),
+                "random": np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)),
+                "one block": block * w + np.sort(rng.choice(w, size=int(rng.integers(1, w + 1)), replace=False)),
+                "every block": np.arange(0, dim, w) + rng.integers(0, w, dim // w),
+            }[kind]
+            got = _Factors(frame, [(left, rows, [(letters, seqs)])])[0]
+            assert got.shape == (r, seqs.size)
+            np.testing.assert_allclose(got, dense[seqs].conj().T, rtol=0, atol=atol)
+            np.testing.assert_allclose(got, _kron_left(x, letters)[seqs].conj().T, rtol=0, atol=atol)
+    assert middles == ({False, True} if n >= 4 else {False})
+
+
 def _dense_traces(factors, letters, hits) -> float:
     """sum of count * trace over ``hits`` as an r x r reference takes them:
     tr(m^dagger rho m) against the compressed state rho, or tr(rho L) minus
@@ -461,6 +529,41 @@ def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, s2, real, delta,
         success += float(np.vdot(b, rho @ b).real)
     want = 1.0 - success / len(code.messages())
     assert abs(ptp_block_error(povm, enc, states) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_letters", [False, True])
+def test_n10_ptp_decoder_matches_per_label_loop(complex_letters):
+    """At n = 10 a label passes its head, one run of three qubits in full
+    and a tail of four qubits per head block of 16 rows; its factors, the
+    completion block and the exact error match the per-label loop."""
+    rng = np.random.default_rng(10)
+    code = NestedCosetCode(F2, 10, 1, 1, rng.integers(0, 2, (1, 10)), rng.integers(0, 2, (1, 10)),
+                           rng.integers(0, 2, 10))
+    states = [example2_mix(0.9), example2_mix(0.1)]
+    if complex_letters:  # eigenbases apart by a complex rotation: complex letter blocks
+        states = [np.array([[0.8, 0.15j], [-0.15j, 0.2]]), np.array([[0.3, 0.1], [0.1, 0.7]])]
+    enc = select_typical(code, UNIFORM, 0.5, rng)
+    assert _tail_layout(2, 10) == (3, 6)
+    calls = []
+
+    def recorded(x, letters, tables=None):
+        calls.append((len(x), len(letters)))
+        return _kron_left(x, letters, tables)
+
+    with mock.patch.object(povm_module, "_kron_left", recorded):
+        povm = build_ptp_povm(code, enc, states, 0.3)
+    # head (8 row blocks, 3 letters), middle (64 head blocks of 16 rows), tail table (16 x 16)
+    assert {(8, 3), (64, 3), (16, 4)} <= set(calls)
+    assert povm.dim == 1024 and sum(r > 0 for r in povm.elements.factors.ranks) >= 2
+    letters = povm.elements.factors.chains[0][2][0][0]
+    assert all(np.iscomplexobj(m) == complex_letters for m in letters)
+    pi_rho, factors, completion, atol = _per_label_ptp(code, enc, states, 0.3)
+    _assert_factors_match(povm, factors, completion, atol)
+    success = 0.0
+    for (_, m), b in zip(povm.labels, factors):
+        rho = pi_rho.compress([states[int(v)] for v in enc.codeword_for(m)])
+        success += float(np.vdot(b, rho @ b).real)
+    assert abs(ptp_block_error(povm, enc, states) - (1.0 - success / len(code.messages()))) <= 1e-12
 
 
 @PROPERTY
@@ -648,6 +751,21 @@ def test_ill_conditioned_decoder_keeps_the_product_completion():
     np.testing.assert_array_equal(completion, np.eye(len(gram)) - norm @ gram @ norm)
     assert povm.elements.completion is completion
     _assert_valid(povm)
+
+
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="absolute support cutoff: S has a kept eigenvalue just above 1e-10")
+def test_decoder_with_a_kept_eigenvalue_near_the_cutoff_builds():
+    """Valid letters whose S has a kept eigenvalue just above the absolute
+    cutoff ``_SUPPORT_CUTOFF`` (kappa about 1e9): today the completion block
+    then has an eigenvalue near -1.3e-6 and the build raises
+    ``ConsistencyError``.  A cutoff relative to S's largest eigenvalue would
+    let it build, and this test would then pass."""
+    code = NestedCosetCode(F2, 4, 1, 1, [[0, 0, 0, 0]], [[0, 0, 0, 0]], [0, 0, 1, 1])
+    states = [np.array([[42, -30 - 20j], [-30 + 20j, 47]]) / 89,
+              np.array([[357, -70 - 40j], [-70 + 40j, 372]]) / 729]
+    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(0))
+    _assert_valid(build_ptp_povm(code, enc, states, 0.25))
 
 
 def test_rank_deficient_decoder_completion_is_the_kernel_projector():
