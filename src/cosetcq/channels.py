@@ -515,9 +515,11 @@ def _aux_sums(channel: CqChannel, p_a2x2: np.ndarray, p_a3x3: np.ndarray) -> np.
     [b, x1, s] of the (B, |X1|, q, d1, d1) result is the sum over a2 + a3 = s
     (mod q) and (x2, x3) of p(a2, x2) p(a3, x3) rho_Y1(x1, x2, x3), added in
     (a2, x2, x3) order: receiver 1's states with the auxiliary sum fixed."""
-    # w[a2, x2, x3], shaped (B, 1, q, 1, 1), is p(a2, x2) p(s - a2, x3) over s
+    # w[a2, x2, x3], shaped (B, 1, q, 1, 1), is p(a2, x2) p(s - a2, x3) over
+    # s, complex as the blocks (the same bits, and no cast buffers per product)
     p3 = p_a3x3[:, _shifts(p_a2x2.shape[1])].transpose(1, 3, 0, 2)
     w = (p_a2x2.transpose(1, 2, 0)[:, :, None, :, None] * p3[:, None])[..., None, :, None, None]
+    w = w.astype(complex)
     rho1 = channel.marginals[0].transpose(1, 2, 0, 3, 4)[:, :, :, None]
     return _sum_products((w[i], rho1[i[1:]]) for i in itertools.product(*map(range, w.shape[:3])))
 
@@ -560,9 +562,10 @@ def _joint_state(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> CqState:
     rho(x1, x2, x3) over the inputs in order and divides by p(v2) p(v3)."""
     _require_3to1(channel)
     weights = p_v2x2.sum(axis=-1)[:, :, None] * p_v3x3.sum(axis=-1)[:, None, :]
-    # w[x1, x2, x3], shaped (B, q, q, 1, 1), is p(x1) p(v2, x2) p(v3, x3)
+    # w[x1, x2, x3], shaped (B, q, q, 1, 1), is p(x1) p(v2, x2) p(v3, x3),
+    # complex as the states (see ``_aux_sums``)
     w = p_x1.T[:, None, None, :, None, None] * p_v2x2.transpose(2, 0, 1)[:, None, :, :, None]
-    w = (w * p_v3x3.transpose(2, 0, 1)[:, :, None, :])[..., None, None]
+    w = (w * p_v3x3.transpose(2, 0, 1)[:, :, None, :])[..., None, None].astype(complex)
     acc = _sum_products((w[x], channel.states[x].matrix) for x in channel.inputs())
     acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
     return CqState._of(("v2", "v3"), channel.output_dims, weights, acc)._check()

@@ -16,12 +16,14 @@ projectors and compressions of product states are products of per-letter
 d x d blocks.  Square-root decoders live in the rank-r range U of the
 typical projector pi_rho, E_i = (U B_i)(U B_i)^dagger for r x r_i factors
 B_i, and both come from one builder over chains of projectors
-(``_square_root_povm``).  It keeps S^{-1/2} and the completion block, never
-the factors: each B_i is generated when it is read (``_Factors``), from
-the shorter side of its range when it is summed or traced, so no array
-grows with the sum of the factor ranks.  Exact errors are count-weighted
-traces in the product basis (``_success``); dense D x D elements are built
-only on request.  Factors, ranges and dense elements stay real when every
+(``_square_root_povm``).  ``Povm.elements`` is the one decoder object,
+``_Factors``: it keeps S^{-1/2} and the completion block, never the
+factors.  Its pass ``blocks`` generates each B_i when it is read, from the
+shorter side of its range when it is summed or traced, so no array grows
+with the sum of the factor ranks, and the Kronecker work that labels share
+(the head) lives in the pass alone.  Exact errors are count-weighted traces
+in the product basis (``_success``); dense D x D elements are built only
+on indexing.  Factors, ranges and dense elements stay real when every
 letter basis is.
 """
 
@@ -80,8 +82,8 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     - D^2: a chain's full block scattered onto the frame's rows (``_success``);
     - r sum(side): the left matrices of chains through a middle projector;
     - 3 D r (4 past qubits, where two runs or more may lie between a
-      label's head and tail): the range basis U, the head ``_Factors``
-      holds, and its scattered X or those runs' output;
+      label's head and tail): the range basis U, the one head that a pass
+      (``_Factors.blocks``) holds, and its scattered X or those runs' output;
     - 3 D t for t the widest shorter side min(r_i, D - r_i): a thin block
       scattered onto the frame's rows and one ``_kron_left`` run on it;
     - 5 w^2 + 170 w for w the largest of r, the ranks and the side ranks:
@@ -330,7 +332,12 @@ def _norm_bound(mat: np.ndarray) -> float:
 
 
 class _Factors(Sequence):
-    """The decoding factors B_i of a square-root measurement, generated when read.
+    """A square-root measurement held factored in the range of a projector.
+
+    With U the range basis of ``frame``, element i is (U B_i)(U B_i)^dagger,
+    and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
+    the r x r block ``completion`` = C.  Indexing builds the D x D element;
+    none is kept.  No B_i is kept either: ``blocks`` generates them.
 
     ``chains`` lists (left, rows, labels) in label order.  ``left`` is the
     r_m x r matrix (S^{-1/2} . outer)^dagger of a chain, ``rows`` the
@@ -339,15 +346,14 @@ class _Factors(Sequence):
     label: the per-position d x d blocks bases_mid^dagger . bases_inner and
     the product-basis rows of the inner range.  With X the D x r matrix
     that is ``left`` on ``rows`` and zero elsewhere, B_i^dagger is the
-    ``seqs`` rows of ``_kron_left(X, letters)``.  Labels with one first-run
-    table (``_prefix``) share that run's output, the head, kept until the
-    next; X is rebuilt for each from ``left``, C-contiguous so that its rows
-    copy fast.  Run tables are made once per decoder and held by it.
+    ``seqs`` rows of ``_kron_left(X, letters)``.  Run tables are made once
+    per decoder and held by it.
     """
 
-    def __init__(self, frame: TypicalProjector, chains: list):
+    def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
         self.frame = frame
         self.chains = chains
+        self.completion = completion
         self.where = [(c, j) for c, (_, _, labels) in enumerate(chains) for j in range(len(labels))]
         self.ranks = [seqs.size for _, _, labels in chains for _, seqs in labels]
         self.dtype = np.result_type(
@@ -356,13 +362,19 @@ class _Factors(Sequence):
             *(m for _, _, labels in chains for letters, _ in labels for m in letters),
         )
         self._tables = {}
-        self.release()
 
     def __len__(self) -> int:
-        return len(self.where)
+        return len(self.where) + 1
 
     def __getitem__(self, index: int) -> np.ndarray:
-        return self.split(index, shorter=False)[1]
+        index = range(len(self))[index]
+        u = self.frame.cols
+        if index == len(self.where):
+            block = np.eye(self.frame.rank) - self.completion
+            return np.eye(self.frame.dim) - u @ block @ u.conj().T
+        [(_, _, b)] = self.blocks([index], shorter=False)
+        w = u @ b
+        return w @ w.conj().T
 
     @cached_property
     def _prefix(self) -> list:
@@ -371,126 +383,99 @@ class _Factors(Sequence):
         return [(c, next(_runs(self.chains[c][2][j][0], _KRON_WIDTH, self._tables))[2].tobytes())
                 for c, j in self.where]
 
-    def order(self, chain: int) -> list:
-        """``chain``'s labels grouped by ``_prefix``, so that a pass makes one head per prefix."""
-        labels = [i for i, (c, _) in enumerate(self.where) if c == chain]
-        return sorted(labels, key=self._prefix.__getitem__)
+    def _head(self, chain: int, letters) -> np.ndarray:
+        """The first run ``letters`` applied to X, made again from ``chain``'s
+        left matrix, C-contiguous so that its rows copy fast."""
+        left, rows, _ = self.chains[chain]
+        x = np.zeros((self.frame.dim, self.frame.rank), dtype=left.dtype)
+        x[rows] = left
+        return _kron_left(x.reshape(len(letters[0]) ** len(letters), -1), letters, self._tables)
 
-    def split(self, index: int, shorter: bool = True) -> tuple:
-        """(flipped, m): B_i B_i^dagger is m m^dagger, or the chain's full
-        block left^dagger . left minus m m^dagger when flipped, for m = B_i
-        or, when ``shorter``, the rows of the shorter side of the label's
-        range (``_shorter_side``): the blocks are unitary, so the rows of
-        Y = _kron_left(X, letters) have Y^dagger Y = left^dagger . left.
-        Runs between the head and the tail (the trailing runs of w <=
+    def blocks(self, labels, shorter: bool = True):
+        """Yield (i, flipped, m) for the labels ``labels``, grouped by
+        ``_prefix``, in label order within a group.  B_i B_i^dagger is
+        m m^dagger, or the chain's full block left^dagger . left minus
+        m m^dagger when flipped, for m = B_i or, when ``shorter``, the rows
+        of the shorter side of the label's range (``_shorter_side``): the
+        blocks are unitary, so the rows of Y = _kron_left(X, letters) have
+        Y^dagger Y = left^dagger . left.  The labels of one group share its
+        head (``_head``), held by this pass alone, one at a time.  Runs
+        between the head and the tail (the trailing runs of w <=
         _KRON_WIDTH^2 rows) are applied in full; then each head block of w
         rows holding picked rows gets one product with their rows of the
         tail's conjugated table."""
-        index = range(len(self))[index]
-        c, j = self.where[index]
-        left, rows, labels = self.chains[c]
-        letters, seqs = labels[j]
-        picked, flipped = _shorter_side(seqs, self.frame.dim) if shorter else (seqs, False)
-        if not picked.size:
-            return flipped, np.zeros((self.frame.rank, 0), self.dtype)
-        d, n, r = letters[0].shape[0], len(letters), self.frame.rank
-        first = tail = next(_runs(letters, _KRON_WIDTH, self._tables))[1]  # the head's run
-        while tail < n and d ** (n - tail) > _KRON_WIDTH**2:
-            tail += first
-        w = d ** (n - tail)
-        if self._head[0] != (key := self._prefix[index]):
-            self._head = (None, None)  # one head alive at a time, as counted
-            x = np.zeros((self.frame.dim, r), dtype=left.dtype)
-            x[rows] = left
-            self._head = (key, _kron_left(x.reshape(d**first, -1), letters[:first], self._tables))
-            del x
-        body = self._head[1]
-        if tail > first:
-            body = _kron_left(body.reshape(self.frame.dim // w, -1), letters[first:tail], self._tables)
-        coef = np.ones((picked.size, 1))
-        if tail < n:
-            coef = _kron_left(np.eye(w), letters[tail:], self._tables)[picked % w]
-        out = np.empty((picked.size, r), np.result_type(coef, body))
-        block, body = picked // w, body.reshape(self.frame.dim // w, w, r)
-        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), picked.size]
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(coef[lo:hi], body[block[lo]], out=out[lo:hi])
-        return flipped, out.conj().T
-
-    def release(self) -> None:
-        """Drop the held head at the end of a pass over the labels."""
-        self._head = (None, None)
-
-
-class _FactoredElements(Sequence):
-    """Dense elements of a square-root measurement held in a projector's range.
-
-    With U the range basis of ``frame``, element i is (U B_i)(U B_i)^dagger
-    for B_i = ``factors[i]``, generated from ``chains`` (see ``_Factors``),
-    and the last one, the completion, is U C U^dagger + (I - U U^dagger) for
-    the r x r block ``completion`` = C.  Indexing builds the D x D element;
-    none is kept, and the factors' head is dropped before the D x D product.
-    """
-
-    def __init__(self, frame: TypicalProjector, chains: list, completion: np.ndarray):
-        self.frame = frame
-        self.factors = _Factors(frame, chains)
-        self.completion = completion
-
-    def __len__(self) -> int:
-        return len(self.factors) + 1
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        index = range(len(self))[index]
-        u = self.frame.cols
-        if index == len(self.factors):
-            block = np.eye(self.frame.rank) - self.completion
-            return np.eye(self.frame.dim) - u @ block @ u.conj().T
-        w = u @ self.factors[index]
-        self.factors.release()
-        return w @ w.conj().T
+        dim, r = self.frame.dim, self.frame.rank
+        key = head = None
+        try:
+            for i in sorted(labels, key=lambda i: (self._prefix[i], i)):
+                c, j = self.where[i]
+                letters, seqs = self.chains[c][2][j]
+                picked, flipped = _shorter_side(seqs, dim) if shorter else (seqs, False)
+                if not picked.size:
+                    yield i, flipped, np.zeros((r, 0), self.dtype)
+                    continue
+                d, n = letters[0].shape[0], len(letters)
+                first = tail = next(_runs(letters, _KRON_WIDTH, self._tables))[1]  # the head's run
+                while tail < n and d ** (n - tail) > _KRON_WIDTH**2:
+                    tail += first
+                w = d ** (n - tail)
+                if key != self._prefix[i]:
+                    head = None  # one head alive at a time, as counted
+                    key, head = self._prefix[i], self._head(c, letters[:first])
+                body = head
+                if tail > first:
+                    body = _kron_left(body.reshape(dim // w, -1), letters[first:tail], self._tables)
+                coef = np.ones((picked.size, 1))
+                if tail < n:
+                    coef = _kron_left(np.eye(w), letters[tail:], self._tables)[picked % w]
+                out = np.empty((picked.size, r), np.result_type(coef, body))
+                block, body = picked // w, body.reshape(dim // w, w, r)
+                edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), picked.size]
+                for lo, hi in zip(edges, edges[1:]):
+                    np.matmul(coef[lo:hi], body[block[lo]], out=out[lo:hi])
+                body = coef = None  # the head alone outlives its label's rows
+                yield i, flipped, out.conj().T
+        finally:
+            head = None
 
 
 class Povm(Record):
     """A square-root decoder POVM; the completion element carries the label ``None``.
 
-    ``elements`` holds the decoding factors in the range of a typical
-    projector and builds each dense element on request (see
-    ``_FactoredElements``).  The decoding elements are Gram matrices, so
-    positive by construction; construction verifies, in the r-dimensional
-    range, that the elements sum to the identity within 1e-8 in operator
-    norm (through ``_norm_bound``, which may only overstate it) and that the
-    completion block has no eigenvalue below -1e-8.  The residual
-    C - I + sum_i B_i B_i^dagger is summed in the passes' order
-    (``_Factors.order``, ``_GramSum``).  A valid decoder passes both
+    ``elements`` holds the decoder factored in the range of a typical
+    projector and builds each dense element on request (``_Factors``).  The
+    decoding elements are Gram matrices, so positive by construction;
+    construction verifies, in the r-dimensional range, that the elements
+    sum to the identity within 1e-8 in operator norm (through
+    ``_norm_bound``, which may only overstate it) and that the completion
+    block has no eigenvalue below -1e-8.  The residual
+    C - I + sum_i B_i B_i^dagger is summed in the order of one pass per
+    chain (``_Factors.blocks``, ``_GramSum``).  A valid decoder passes both
     without an eigenvalue call, with the same verdicts (see the comments).
     """
 
     labels: tuple
-    elements: _FactoredElements
+    elements: _Factors
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.elements):
+        els = self.elements
+        if len(self.labels) != len(els):
             raise ValueError("labels and elements must have equal length")
         if self.labels[-1] is not None:
             raise ValueError("the completion element must come last, labeled None")
-        block = self.elements.completion
+        block = els.completion
         if not block.size:
             return
-        factors = self.elements.factors
-        residual = block - np.eye(block.shape[0], dtype=factors.dtype)
+        residual = block - np.eye(block.shape[0], dtype=els.dtype)
         grams = _GramSum(residual)
-        for c in range(len(factors.chains)):
+        for c, (left, _, _) in enumerate(els.chains):
             flipped = 0
-            for i in factors.order(c):
-                flip, m = factors.split(i)
+            for _, flip, m in els.blocks([i for i, (k, _) in enumerate(els.where) if k == c]):
                 flipped += flip
                 grams.add(m, flip)
             if flipped:
-                left = factors.chains[c][0]
                 residual += flipped * (left.conj().T @ left)
         grams.close()
-        factors.release()
         # _norm_bound(R) <= sqrt(2) |R|_F: it can only pass 1e-8 above this
         if 1.5 * np.linalg.norm(residual) > 1e-8 and (bound := _norm_bound(residual)) > 1e-8:
             raise ConsistencyError("POVM elements do not sum to the identity: "
@@ -554,7 +539,7 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     N = (sum_i Gamma_i)^{-1/2}, and the completion block is I_r - N S N
     (``_inverse_sqrt_on_support``).  No B_i is stored: each is generated
     from per-position blocks b^dagger c, made once per pair of basis arrays
-    (``_Factors``).
+    (``_Factors.blocks``).
     """
     inners = [inner for _, pairs in chains for _, inner in pairs]
     middles = [middle for middle, _ in chains if middle is not None]
@@ -597,7 +582,7 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
         generators.append((np.ascontiguousarray(left.conj().T), passing.index, labels))
     norm = left = outers = None  # held through the completeness check only as chain copies
     labels = tuple(label for _, pairs in chains for label, _ in pairs)
-    return Povm(labels + (None,), _FactoredElements(frame, generators, completion))
+    return Povm(labels + (None,), _Factors(frame, generators, completion))
 
 
 def _kron_trace(mats, z: np.ndarray):
@@ -609,47 +594,44 @@ def _kron_trace(mats, z: np.ndarray):
     return z[0, 0]
 
 
-def _success(factors: _Factors, letters, hits) -> float:
+def _success(elements: _Factors, letters, hits) -> float:
     """sum of count * tr(B_i^dagger U^dagger rho_w U B_i) over ``hits``.
 
-    ``hits`` lists (i, w, count) in summation order, B_i = ``factors[i]``,
-    U the frame's range basis and rho_w the tensor product of ``letters``
-    along the word w.  Each label is read once, from its shorter side, in
-    its chain's ``_Factors.order``, and traced in the product basis as
-    <z, K_w z>, z the block m scattered onto the frame's rows and K_w the
-    product of b_t^dagger rho_{w_t} b_t over the frame's bases b_t.  A
-    flipped label takes that from tr(K_w Z), Z the
-    D x D scatter of the chain's full block, made once per chain with no
-    head held (``_kron_trace``).  Zero-rank factors add exactly 0 and are
-    never read; terms are summed in ``hits`` order (``_fold``).
+    ``hits`` lists (i, w, count) in summation order, B_i the factor of
+    label i of ``elements``, U the frame's range basis and rho_w the tensor
+    product of ``letters`` along the word w.  Each label is read once, from
+    its shorter side, in one pass per chain (``_Factors.blocks``), and
+    traced in the product basis as <z, K_w z>, z the block m scattered onto
+    the frame's rows and K_w the product of b_t^dagger rho_{w_t} b_t over
+    the frame's bases b_t.  A flipped label takes that from tr(K_w Z), Z
+    the D x D scatter of the chain's full block, made once per chain
+    between passes, with no head held (``_kron_trace``).  Zero-rank factors
+    add exactly 0 and are never read; terms are summed in ``hits`` order
+    (``_fold``).
     """
-    frame, by_label = factors.frame, {}
+    frame, by_label = elements.frame, {}
     for pos, (i, word, _) in enumerate(hits):
-        if factors.ranks[i]:
+        if elements.ranks[i]:
             by_label.setdefault(i, []).append((pos, tuple(int(v) for v in word)))
     table = {(id(b), v): _real_if_exact(b.conj().T @ mat @ b)
              for b in {id(b): b for b in frame.bases}.values() for v, mat in enumerate(letters)}
     traces, tables = np.zeros(len(hits)), {}  # run tables of the K_w, made once per call
-    for c in range(len(factors.chains)):
-        order = [i for i in factors.order(c) if i in by_label]
+    for c, (left, _, _) in enumerate(elements.chains):
+        labels = [i for i in by_label if elements.where[i][0] == c]
         kw = {word: [table[id(b), v] for b, v in zip(frame.bases, word)]
-              for i in order for _, word in by_label[i]}  # the letter blocks of K_w
+              for i in labels for _, word in by_label[i]}  # the letter blocks of K_w
         bases = {}
-        if any(2 * factors.ranks[i] > frame.dim for i in order):  # a flipped label (_shorter_side)
-            factors.release()
-            left = factors.chains[c][0]
-            z = np.zeros((frame.dim, frame.dim), dtype=factors.dtype)
+        if any(2 * elements.ranks[i] > frame.dim for i in labels):  # a flipped label (_shorter_side)
+            z = np.zeros((frame.dim, frame.dim), dtype=elements.dtype)
             z[frame.index[:, None], frame.index] = left.conj().T @ left
             bases = {word: _kron_trace(blocks, z).real for word, blocks in kw.items()}
             del z
-        for i in order:
-            flipped, m = factors.split(i)
+        for i, flipped, m in elements.blocks(labels):
             z = np.zeros((frame.dim, m.shape[1]), dtype=m.dtype)
             z[frame.index] = m
             for pos, word in by_label[i]:
                 trace = np.vdot(z, _kron_left(z, kw[word], tables)).real
                 traces[pos] = bases[word] - trace if flipped else trace
-    factors.release()
     return float(_fold(np.array([count for _, _, count in hits]) * traces, 0))
 
 
@@ -694,7 +676,7 @@ def ptp_block_error(povm: Povm, encoder: EncoderState, states) -> float:
     """
     mats = [_as_matrix(s) for s in states]
     hits = [(i, encoder.codeword_for(m), 1) for i, (_, m) in enumerate(povm.labels[:-1])]
-    success = _success(povm.elements.factors, mats, hits)
+    success = _success(povm.elements, mats, hits)
     return 1.0 - success / len(encoder.code.messages())
 
 
@@ -841,7 +823,7 @@ def rx1_success_probability(
         for m1, x1_word in enumerate(setup.codebook1)
         for (a, w, u_word), count in sums.items()
     ]
-    success = _success(povm.elements.factors, _pair_letters(setup), hits)
+    success = _success(povm.elements, _pair_letters(setup), hits)
     return success / (len(setup.codebook1) * sum(sums.values()))
 
 

@@ -489,18 +489,19 @@ GRID_BUDGET = 10**7
 def _grid_bytes(channel: CqChannel, q: int, sizes: list) -> tuple:
     """Bytes that ``grid_search`` holds at the peak of a chunk, as
     tracemalloc measured them, fixed and per pmf.  Fixed: the three pmf
-    grids of ``sizes`` pmfs, and 512 KiB for NumPy's buffers of
-    real-by-complex products and Python's object free lists.  Per pmf: the
+    grids of ``sizes`` pmfs, and 256 KiB for NumPy's and Python's own
+    buffers and free lists (142 KiB at most in a scan of product channels
+    up to output dims (4, 4, 4)).  Per pmf: the
     joint state's (q, q, D, D) complex sum and product buffer (D the
     product of the output dimensions), receiver 1's (|X1|, q, d1, d1) sum
-    and buffer, the input weight tables, and 16 KiB for the rest (the
-    corner search)."""
+    and buffer, the complex input weight tables, and 16 KiB for the rest
+    (the corner search)."""
     n_x1, n_x2, n_x3 = channel.input_sizes
     atoms = (n_x1, q * n_x2, q * n_x3)
-    fixed = sum(size * (16 * a + 128) for a, size in zip(atoms, sizes)) + 2**19
+    fixed = sum(size * (16 * a + 128) for a, size in zip(atoms, sizes)) + 2**18
     d1, dim = channel.output_dims[0], prod(channel.output_dims)
     per_pmf = 32 * q * q * dim * dim + 32 * n_x1 * q * d1 * d1
-    return fixed, per_pmf + 8 * q * q * (n_x1 + 1) * n_x2 * n_x3 + 2**14
+    return fixed, per_pmf + 16 * q * q * (n_x1 + 1) * n_x2 * n_x3 + 2**14
 
 
 class GridSearchResult(Record):

@@ -54,7 +54,9 @@ def is_relative_typical(seq, pmf: np.ndarray, delta: float):
     if seqs.size and (seqs.min() < 0 or seqs.max() >= pmf.size):
         raise ValueError(f"letters out of range for alphabet size {pmf.size}")
     freq = np.stack([(seqs == v).mean(axis=-1) for v in range(pmf.size)], axis=-1)
-    typical = np.all(np.abs(freq - pmf) <= delta * pmf + 1e-12, axis=-1)
+    # a letter of probability 0 keeps the band {0} at every delta, inf included
+    band = np.multiply(delta, pmf, out=np.zeros_like(pmf), where=pmf > 0.0)
+    typical = np.all(np.abs(freq - pmf) <= band + 1e-12, axis=-1)
     return bool(typical) if seqs.ndim == 1 else typical
 
 

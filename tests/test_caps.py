@@ -132,9 +132,10 @@ def _grid_fields(result) -> tuple:
 
 def test_grid_search_chunks_fit_the_memory_cap():
     """Output dims (4, 4, 4): one pmf's joint state and product buffer take
-    512 KiB.  A cap that holds the grids and one pmf gives 300 chunks of
-    one pmf, the same result and a traced peak within the count; one byte
-    less is refused before the grids exist."""
+    512 KiB, and the fixed count beside the grids is 256 KiB (complex
+    weights leave NumPy no cast buffers).  A cap that holds the grids and
+    one pmf gives 300 chunks of one pmf, the same result and a traced peak
+    within the count; one byte less is refused before the grids exist."""
     chan = _product_channel((4, 4, 4))
     w = (1.0, 0.5, 0.25)
     whole = regions.grid_search(chan, w, 3)  # also warms the channel's caches

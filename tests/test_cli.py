@@ -130,6 +130,16 @@ def test_povm_sweep_pinching_decreases(capsys):
         assert e + t == pytest.approx(1.0, abs=1e-12)
 
 
+def test_povm_sweep_open_window(capsys):
+    """At --delta inf every projector window is open: on the full-rank
+    classical family each pinching trace is 1 within 1e-12."""
+    assert main(["povm-sweep", "--n", "2,4,6,8", "--delta", "inf"]) == 0
+    rows = _table(capsys.readouterr().out)
+    assert [r["n"] for r in rows] == ["2", "4", "6", "8"]
+    for r in rows:
+        assert float(r["trace_bounds"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_povm_sweep_example2_family(capsys):
     assert main(
         ["povm-sweep", "--family", "example2", "--delta", "0.2", "--n", "2,4"]

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -23,7 +24,6 @@ from cosetcq.povm import (
     Povm,
     Rx1Setup,
     TypicalProjector,
-    _FactoredElements,
     _Factors,
     _GramSum,
     build_ptp_povm,
@@ -40,6 +40,12 @@ from cosetcq.typicality import pair_sequence
 
 F2 = PrimeField(2)
 UNIFORM = np.array([0.5, 0.5])
+
+
+def _factors(elements) -> list:
+    """Every factor B_i of a decoder in label order, from one pass."""
+    got = {i: b for i, _, b in elements.blocks(range(len(elements) - 1), shorter=False)}
+    return [got[i] for i in range(len(got))]
 
 
 def test_field_vectors_any_enumeration():
@@ -96,8 +102,8 @@ def test_real_letter_bases_keep_ranges_and_elements_real():
         want = reduce(np.kron, [b[:, s] for b, s in zip(proj.bases, seq)])
         assert np.array_equal(proj.cols[:, j], want)
     _, _, povm = _ptp_instance(states, 0.6)
-    assert povm.elements.factors.dtype == np.float64
-    assert all(b.dtype == np.float64 for b in povm.elements.factors)
+    assert povm.elements.dtype == np.float64
+    assert all(b.dtype == np.float64 for b in _factors(povm.elements))
     dense = list(povm.elements)
     assert all(el.dtype == np.float64 for el in dense)
     np.testing.assert_allclose(sum(dense), np.eye(povm.dim), atol=1e-12)
@@ -192,11 +198,11 @@ def test_factored_povm_validation():
     def elements(scale, completion):
         # one label whose factor is ``scale`` times the first range vector
         chain = (scale * np.eye(2), rows, [([np.eye(2)], np.array([0]))])
-        return _FactoredElements(frame, [chain], completion)
+        return _Factors(frame, [chain], completion)
 
     good = Povm((0, None), elements(1.0, np.diag([0.0, 1.0])))
     assert good.dim == 2
-    np.testing.assert_array_equal(good.elements.factors[0], [[1.0], [0.0]])
+    np.testing.assert_array_equal(_factors(good.elements)[0], [[1.0], [0.0]])
     np.testing.assert_allclose(good.element(0), frame.cols @ np.diag([1.0, 0.0]) @ frame.cols.T)
     np.testing.assert_allclose(good.elements[0] + good.elements[-1], np.eye(2), atol=1e-15)
     with pytest.raises(ConsistencyError, match="identity"):
@@ -384,12 +390,34 @@ def test_decoder_build_peak_within_memory_count(monkeypatch, case):
         peak = tracemalloc.get_traced_memory()[1] - seen["base"]
     finally:
         tracemalloc.stop()
-    factors = povm.elements.factors
-    assert factors.dtype == (np.complex128 if case == "ptp_complex" else np.float64)
-    r = povm.elements.frame.rank
-    assert sum(factors.ranks) > 10 * r  # all factors together dwarf every r x r array
+    els = povm.elements
+    assert els.dtype == (np.complex128 if case == "ptp_complex" else np.float64)
+    r = els.frame.rank
+    assert sum(els.ranks) > 10 * r  # all factors together dwarf every r x r array
     assert peak <= seen["count"]
-    assert peak < r * sum(factors.ranks) * factors.dtype.itemsize
+    assert peak < r * sum(els.ranks) * els.dtype.itemsize
+
+
+def _recorded_passes(monkeypatch) -> list:
+    """Record every pass of ``_Factors.blocks``: one dict per pass, listing
+    the heads it made (chain and first-run letters) and (label, width) of
+    every block it yielded."""
+    passes = []
+    blocks, head = _Factors.blocks, _Factors._head
+
+    def recorded_blocks(self, labels, shorter=True):
+        passes.append({"heads": [], "reads": []})
+        for i, flipped, m in blocks(self, labels, shorter):
+            passes[-1]["reads"].append((i, m.shape[1]))
+            yield i, flipped, m
+
+    def recorded_head(self, chain, letters):
+        passes[-1]["heads"].append((chain, tuple(m.tobytes() for m in letters)))
+        return head(self, chain, letters)
+
+    monkeypatch.setattr(_Factors, "blocks", recorded_blocks)
+    monkeypatch.setattr(_Factors, "_head", recorded_head)
+    return passes
 
 
 @pytest.mark.parametrize("case", ["ptp", "rx1"])
@@ -403,29 +431,72 @@ def test_each_pass_makes_one_head_per_prefix(monkeypatch, case):
         "ptp": lambda: _ptp_n8_exact([example2_mix(0.9), example2_mix(0.1)]),
         "rx1": _rx1_n8_exact,
     }[case]()
-    made = []
-    split = _Factors.split
-
-    def recorded(self, index, *args, **kwargs):
-        held = self._head[1]
-        out = split(self, index, *args, **kwargs)
-        if self._head[1] is not held:  # a new head: one first run computed
-            made.append(self._head[0])
-        return out
-
-    monkeypatch.setattr(_Factors, "split", recorded)
+    passes = _recorded_passes(monkeypatch)
     povm = build()
-    in_build, made[:] = list(made), []
+    in_build = [h for p in passes for h in p["heads"]]
+    passes[:] = []
     exact(povm)
-    factors = povm.elements.factors
+    made = [h for p in passes for h in p["heads"]]
+    els = povm.elements
+    assert len(passes) == len(els.chains)  # one pass per chain in each
     prefixes = {
-        (c, tuple(m.tobytes() for m in factors.chains[c][2][j][0][:3]))
-        for i, (c, j) in enumerate(factors.where)
-        if factors.ranks[i]
+        (c, tuple(m.tobytes() for m in els.chains[c][2][j][0][:3]))
+        for i, (c, j) in enumerate(els.where)
+        if els.ranks[i]
     }
-    assert case == "rx1" or len(prefixes) < sum(r > 0 for r in factors.ranks)
+    assert case == "rx1" or len(prefixes) < sum(r > 0 for r in els.ranks)
     for heads in (in_build, made):
         assert 0 < len(heads) == len(set(heads)) <= len(prefixes)
+
+
+@pytest.mark.parametrize("case", ["ptp", "rx1"])
+def test_no_head_outlives_its_pass(monkeypatch, case):
+    """The head of a pass dies with the pass: after the build's pass, a full
+    pass, a pass closed or left by ``break`` after its first block, and a
+    dense element read; and none is alive when ``_success`` scatters a
+    chain's full block into its D x D Z, so only one head is ever alive, as
+    ``_check_memory`` counts."""
+    build, exact = {
+        "ptp": lambda: _ptp_n8_exact([example2_mix(0.9), example2_mix(0.1)]),
+        "rx1": _rx1_n8_exact,
+    }[case]()
+    heads, at_z = [], []
+    head, kron_trace = _Factors._head, povm_module._kron_trace
+
+    def recorded_head(self, chain, letters):
+        out = head(self, chain, letters)
+        heads.append(weakref.ref(out if out.base is None else out.base))
+        return out
+
+    def alive() -> int:
+        return sum(ref() is not None for ref in heads)
+
+    def recorded_trace(mats, z):
+        at_z.append(alive())
+        return kron_trace(mats, z)
+
+    monkeypatch.setattr(_Factors, "_head", recorded_head)
+    monkeypatch.setattr(povm_module, "_kron_trace", recorded_trace)
+    povm = build()
+    els = povm.elements
+    assert heads and alive() == 0
+    read = [i for i, rank in enumerate(els.ranks) if 0 < rank < povm.dim]
+    assert len(list(els.blocks(read))) == len(read) and alive() == 0
+    gen = els.blocks(read)
+    next(gen)
+    assert alive() == 1
+    gen.close()
+    assert alive() == 0
+    for _ in els.blocks(read):
+        assert alive() == 1
+        break
+    assert alive() == 0
+    made = len(heads)
+    assert els[read[-1]].shape == (povm.dim, povm.dim)
+    assert len(heads) == made + 1 and alive() == 0
+    exact(povm)
+    assert alive() == 0
+    assert len(at_z) > (case == "rx1") and set(at_z) == {0}
 
 
 @pytest.mark.parametrize("case", ["ptp", "rx1"])
@@ -456,30 +527,25 @@ def test_label_blocks_are_read_from_the_shorter_side(monkeypatch):
     decoder most inner ranges hold more than half of the D rows."""
     states = [example2_mix(0.9), example2_mix(0.1)]
     code, enc = _ptp_n8_code()
-    gram, reads = [], []
+    gram = []
     product_block = povm_module._product_block
 
     def recorded_block(letters, rows, cols):
         gram.append(len(cols))  # the columns of the block A_i (or Abar_i)
         return product_block(letters, rows, cols)
 
-    split = _Factors.split  # indexing reads through it too, from the label's own rows
-
-    def recorded_split(self, index, *args, **kwargs):
-        out = split(self, index, *args, **kwargs)
-        reads.append((index, out[1].shape[1]))
-        return out
-
+    passes = _recorded_passes(monkeypatch)
     monkeypatch.setattr(povm_module, "_product_block", recorded_block)
-    monkeypatch.setattr(_Factors, "split", recorded_split)
     povm = build_ptp_povm(code, enc, states, 0.3)
-    residual_reads = len(reads)
+    residual_reads = [read for p in passes for read in p["reads"]]
     ptp_block_error(povm, enc, states)
-    dim, ranks = povm.dim, povm.elements.factors.ranks
+    reads = [read for p in passes for read in p["reads"]]
+    dim, ranks = povm.dim, povm.elements.ranks
     shorter = [min(r, dim - r) for r in ranks]
     assert sum(2 * r > dim for r in ranks) > len(ranks) // 2
     assert gram == [w for w in shorter if w]
-    assert residual_reads == len(ranks) and len(reads) > residual_reads
+    assert sorted(i for i, _ in residual_reads) == list(range(len(ranks)))
+    assert len(reads) > len(residual_reads)
     assert all(width <= shorter[index] for index, width in reads)
 
 
@@ -506,7 +572,7 @@ def test_label_blocks_are_summed_in_wide_products(monkeypatch):
     monkeypatch.setattr(_GramSum, "flush", recorded_flush)
     povm = _ptp_n8_build([example2_mix(0.9), example2_mix(0.1)])()
     dim, r = povm.dim, povm.elements.frame.rank
-    widths = [min(rank, dim - rank) for rank in povm.elements.factors.ranks]
+    widths = [min(rank, dim - rank) for rank in povm.elements.ranks]
     bound = -(-sum(widths) // r) + 1
     assert len(counts) == 2  # the Gram pass, then the residual pass
     assert sum(w > 0 for w in widths) > 3 * bound
@@ -530,13 +596,13 @@ def test_valid_ptp_build_settles_both_checks_without_eigvalsh(monkeypatch):
     assert len(povm.labels) == 33 and calls == []
 
 
-def _completed(completion: np.ndarray) -> _FactoredElements:
+def _completed(completion: np.ndarray) -> _Factors:
     """Elements of one label whose factor B has B B^dagger = I - completion."""
     frame = typical_projector(np.eye(len(completion)) / len(completion), 1, 0.0)
     w, v = np.linalg.eigh(np.eye(len(completion)) - completion)
     left = (v * np.sqrt(np.clip(w, 0.0, None))).T  # left^dagger . left = I - completion
     chain = (left, frame.index, [([np.eye(len(completion))], frame.index)])
-    return _FactoredElements(frame, [chain], completion)
+    return _Factors(frame, [chain], completion)
 
 
 @pytest.mark.parametrize("least, refused", [(-2e-8, True), (-5e-9, False), (-1e-13, False)])
@@ -642,13 +708,13 @@ def _reference_rx1_success(povm, setup, enc2, enc3) -> float:
                 label = (m1, tuple(int(x) for x in a % 2), tuple(int(x) for x in (m2 + m3) % 2))
                 key = (label, tuple(int(u) for u in u_word))
                 hits[key] = hits.get(key, 0) + 1
-    success = 0.0
+    success, factors = 0.0, _factors(povm.elements)
     for (label, u_word), count in hits.items():
         x1_word = setup.codebook1[label[0]]
         rho = povm.elements.frame.compress(
             [setup.cond_states[(int(x1), u)] for x1, u in zip(x1_word, u_word)]
         )
-        b = povm.elements.factors[povm.labels.index(label)]
+        b = factors[povm.labels.index(label)]
         success += count * float(np.vdot(b, rho @ b).real)
     return success / sum(hits.values())
 
@@ -846,7 +912,7 @@ def _reference_ptp_block_error(povm, encoder, states) -> float:
     els = povm.elements
     received: dict = {}
     success = 0.0
-    for (_, m), b in zip(povm.labels, els.factors):
+    for (_, m), b in zip(povm.labels, _factors(els)):
         if not b.shape[1]:
             continue
         if m not in received:
@@ -867,7 +933,7 @@ def _ptp_n6_value() -> tuple:
     )
     enc = select_typical(code, UNIFORM, 0.5, rng)
     povm = build_ptp_povm(code, enc, states, 0.3)
-    traced = {m for (_, m), b in zip(povm.labels, povm.elements.factors) if b.shape[1]}
+    traced = {m for (_, m), b in zip(povm.labels, _factors(povm.elements)) if b.shape[1]}
     assert len(traced) >= 2
     return (lambda: ptp_block_error(povm, enc, states),
             lambda: _reference_ptp_block_error(povm, enc, states))
@@ -878,7 +944,7 @@ def _ptp_n8_value() -> tuple:
     states = [example2_mix(0.9), example2_mix(0.1)]
     code, enc = _ptp_n8_code()
     povm = build_ptp_povm(code, enc, states, 0.3)
-    assert sum(2 * r > povm.dim for r in povm.elements.factors.ranks) > 16
+    assert sum(2 * r > povm.dim for r in povm.elements.ranks) > 16
     return (lambda: ptp_block_error(povm, enc, states),
             lambda: _reference_ptp_block_error(povm, enc, states))
 

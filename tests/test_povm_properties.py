@@ -14,6 +14,7 @@ spectral-norm bound it skips.
 """
 
 from functools import reduce
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,6 @@ from cosetcq.povm import (
     _SUPPORT_CUTOFF,
     Povm,
     TypicalProjector,
-    _FactoredElements,
     _Factors,
     _GramSum,
     _inverse_sqrt_on_support,
@@ -64,6 +64,12 @@ deltas = st.floats(0.05, 1.2)
 
 def _kron(mats) -> np.ndarray:
     return reduce(np.kron, mats, np.array([[1.0 + 0.0j]]))
+
+
+def _factors(elements) -> list:
+    """Every factor B_i of a decoder in label order, from one pass."""
+    got = {i: b for i, _, b in elements.blocks(range(len(elements) - 1), shorter=False)}
+    return [got[i] for i in range(len(got))]
 
 
 @st.composite
@@ -282,11 +288,13 @@ def test_kron_left_equals_dense_kron(d, n, complex_letters, cols, picks, seed):
        kinds=st.lists(st.sampled_from(["empty", "single", "full", "some"]), min_size=1, max_size=6),
        seed=st.integers(0, 2**16), data=st.data())
 def test_prefix_shared_generator_equals_kron_left(d, n, complex_letters, kinds, seed, data):
-    """Factors read through one ``_Factors`` in any order equal the rows of
-    ``_kron_left`` on the scattered left matrix and of the dense Kronecker
-    product, for every run split.  Each position draws its letter from two,
-    so some labels share the first run's letters and some do not; a label
-    reads no row, one row, all rows or some rows, and also its shorter side."""
+    """Factors read through one ``_Factors`` equal the rows of ``_kron_left``
+    on the scattered left matrix and of the dense Kronecker product, for
+    every run split: in passes of one label each, in any order, and in one
+    pass over all labels, which yields them grouped by prefix.  Each
+    position draws its letter from two, so some labels share the first
+    run's letters and some do not; a label reads no row, one row, all rows
+    or some rows, and also its shorter side."""
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -308,23 +316,32 @@ def test_prefix_shared_generator_equals_kron_left(d, n, complex_letters, kinds, 
         for kind in kinds
     ]
     order = data.draw(st.permutations(range(len(labels))))
+
+    def check(i, shorter, flipped, m):
+        letters, seqs = labels[i]
+        want = _kron_left(x, letters)
+        atol = 1e-12 * (1.0 + np.abs(want).max(initial=0.0))
+        assert flipped == (shorter and 2 * seqs.size > dim)
+        picked = np.setdiff1d(np.arange(dim), seqs) if flipped else seqs
+        assert m.shape == (r, picked.size)
+        np.testing.assert_allclose(m, want[picked].conj().T, rtol=0, atol=atol)
+        np.testing.assert_allclose(m, (_kron(letters).conj().T @ x)[picked].conj().T,
+                                   rtol=0, atol=atol)
+
     for step in range(1, n + 1):
         with mock.patch.object(povm_module, "_KRON_WIDTH", d**step):
-            factors = _Factors(frame, [(left, rows, labels)])  # keys its labels at this width
-            for i in [*order, *factors.order(0)]:
-                letters, seqs = labels[i]
-                want = _kron_left(x, letters)
-                atol = 1e-12 * (1.0 + np.abs(want).max(initial=0.0))
-                got = factors[i]
-                assert got.shape == (r, seqs.size)
-                np.testing.assert_allclose(got, want[seqs].conj().T, rtol=0, atol=atol)
-                np.testing.assert_allclose(got, (_kron(letters).conj().T @ x)[seqs].conj().T,
-                                           rtol=0, atol=atol)
-                flipped, m = factors.split(i)
-                picked = np.setdiff1d(np.arange(dim), seqs) if flipped else seqs
-                assert flipped == (2 * seqs.size > dim)
-                np.testing.assert_allclose(m, want[picked].conj().T, rtol=0, atol=atol)
-            factors.release()
+            factors = _Factors(frame, [(left, rows, labels)], np.eye(r))  # keys its labels at this width
+            for i in order:
+                [(_, flipped, m)] = factors.blocks([i], shorter=False)
+                check(i, False, flipped, m)
+            for shorter in (False, True):
+                seen = []
+                for i, flipped, m in factors.blocks(order, shorter):
+                    check(i, shorter, flipped, m)
+                    seen.append(i)
+                assert sorted(seen) == list(range(len(labels)))
+                keys = [factors._prefix[i] for i in seen]
+                assert len(set(keys)) == sum(1 for _ in groupby(keys))
 
 
 def _tail_layout(d: int, n: int) -> tuple:
@@ -381,7 +398,8 @@ def test_tail_generator_equals_dense_kron(d, n, complex_letters, kind, seed):
                 "one block": block * w + np.sort(rng.choice(w, size=int(rng.integers(1, w + 1)), replace=False)),
                 "every block": np.arange(0, dim, w) + rng.integers(0, w, dim // w),
             }[kind]
-            got = _Factors(frame, [(left, rows, [(letters, seqs)])])[0]
+            factors = _Factors(frame, [(left, rows, [(letters, seqs)])], np.eye(r))
+            [(_, _, got)] = factors.blocks([0], shorter=False)
             assert got.shape == (r, seqs.size)
             np.testing.assert_allclose(got, dense[seqs].conj().T, rtol=0, atol=atol)
             np.testing.assert_allclose(got, _kron_left(x, letters)[seqs].conj().T, rtol=0, atol=atol)
@@ -395,13 +413,12 @@ def _dense_traces(factors, letters, hits) -> float:
     total = 0.0
     for i, word, count in hits:
         rho = factors.frame.compress([letters[v] for v in word])
-        flipped, m = factors.split(i)
+        [(_, flipped, m)] = factors.blocks([i])
         trace = np.vdot(m, rho @ m).real
         if flipped:
             left = factors.chains[factors.where[i][0]][0]
             trace = np.vdot(left.conj().T @ left, rho).real - trace
         total += count * trace
-    factors.release()
     return total
 
 
@@ -420,10 +437,11 @@ def test_product_basis_traces_equal_dense_traces(code, s0, s1, real, delta, seed
     states = [s.real if real else s for s in (s0, s1)]
     rng = np.random.default_rng(seed)
     enc = select_typical(code, UNIFORM, 0.5, rng)
-    factors = build_ptp_povm(code, enc, states, delta).elements.factors
+    factors = build_ptp_povm(code, enc, states, delta).elements
+    labels = len(factors.ranks)
     hits = [
-        (int(rng.integers(0, len(factors))), rng.integers(0, 2, code.n), int(rng.integers(1, 4)))
-        for _ in range(int(rng.integers(1, 2 * len(factors) + 1)))
+        (int(rng.integers(0, labels)), rng.integers(0, 2, code.n), int(rng.integers(1, 4)))
+        for _ in range(int(rng.integers(1, 2 * labels + 1)))
     ]
     want = _dense_traces(factors, states, [hit for hit in hits if factors.ranks[hit[0]]])
     assert abs(_success(factors, states, hits) - want) <= 1e-12
@@ -487,8 +505,8 @@ def _per_label_rx1(setup, delta) -> tuple:
 
 def _assert_factors_match(povm, factors, completion, atol) -> None:
     els = povm.elements
-    assert len(els.factors) == len(factors)
-    for got, want in zip(els.factors, factors):
+    assert len(els.ranks) == len(factors)
+    for got, want in zip(_factors(els), factors):
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
     np.testing.assert_allclose(els.completion, completion, rtol=0, atol=atol)
 
@@ -520,7 +538,7 @@ def test_block_ptp_decoder_matches_per_label_loop(code, s0, s1, s2, real, delta,
     enc = select_typical(code, np.full(q, 1.0 / q), 0.5, np.random.default_rng(seed))
     povm = build_ptp_povm(code, enc, states, delta)
     if real:
-        assert all(b.dtype == np.float64 for b in povm.elements.factors)
+        assert all(b.dtype == np.float64 for b in _factors(povm.elements))
     pi_rho, factors, completion, atol = _per_label_ptp(code, enc, states, delta)
     _assert_factors_match(povm, factors, completion, atol)
     success = 0.0
@@ -554,8 +572,8 @@ def test_n10_ptp_decoder_matches_per_label_loop(complex_letters):
         povm = build_ptp_povm(code, enc, states, 0.3)
     # head (8 row blocks, 3 letters), middle (64 head blocks of 16 rows), tail table (16 x 16)
     assert {(8, 3), (64, 3), (16, 4)} <= set(calls)
-    assert povm.dim == 1024 and sum(r > 0 for r in povm.elements.factors.ranks) >= 2
-    letters = povm.elements.factors.chains[0][2][0][0]
+    assert povm.dim == 1024 and sum(r > 0 for r in povm.elements.ranks) >= 2
+    letters = povm.elements.chains[0][2][0][0]
     assert all(np.iscomplexobj(m) == complex_letters for m in letters)
     pi_rho, factors, completion, atol = _per_label_ptp(code, enc, states, 0.3)
     _assert_factors_match(povm, factors, completion, atol)
@@ -682,7 +700,7 @@ def test_completeness_verdict_equals_the_norm_bound(size, complex_entries, skew,
     chain = (np.zeros((size, size)), frame.index, [([np.eye(size)], frame.index[:0])])
     bound = _norm_bound(completion - np.eye(size))  # the residual: the one factor is empty
     try:
-        Povm((0, None), _FactoredElements(frame, [chain], completion))
+        Povm((0, None), _Factors(frame, [chain], completion))
     except ConsistencyError as err:
         assert bound > 1e-8 and f"residual {bound:.1e} above 1e-8" in str(err)
     else:
@@ -704,13 +722,16 @@ def _completion_tolerance(gram: np.ndarray) -> float:
        scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
 @example(r=4, rank=0, repeats=1, weak=1.0, complex_entries=False, scale=1.0, seed=0)  # S = 0
 @example(r=3, rank=2, repeats=1, weak=1e-4, complex_entries=True, scale=1.0, seed=0)
+@example(r=1, rank=1, repeats=1, weak=1e-4, complex_entries=False, scale=0.5, seed=0)  # S = 7.9e-11
 def test_completion_equals_one_minus_nsn(r, rank, repeats, weak, complex_entries, scale, seed):
     """The completion block from ``_inverse_sqrt_on_support`` equals I - N S N
     within the block tests' tolerance.  S = sum of the columns' outer
     products, each column repeated (as repeated codewords repeat a label's
     term), the first scaled by ``weak``; with fewer distinct columns than r,
-    S is rank-deficient.  Well conditioned (tolerance 1e-12), the block is
-    the projector onto the kernel of S; else it is I - N S N itself."""
+    S is rank-deficient, and a weak column can put an eigenvalue of S at or
+    below the support cutoff.  Well conditioned (tolerance 1e-12), the block
+    is the projector onto the eigenvectors of S off its support; else it is
+    I - N S N itself."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(r, rank))
     if complex_entries:
@@ -724,10 +745,13 @@ def test_completion_equals_one_minus_nsn(r, rank, repeats, weak, complex_entries
     if tolerance > 1e-12:
         np.testing.assert_array_equal(completion, want)
         return
-    assert completion.any() == (rank < r)  # exactly zero at full support: no product formed
+    eigs = np.linalg.eigvalsh(gram)
+    support = int((eigs > _SUPPORT_CUTOFF).sum())
+    assert completion.any() == (support < r)  # exactly zero at full support: no product formed
     np.testing.assert_allclose(completion @ completion, completion, rtol=0, atol=1e-12)
-    assert abs(np.trace(completion) - (r - min(r, rank))) <= 1e-12 * r
-    np.testing.assert_allclose(gram @ completion, 0.0, rtol=0, atol=1e-12 * scale * (1 + rank) * r)
+    assert abs(np.trace(completion) - (r - support)) <= 1e-12 * r
+    off = np.abs(eigs[eigs <= _SUPPORT_CUTOFF]).max(initial=0.0)  # S on the block's range
+    np.testing.assert_allclose(gram @ completion, 0.0, rtol=0, atol=off + 1e-12 * scale * (1 + rank) * r)
 
 
 def test_ill_conditioned_decoder_keeps_the_product_completion():
@@ -779,7 +803,7 @@ def test_rank_deficient_decoder_completion_is_the_kernel_projector():
     enc = select_typical(code, UNIFORM, 1.0, np.random.default_rng(0))
     povm = build_ptp_povm(code, enc, states, 1.0)
     completion = povm.elements.completion
-    assert povm.elements.frame.rank == 4 and sorted(povm.elements.factors.ranks) == [1, 1, 1, 1]
+    assert povm.elements.frame.rank == 4 and sorted(povm.elements.ranks) == [1, 1, 1, 1]
     np.testing.assert_allclose(completion @ completion, completion, rtol=0, atol=1e-12)
     assert abs(np.trace(completion) - 2.0) <= 1e-12
     _, _, want, atol = _per_label_ptp(code, enc, states, 1.0)

@@ -122,3 +122,27 @@ def test_negative_or_nan_slack_is_refused(delta):
     assert check_slack(float("inf")) == float("inf") and check_slack(0) == 0.0
     assert is_relative_typical([0, 0, 0, 1], pmf, float("inf"))
     assert typical_projector(np.diag([0.9, 0.1]), 3, float("inf")).rank == 8
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    rows=st.integers(1, 6),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_open_window_keeps_zero_probability_letters_out(q, rows, n, seed):
+    """At delta = inf a letter of probability 0 keeps the band {0}, as at
+    delta = 1e300: the verdicts agree on random pmfs with zero entries, with
+    no warning, and a row passes exactly when it avoids those letters."""
+    rng = np.random.default_rng(seed)
+    pmf = rng.random(q) * (rng.random(q) < 0.6)
+    pmf[rng.integers(0, q)] += 0.1  # at least one letter of positive probability
+    pmf /= pmf.sum()
+    seqs = rng.integers(0, q, (rows, n))
+    seqs[0] = rng.choice(np.flatnonzero(pmf), n)  # one row avoids every zero letter
+    got = is_relative_typical(seqs, pmf, float("inf"))
+    np.testing.assert_array_equal(got, is_relative_typical(seqs, pmf, 1e300))
+    np.testing.assert_array_equal(got, (pmf[seqs] > 0).all(axis=-1))
+    assert is_relative_typical([0, 0, 1], [0.5, 0.5, 0.0], float("inf"))
