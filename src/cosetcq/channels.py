@@ -483,13 +483,16 @@ class SplitInputDistribution(Record):
         for name in ("p_u2v2x2", "p_u3v3x3"):
             object.__setattr__(self, name, check_pmf(getattr(self, name), name, (self.q, None, None)))
 
+    def _p_ujvjxj(self, j: int) -> np.ndarray:
+        if j not in (2, 3):
+            raise ValueError(f"sender index must be 2 or 3, got {j}")
+        return self.p_u2v2x2 if j == 2 else self.p_u3v3x3
+
     def p_uj(self, j: int) -> np.ndarray:
-        arr = self.p_u2v2x2 if j == 2 else self.p_u3v3x3
-        return arr.sum(axis=(1, 2))
+        return self._p_ujvjxj(j).sum(axis=(1, 2))
 
     def p_ujxj(self, j: int) -> np.ndarray:
-        arr = self.p_u2v2x2 if j == 2 else self.p_u3v3x3
-        return arr.sum(axis=1)
+        return self._p_ujvjxj(j).sum(axis=1)
 
     def p_w(self) -> np.ndarray:
         """Distribution of w = u2 + u3 mod q."""
@@ -508,6 +511,14 @@ def _require_3to1(channel: CqChannel) -> None:
             f"channel is not 3-to-1: receiver {witness[0]} distinguishes "
             f"inputs {witness[1]} and {witness[2]}"
         )
+
+
+def _side_states(channel: CqChannel) -> tuple:
+    """Receivers 2 and 3's states by their own input, (|X_j|, d_j, d_j) each,
+    for a 3-to-1 channel (else ``ModelViolationError``): the Y_j reduction
+    depends on x_j alone, so the other inputs are held at 0."""
+    _require_3to1(channel)
+    return channel.marginals[1][0, :, 0], channel.marginals[2][0, 0, :]
 
 
 def _aux_sums(channel: CqChannel, p_a2x2: np.ndarray, p_a3x3: np.ndarray) -> np.ndarray:
@@ -591,12 +602,10 @@ def split_sigma_receiver(
     channel: CqChannel, dist: SplitInputDistribution, j: int
 ) -> CqState:
     """Receiver-j state with classical registers (u, x) for j in {2, 3}."""
-    _require_3to1(channel)
+    side = _side_states(channel)
     if j not in (2, 3):
         raise ValueError(f"receiver index must be 2 or 3, got {j}")
-    p_ux = dist.p_ujxj(j)[None]
-    # 3-to-1 structure: the Y_j reduction depends on x_j alone.
-    own = channel.marginals[j - 1][(0, slice(None), 0) if j == 2 else (0, 0)]
+    p_ux, own = dist.p_ujxj(j)[None], side[j - 2]
     mats = np.broadcast_to(own, p_ux.shape + own.shape[1:])
     dims = (channel.output_dims[j - 1],)
     return CqState._of(("u", "x"), dims, p_ux, mats)._check()

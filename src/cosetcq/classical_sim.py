@@ -51,6 +51,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= errors <= trials:
+        raise ValueError(f"error count {errors} lies outside [0, {trials}]")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -5,7 +5,7 @@ variants, the coset-code point-to-point decoder, the receiver-1
 sum-decoder, and the pinching-overlap sweep.  Three fixed caps bound the
 work, and constructions refuse to run beyond them: DIM_BUDGET = 2**12 on a
 projector's space, LABEL_BUDGET = 2**16 on a decoder's labels, and the
-memory cap (errors.MEMORY_BUDGET) on a decoder's factors and working arrays.
+memory cap (errors.MEMORY_BUDGET) on a decoder's and the pinching sweep's arrays.
 
 Eigenvalue-label sequences are kept by an entropy window (``_windows``);
 codeword indicators use relative letter typicality, as codeword selection.
@@ -69,7 +69,7 @@ _SUPPORT_CUTOFF = 1e-10
 
 
 def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
-    """Refuse a decoder whose arrays would not fit in the memory cap.
+    """The decoder's memory count: refuse a decoder whose arrays exceed the cap.
 
     Counted from the projector ranks alone, before anything is allocated, in
     entries of ``dtype`` (the factors' type), and returned in bytes:
@@ -235,13 +235,10 @@ class TypicalProjector(Record):
 
     @cached_property
     def cols(self) -> np.ndarray:
-        """(dim, rank) orthonormal basis of the range, of type ``dtype``."""
-        out = np.ones((self.rank, 1), dtype=self.dtype)
-        for t, basis in enumerate(self.bases):
-            picked = _real_if_exact(basis)[:, self.seqs[:, t]].T
-            out = out[:, :, None] * picked[:, None, :]
-            out = out.reshape(self.rank, out.shape[1] * out.shape[2])
-        return out.T
+        """(dim, rank) orthonormal basis of the range, of type ``dtype``: the
+        ``seqs`` columns of the bases' Kronecker product."""
+        rows = field_vectors(self.bases[0].shape[0], self.n)  # row j of the product basis
+        return _product_block([_real_if_exact(b) for b in self.bases], rows, self.seqs)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -511,10 +508,7 @@ def _inverse_sqrt_on_support(mat: np.ndarray) -> tuple:
     (kappa the kept eigenvalues' ratio); above, the products N S N differ
     from it by more, and the completeness check needs them.  A real S takes
     a real ``eigh``, about four times cheaper than the complex one."""
-    if np.iscomplexobj(mat):
-        w, v = eig_hermitian(mat)
-    else:
-        w, v = np.linalg.eigh(_check_square_hermitian(mat, dtype=float))
+    w, v = np.linalg.eigh(_check_square_hermitian(mat, dtype=mat.dtype))
     support = w > _SUPPORT_CUTOFF
     inv = np.where(support, 1.0 / np.sqrt(np.clip(w, _SUPPORT_CUTOFF, None)), 0.0)
     norm = _real_if_exact((v * inv) @ v.conj().T)
@@ -842,7 +836,9 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
     with both projectors at slack ``delta``.  Rows report the trace and its
     deficiency 1 - trace, which the bound drives to zero exponentially.
     With U the range basis of Pi_rho and A = U^dagger . range(Pi_{a^n}), the
-    trace is tr(A^dagger U^dagger rho_{b^n} U A).
+    trace is tr(A^dagger U^dagger rho_{b^n} U A).  First the memory cap is
+    checked against a count from the two ranks: A, the r x r compression and a
+    gathered block, their product, and the ``_product_block`` run tables.
     """
     p_ab = check_pmf(p_ab, "joint pmf p_ab", (None, None))
     mats = [_as_matrix(s) for s in states_b]
@@ -858,14 +854,17 @@ def verify_pinching(p_ab, states_b, n_list, delta: float) -> list:
         cond_states.append(sum(p_ab[a, b] / p_a[a] * mats[b] for b in range(p_ab.shape[1])))
     rho_bar = sum(p_a[a] * cond_states[a] for a in range(p_ab.shape[0]))
     rows = []
-    for n in n_list:
-        a_seq, b_seq = pair_sequence(p_ab, int(n), delta / 4.0)
-        pi_rho = typical_projector(rho_bar, int(n), delta)
+    for n in map(int, n_list):
+        a_seq, b_seq = pair_sequence(p_ab, n, delta / 4.0)
+        pi_rho = typical_projector(rho_bar, n, delta)
         pi_a = conditional_typical_projector(cond_states, a_seq, delta)
-        _check_memory(pi_rho, [pi_a.rank], np.result_type(pi_rho.dtype, pi_a.dtype))
+        r, r_a, s = pi_rho.rank, pi_a.rank, max(64, dim)
+        dtype = np.result_type(pi_rho.dtype, pi_a.dtype, *(_real_if_exact(m) for m in mats))
+        need = dtype.itemsize * (2 * r * r + 2 * r * r_a + s * (r + r_a) + 3 * s * s)
+        check_memory(need, f"pinching overlap at n = {n}")
         a = pi_rho.overlap(pi_a)
         trace = float(np.vdot(a, pi_rho.compress([mats[v] for v in b_seq]) @ a).real)
-        rows.append(PinchingRow(int(n), delta, trace, 1.0 - trace))
+        rows.append(PinchingRow(n, delta, trace, 1.0 - trace))
     return rows
 
 

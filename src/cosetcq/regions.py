@@ -19,6 +19,7 @@ from .channels import (
     _entropy_plan,
     _joint_state,
     _shannon_bits,
+    _side_states,
     _sum_state,
     binary_input_distribution,
     example1_channel,
@@ -94,6 +95,8 @@ class RatePoint(Record):
     tau3: float = np.inf
 
     def __post_init__(self) -> None:
+        if np.isnan([self.r1, self.r2, self.r3, self.tau1, self.tau2, self.tau3]).any():
+            raise ValueError("rates and cost budgets must not be NaN")
         if min(self.r1, self.r2, self.r3) < 0:
             raise ValueError("rates must be nonnegative")
 
@@ -372,17 +375,17 @@ def usb_region(channel: CqChannel, p_x1, p_x2, p_x3) -> RegionSpec:
     block-diagonal state machinery, so it can serve as a cross-check for
     the message-splitting region with degenerate structured letters.  The
     receiver-1 average is the shared ``channels._aux_sums``, which the tests
-    check against its definition.
+    check against its definition.  A channel that is not 3-to-1 raises
+    ``ModelViolationError``, as in ``theorem3_region``.
     """
     pmfs = [
         check_pmf(p, f"input pmf of sender {j + 1}", (size,))
         for j, (p, size) in enumerate(zip((p_x1, p_x2, p_x3), channel.input_sizes))
     ]
+    side = _side_states(channel)
     # Receiver 1 sees x1 against the product background of the other senders:
     # a single auxiliary letter on each side, so every pair has sum 0.
     rho1 = _aux_sums(channel, pmfs[1][None, None], pmfs[2][None, None])[0, :, 0]
-    # 3-to-1: receiver j's state depends on x_j alone, so hold the others at 0.
-    side = (channel.marginals[1][0, :, 0], channel.marginals[2][0, 0, :])
     i1, i2, i3 = [_holevo(pmfs[0], rho1)] + [_holevo(p, s) for p, s in zip(pmfs[1:], side)]
     rhs = {"r1": i1, "r2": i2, "r3": i3, "r1_plus_r2": i1 + i2, "r1_plus_r3": i1 + i3}
     return _region(rhs, channel.expected_costs(*pmfs))

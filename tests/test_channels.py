@@ -222,6 +222,17 @@ def test_split_distribution_padding():
         binary_split_distribution(0.2, "other")
 
 
+def test_split_distribution_refuses_other_senders():
+    """Only senders 2 and 3 carry structured letters: any other j read
+    sender 3's pmf."""
+    dist = binary_split_distribution(0.2, "structured")
+    for j in (0, 1, 4):
+        with pytest.raises(ValueError, match="2 or 3"):
+            dist.p_uj(j)
+        with pytest.raises(ValueError, match="2 or 3"):
+            dist.p_ujxj(j)
+
+
 def test_split_sigma1_degenerate_w_is_plain_average():
     chan = example2_channel(0.05, 0.2)
     s = split_sigma1(chan, binary_split_distribution(0.3, "usb"))

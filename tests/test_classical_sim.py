@@ -342,3 +342,12 @@ def test_wilson_interval_bounds():
     assert isinstance(lo, float) and isinstance(hi, float)
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+
+
+def test_wilson_interval_refuses_error_counts_outside_the_trials():
+    """12 errors in 10 trials gave (0.0, 1.0) with a RuntimeWarning, and -1
+    errors gave it silently."""
+    for errors in (-1, 11, 12):
+        with pytest.raises(ValueError, match="outside"):
+            wilson_interval(errors, 10)
+    assert wilson_interval(10, 10)[1] == pytest.approx(1.0, abs=1e-12)

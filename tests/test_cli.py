@@ -159,6 +159,15 @@ def test_povm_sweep_ptp_error_trend(capsys):
     assert errs == pytest.approx([1.0, 0.25, 0.125], abs=1e-9)
 
 
+@pytest.mark.parametrize("family", [[], ["--family", "example2", "--delta", "0.2"]])
+def test_povm_sweep_n12(capsys, family):
+    """n = 12 fills the 2^12 dimension cap; the sweep's own arrays fit the
+    memory cap on both families."""
+    assert main(["povm-sweep", *family, "--n", "12"]) == 0
+    [row] = _table(capsys.readouterr().out)
+    assert row["n"] == "12" and 0.0 <= float(row["trace_bounds"]) <= 1.0
+
+
 def test_povm_sweep_budget_exit(capsys):
     assert main(["povm-sweep", "--n", "14"]) == 4
     assert "budget" in capsys.readouterr().err

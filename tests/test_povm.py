@@ -868,6 +868,49 @@ def test_verify_pinching_validation():
         verify_pinching(np.diag([0.5, 0.5]), [np.eye(2) / 2], [2], 0.1)
 
 
+@pytest.mark.parametrize("family, delta", [("classical", 0.1), ("example2", 0.2)])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_pinching_peak_within_memory_count(monkeypatch, family, delta, n):
+    """From the sweep's own memory check through the trace, the traced peak
+    stays within the bytes it counted from the two ranks; the sweep never
+    runs the decoder's count."""
+    from cosetcq.cli import _pinching_instance
+
+    seen = {}
+    check = povm_module.check_memory
+
+    def counted(need, what):
+        seen["count"], seen["what"] = check(need, what), what
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return need
+
+    def decoder_count(*args, **kwargs):
+        raise AssertionError("the pinching sweep ran the decoder's memory count")
+
+    monkeypatch.setattr(povm_module, "check_memory", counted)
+    monkeypatch.setattr(povm_module, "_check_memory", decoder_count)
+    p_ab, states = _pinching_instance(family, 0.3)
+    tracemalloc.start()
+    try:
+        [row] = verify_pinching(p_ab, states, [n], delta)
+        peak = tracemalloc.get_traced_memory()[1] - seen["base"]
+    finally:
+        tracemalloc.stop()
+    assert seen["what"] == f"pinching overlap at n = {n}"
+    assert 0.0 < row.trace <= 1.0
+    assert peak <= seen["count"]
+
+
+def test_refused_pinching_sweep_names_its_stage(monkeypatch):
+    """Above the memory cap the sweep is refused before its arrays exist,
+    and the error names the sweep's stage, not the decoder's factors."""
+    monkeypatch.setattr("cosetcq.errors.MEMORY_BUDGET", 5 * 10**6)
+    states = [example2_mix(0.7), example2_mix(0.3)]
+    with pytest.raises(BudgetExceededError, match="^pinching overlap at n = 10 need "):
+        verify_pinching(np.diag([0.5, 0.5]), states, [8, 10], 0.2)
+
+
 def test_gentle_measurement_check():
     eps, disturbance, ok = gentle_measurement_check(
         np.diag([0.9, 0.1]), np.diag([1.0, 0.0])

@@ -244,7 +244,10 @@ def _ix_kron_product_block(letters, rows, cols) -> np.ndarray:
        n_rows=st.integers(0, 12), n_cols=st.integers(0, 12), seed=st.integers(0, 2**16))
 def test_product_block_equals_ix_kron_formula(d, n, complex_letters, n_rows, n_cols, seed):
     # d = 2 merges 6 positions into a 64-wide table and d = 3 merges 3, so
-    # n = 7..9 (d = 2) and n = 4..9 (d = 3) run past the first table
+    # n = 7..9 (d = 2) and n = 4..9 (d = 3) run past the first table.  A
+    # projector's range basis is the product block of its letter bases over
+    # every row: it equals the per-position np.kron of the picked columns
+    # within 1e-12, of rank 0 when n_cols = 0.
     rng = np.random.default_rng(seed)
     letters = [rng.normal(size=(d, d)) for _ in range(n)]
     if complex_letters:
@@ -255,6 +258,11 @@ def test_product_block_equals_ix_kron_formula(d, n, complex_letters, n_rows, n_c
     want = _ix_kron_product_block(letters, rows, cols)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    proj = TypicalProjector(n, tuple(letters), cols)
+    kron = [reduce(np.kron, [b[:, s] for b, s in zip(letters, seq)]) for seq in cols]
+    want = np.reshape(kron, (n_cols, d**n)).T
+    assert proj.cols.dtype == got.dtype and proj.cols.shape == (d**n, n_cols)
+    np.testing.assert_allclose(proj.cols, want, rtol=0, atol=1e-12)
 
 
 @PROPERTY

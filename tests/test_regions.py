@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetcq.channels import (
+    CqChannel,
     InputDistribution,
     SplitInputDistribution,
     binary_input_distribution,
@@ -14,8 +16,8 @@ from cosetcq.channels import (
     example2_channel,
     example2_mix,
 )
-from cosetcq.errors import BudgetExceededError
-from cosetcq.linalg import von_neumann_entropy
+from cosetcq.errors import BudgetExceededError, ModelViolationError
+from cosetcq.linalg import DensityOperator, von_neumann_entropy
 from test_channels_properties import _random_channel
 
 from cosetcq.regions import (
@@ -75,6 +77,20 @@ def test_rate_point_defaults_and_validation():
     assert np.all(np.isinf(p.taus))
     with pytest.raises(ValueError, match="nonnegative"):
         RatePoint(-0.1, 0.0, 0.0)
+
+
+def test_rate_point_refuses_nan_rates_and_budgets():
+    """A NaN rate passed the nonnegativity test and every region then held
+    the point; a NaN budget never bound.  Infinite budgets stay the default."""
+    region = RegionSpec((Constraint("r1", (1, 0, 0), 0.5),), (0.3, 0.0, 0.0))
+    for rates in ((np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            RatePoint(*rates)
+    for budget in ("tau1", "tau2", "tau3"):
+        with pytest.raises(ValueError, match="NaN"):
+            RatePoint(0.1, 0.0, 0.0, **{budget: np.nan})
+    assert region.contains(RatePoint(0.1, 0.0, 0.0, tau2=np.inf))
+    assert not region.contains(RatePoint(0.6, 0.0, 0.0))
 
 
 def test_region_spec_contains_and_corners():
@@ -328,6 +344,27 @@ def test_usb_region_rejects_bad_pmfs():
     for bad in ([1.0], [0.7, 0.7], [1.5, -0.5]):
         with pytest.raises(ValueError, match="sender 2"):
             usb_region(chan, good, np.array(bad), good)
+
+
+def test_usb_region_refuses_a_channel_that_is_not_3to1():
+    """Receiver 2 sees x1 + x2 mod 2: the baseline refuses the channel with
+    theorem 3's message instead of reading receiver 2 at x1 = 0."""
+
+    def flip(bit, eps):
+        return np.diag([eps, 1.0 - eps] if bit else [1.0 - eps, eps])
+
+    states = {
+        x: DensityOperator(reduce(np.kron, [flip(sum(x) % 2, 0.1), flip((x[0] + x[1]) % 2, 0.2),
+                                            flip(x[2], 0.2)]))
+        for x in itertools.product(range(2), repeat=3)
+    }
+    chan = CqChannel((2, 2, 2), (2, 2, 2), states, (np.zeros(2),) * 3)
+    half = np.array([0.5, 0.5])
+    with pytest.raises(ModelViolationError, match="not 3-to-1") as t3:
+        theorem3_region(chan, binary_split_distribution(0.2, "usb"))
+    with pytest.raises(ModelViolationError) as usb:
+        usb_region(chan, half, half, half)
+    assert str(usb.value) == str(t3.value)
 
 
 def test_theorem3_structured_mode_bounds():
