@@ -53,6 +53,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
         raise ValueError("trials must be positive")
     if not 0 <= errors <= trials:
         raise ValueError(f"error count {errors} lies outside [0, {trials}]")
+    if not 0.0 < z < np.inf:
+        raise ValueError(f"z must be finite and positive, got {z}")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

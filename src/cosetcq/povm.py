@@ -17,7 +17,8 @@ d x d blocks.  Square-root decoders live in the rank-r range U of the
 typical projector pi_rho, E_i = (U B_i)(U B_i)^dagger for r x r_i factors
 B_i, and both come from one builder over chains of projectors
 (``_square_root_povm``).  ``Povm.elements`` is the one decoder object,
-``_Factors``: it keeps S^{-1/2} and the completion block, never the
+``_Factors``: it keeps S^{-1/2} and the completion block (the projector off
+the support of S, cut relative to its largest eigenvalue), never the
 factors.  Its pass ``blocks`` generates each B_i when it is read, from the
 shorter side of its range when it is summed or traced, so no array grows
 with the sum of the factor ranks, and the Kronecker work that labels share
@@ -64,8 +65,9 @@ LABEL_BUDGET = 2**16
 # Side of the Kronecker table that one run of ``_kron_left`` applies: three
 # qubit positions.
 _KRON_WIDTH = 8
-# Eigenvalues of a Gram matrix at or below this lie off its support.
+# The support of a Gram matrix S: eigenvalues above max(1e-10, 1e-6 lambda_max(S)).
 _SUPPORT_CUTOFF = 1e-10
+_RELATIVE_CUTOFF = 1e-6
 
 
 def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
@@ -77,8 +79,8 @@ def _check_memory(frame: "TypicalProjector", ranks, dtype, side=()) -> int:
     - 10 r^2: S^{-1/2} and its conjugate transpose (the left matrix of a
       chain without a middle projector), a chain's full block and at most
       seven more r x r arrays at once (S and an eigendecomposition with its
-      LAPACK copy and workspace, the completion block and any products, the
-      completeness residual, ``_GramSum``'s buffer, product and conjugate);
+      LAPACK copy and workspace, the completion block, the completeness
+      residual, ``_GramSum``'s buffer, product and conjugate);
     - D^2: a chain's full block scattered onto the frame's rows (``_success``);
     - r sum(side): the left matrices of chains through a middle projector;
     - 3 D r (4 past qubits, where two runs or more may lie between a
@@ -502,19 +504,15 @@ class Povm(Record):
 
 
 def _inverse_sqrt_on_support(mat: np.ndarray) -> tuple:
-    """(N, I - N S N), N = S^{-1/2} on the eigenvalues of the Hermitian S above
-    ``_SUPPORT_CUTOFF`` (0 off them).  I - N S N is read off the other
-    eigenvectors V_off as V_off V_off^dagger while 16 eps kappa <= 1e-12
-    (kappa the kept eigenvalues' ratio); above, the products N S N differ
-    from it by more, and the completeness check needs them.  A real S takes
-    a real ``eigh``, about four times cheaper than the complex one."""
+    """(N, C) for the Hermitian S: N = S^{-1/2} on its support, 0 off it, and
+    C = V_off V_off^dagger, the projector off it.  N S N + C misses I by about
+    eps kappa, kappa <= 1/c the kept eigenvalues' ratio: c = ``_RELATIVE_CUTOFF``
+    is the least power of ten with 16 eps / c (the block tests' 16 eps kappa)
+    below the completeness check's 1e-8.  A real S takes a real ``eigh``."""
     w, v = np.linalg.eigh(_check_square_hermitian(mat, dtype=mat.dtype))
-    support = w > _SUPPORT_CUTOFF
-    inv = np.where(support, 1.0 / np.sqrt(np.clip(w, _SUPPORT_CUTOFF, None)), 0.0)
-    norm = _real_if_exact((v * inv) @ v.conj().T)
-    if support.any() and 16 * np.finfo(float).eps * w.max() > 1e-12 * w[support].min():
-        return norm, np.eye(len(mat)) - norm @ mat @ norm
-    return norm, v[:, ~support] @ v[:, ~support].conj().T
+    support = w > max(_SUPPORT_CUTOFF, _RELATIVE_CUTOFF * w.max(initial=0.0))
+    inv = np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0)
+    return _real_if_exact((v * inv) @ v.conj().T), v[:, ~support] @ v[:, ~support].conj().T
 
 
 def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
@@ -530,10 +528,10 @@ def _square_root_povm(frame: TypicalProjector, chains: list) -> Povm:
     L - Abar_i Abar_i^dagger, L = I_r or outer . outer^dagger.  The factors
     B_i = S^{-1/2} A_i (on the support of S) give E_i = (U B_i)(U B_i)^dagger
     = N Gamma_i N for Gamma_i = U A_i A_i^dagger U^dagger and
-    N = (sum_i Gamma_i)^{-1/2}, and the completion block is I_r - N S N
-    (``_inverse_sqrt_on_support``).  No B_i is stored: each is generated
-    from per-position blocks b^dagger c, made once per pair of basis arrays
-    (``_Factors.blocks``).
+    N = (sum_i Gamma_i)^{-1/2}, and the completion block is the projector
+    off the support of S (``_inverse_sqrt_on_support``).  No B_i is stored:
+    each is generated from per-position blocks b^dagger c, made once per
+    pair of basis arrays (``_Factors.blocks``).
     """
     inners = [inner for _, pairs in chains for _, inner in pairs]
     middles = [middle for middle, _ in chains if middle is not None]

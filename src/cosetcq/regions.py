@@ -15,6 +15,7 @@ from .channels import (
     InputDistribution,
     SplitInputDistribution,
     _aux_sums,
+    _check_biases,
     _cyclic_sum_pmf,
     _entropy_plan,
     _joint_state,
@@ -441,6 +442,7 @@ def example_separation_witness(
     """
     if example not in (1, 2):
         raise ValueError(f"example must be 1 or 2, got {example}")
+    _check_biases(delta1, delta)
     if tau is None:
         tau = (delta - delta1) / (1.0 - 2.0 * delta1)
     if not 0.0 <= tau <= 1.0:

@@ -351,3 +351,12 @@ def test_wilson_interval_refuses_error_counts_outside_the_trials():
         with pytest.raises(ValueError, match="outside"):
             wilson_interval(errors, 10)
     assert wilson_interval(10, 10)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wilson_interval_refuses_a_z_that_is_not_finite_and_positive():
+    """z = -1.96 gave (0.603, 0.108), lo above hi, and z = NaN gave (0.0, 1.0)."""
+    for z in (-1.96, 0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="z must be finite and positive"):
+            wilson_interval(3, 10, z=z)
+    lo, hi = wilson_interval(3, 10, z=1.0)
+    assert 0.0 < lo < 0.3 < hi < 1.0

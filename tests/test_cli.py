@@ -109,6 +109,14 @@ def test_separation_command(capsys):
     assert "separation: false" in capsys.readouterr().out
 
 
+def test_separation_bias_outside_the_open_interval_is_an_argument_error(capsys):
+    """--delta1 0.5 once divided by zero and exited 1 with a traceback."""
+    assert main(["separation", "--example", "1", "--delta1", "0.5", "--delta", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: delta1 must lie strictly inside (0, 0.5)")
+
+
 def test_separation_out_file(tmp_path, capsys):
     path = tmp_path / "sep.txt"
     assert main(

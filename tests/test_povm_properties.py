@@ -10,7 +10,8 @@ formula, the letter-Kronecker kernel, the prefix-shared factors and the
 tail generator with a dense np.kron product, the product-basis traces
 with r x r traces against compressed states, the wide-product Gram sum
 with one product per label, and the completeness verdict with the
-spectral-norm bound it skips.
+spectral-norm bound it skips.  The completion block is checked to stay
+positive and complete on Gram matrices with condition numbers up to 1e12.
 """
 
 from functools import reduce
@@ -32,6 +33,7 @@ from cosetcq.field_codes import NestedCosetCode, PrimeField, field_vectors, sele
 import cosetcq.povm as povm_module
 from cosetcq.errors import ConsistencyError
 from cosetcq.povm import (
+    _RELATIVE_CUTOFF,
     _SUPPORT_CUTOFF,
     Povm,
     TypicalProjector,
@@ -455,25 +457,30 @@ def test_product_basis_traces_equal_dense_traces(code, s0, s1, real, delta, seed
     assert abs(_success(factors, states, hits) - want) <= 1e-12
 
 
+def _square_root_parts(gram: np.ndarray) -> tuple:
+    """(N, C, atol): the code's own S^{-1/2} and completion block of S =
+    ``gram`` (``_inverse_sqrt_on_support``), and the tests' tolerance.
+
+    A sum of S in another order, or S^{-1/2} S S^{-1/2}, turns a rounding of
+    eps lambda_max in S into about eps kappa, kappa = lambda_max / lambda_min
+    over the eigenvalues of S that the code keeps: the r - tr C largest.
+    ``atol`` is 16 eps kappa, ten times the largest ratio seen over 1500
+    random ptp inputs, and never below 1e-12.
+    """
+    norm, completion = _inverse_sqrt_on_support(gram)
+    kept = np.linalg.eigvalsh(gram)[round(np.trace(completion).real):]
+    kappa = kept[-1] / kept[0] if kept.size else 1.0
+    return norm, completion, max(1e-12, 16 * np.finfo(float).eps * kappa)
+
+
 def _per_label_square_root(frame, factors: list) -> tuple:
     """The square-root normalization one label at a time: (B_i list,
-    completion, atol).
-
-    The block path sums S in another order, and S^{-1/2} turns a rounding
-    of eps lambda_max in S into a relative error of about eps kappa on the
-    smallest kept eigenvalue, kappa = lambda_max / lambda_min over the
-    eigenvalues of S above the support cutoff.  ``atol`` is 16 eps kappa,
-    ten times the largest ratio seen over 1500 random ptp inputs, and never
-    below 1e-12.
-    """
+    completion I - N S N, atol of ``_square_root_parts``); the block path
+    sums S in another order."""
     gram = np.zeros((frame.rank, frame.rank))
     for a in factors:
         gram = gram + a @ a.conj().T
-    norm, _ = _inverse_sqrt_on_support(gram)
-    kept = np.linalg.eigvalsh(gram)
-    kept = kept[kept > _SUPPORT_CUTOFF]
-    kappa = kept.max() / kept.min() if kept.size else 1.0
-    atol = max(1e-12, 16 * np.finfo(float).eps * kappa)
+    norm, _, atol = _square_root_parts(gram)
     return [norm @ a for a in factors], np.eye(frame.rank) - norm @ gram @ norm, atol
 
 
@@ -715,15 +722,6 @@ def test_completeness_verdict_equals_the_norm_bound(size, complex_entries, skew,
         assert bound <= 1e-8
 
 
-def _completion_tolerance(gram: np.ndarray) -> float:
-    """max(1e-12, 16 eps kappa), kappa over the eigenvalues of S above the
-    support cutoff: the tolerance of the block tests."""
-    kept = np.linalg.eigvalsh(gram)
-    kept = kept[kept > _SUPPORT_CUTOFF]
-    kappa = kept.max() / kept.min() if kept.size else 1.0
-    return max(1e-12, 16 * np.finfo(float).eps * kappa)
-
-
 @PROPERTY
 @given(r=st.integers(1, 8), rank=st.integers(0, 10), repeats=st.integers(1, 3),
        weak=st.sampled_from([1.0, 1e-3, 1e-4]), complex_entries=st.booleans(),
@@ -732,72 +730,115 @@ def _completion_tolerance(gram: np.ndarray) -> float:
 @example(r=3, rank=2, repeats=1, weak=1e-4, complex_entries=True, scale=1.0, seed=0)
 @example(r=1, rank=1, repeats=1, weak=1e-4, complex_entries=False, scale=0.5, seed=0)  # S = 7.9e-11
 def test_completion_equals_one_minus_nsn(r, rank, repeats, weak, complex_entries, scale, seed):
-    """The completion block from ``_inverse_sqrt_on_support`` equals I - N S N
-    within the block tests' tolerance.  S = sum of the columns' outer
-    products, each column repeated (as repeated codewords repeat a label's
-    term), the first scaled by ``weak``; with fewer distinct columns than r,
-    S is rank-deficient, and a weak column can put an eigenvalue of S at or
-    below the support cutoff.  Well conditioned (tolerance 1e-12), the block
-    is the projector onto the eigenvectors of S off its support; else it is
-    I - N S N itself."""
+    """The completion block from ``_inverse_sqrt_on_support`` is the
+    projector onto the eigenvectors of S at or below max(_SUPPORT_CUTOFF,
+    _RELATIVE_CUTOFF lambda_max), exactly zero at full support, and equals
+    I - N S N within 16 eps kappa.  S = sum of the columns' outer products,
+    each column repeated (as repeated codewords repeat a label's term), the
+    first scaled by ``weak``; with fewer distinct columns than r, S is
+    rank-deficient, and a weak column can put an eigenvalue of S below
+    either cutoff."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(r, rank))
     if complex_entries:
         g = g + 1j * rng.normal(size=(r, rank))
     g[:, :1] *= weak
     gram = scale * np.tile(g, repeats) @ np.tile(g, repeats).conj().T
-    norm, completion = _inverse_sqrt_on_support(gram)
-    want = np.eye(r) - norm @ gram @ norm
-    tolerance = _completion_tolerance(gram)
-    np.testing.assert_allclose(completion, want, rtol=0, atol=tolerance)
-    if tolerance > 1e-12:
-        np.testing.assert_array_equal(completion, want)
-        return
+    norm, completion, atol = _square_root_parts(gram)
+    np.testing.assert_allclose(completion, np.eye(r) - norm @ gram @ norm, rtol=0, atol=atol)
     eigs = np.linalg.eigvalsh(gram)
-    support = int((eigs > _SUPPORT_CUTOFF).sum())
-    assert completion.any() == (support < r)  # exactly zero at full support: no product formed
+    off = eigs <= max(_SUPPORT_CUTOFF, _RELATIVE_CUTOFF * eigs.max())
+    assert completion.any() == off.any()  # exactly zero at full support: no product formed
+    np.testing.assert_allclose(completion, completion.conj().T, rtol=0, atol=1e-12)
     np.testing.assert_allclose(completion @ completion, completion, rtol=0, atol=1e-12)
-    assert abs(np.trace(completion) - (r - support)) <= 1e-12 * r
-    off = np.abs(eigs[eigs <= _SUPPORT_CUTOFF]).max(initial=0.0)  # S on the block's range
-    np.testing.assert_allclose(gram @ completion, 0.0, rtol=0, atol=off + 1e-12 * scale * (1 + rank) * r)
+    assert abs(np.trace(completion) - off.sum()) <= 1e-12 * r
+    bound = np.abs(eigs[off]).max(initial=0.0)  # S on the block's range
+    np.testing.assert_allclose(gram @ completion, 0.0, rtol=0, atol=bound + 1e-12 * scale * (1 + rank) * r)
 
 
-def test_ill_conditioned_decoder_keeps_the_product_completion():
-    """A decoder whose S has kappa = 4e8 (a letter 6e-6 off diagonal): the
-    kernel projector misses I - N S N by 7e-8, above the completeness
-    check's 1e-8, so the block is I - N S N itself and the decoder builds."""
-    code = NestedCosetCode(F2, 4, 1, 1, [[0, 0, 0, 0]], [[0, 0, 0, 0]], [0, 0, 1, 1])
-    states = [np.diag([0.38095238, 0.61904762]).astype(complex),
-              np.array([[0.53623188, -5.79710145e-06j], [5.79710145e-06j, 0.46376812]])]
-    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(0))
-    seen = []
+@PROPERTY
+@given(r=st.integers(1, 12), decades=st.floats(0.0, 12.0), zeros=st.integers(0, 2),
+       complex_entries=st.booleans(), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+@example(r=12, decades=12.0, zeros=0, complex_entries=True, scale=1e-3, seed=0)
+@example(r=12, decades=12.0, zeros=1, complex_entries=False, scale=1e3, seed=1)
+@example(r=6, decades=6.0, zeros=0, complex_entries=True, scale=1.0, seed=2)  # kappa at 1/c
+def test_completion_is_positive_and_complete_up_to_kappa_1e12(r, decades, zeros, complex_entries,
+                                                               scale, seed):
+    """S = G G^dagger with eigenvalues spread from ``scale`` down to
+    ``scale`` / 10^decades (kappa up to 1e12; the last ``zeros`` of them 0) in
+    a random basis.  One label per column of N G: the decoder's own checks
+    (``Povm``) pass, the completion block has no eigenvalue below -1e-12,
+    and the completeness residual C - I + (N G)(N G)^dagger, summed in
+    another order than S, is at most 1e-8 in operator norm."""
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(r, r))
+    if complex_entries:
+        basis = basis + 1j * rng.normal(size=(r, r))
+    basis, _ = np.linalg.qr(basis)
+    spectrum = scale * 10.0 ** -np.concatenate([[0.0, decades][:r], rng.uniform(0, decades, max(r - 2, 0))])
+    spectrum[r - min(zeros, r - 1):] = 0.0
+    g = basis * np.sqrt(spectrum)
+    norm, completion = _inverse_sqrt_on_support(g @ g.conj().T)
+    assert np.linalg.eigvalsh(0.5 * (completion + completion.conj().T)).min() >= -1e-12
+    left = (norm @ g).conj().T  # row j is B_j^dagger
+    frame = typical_projector(np.eye(r) / r, 1, 0.0)
+    labels = [([np.eye(r)], frame.index[j:j + 1]) for j in range(r)]
+    Povm(tuple(range(r)) + (None,), _Factors(frame, [(left, frame.index, labels)], completion))
+    residual = completion - np.eye(r) + sum(np.outer(b.conj(), b) for b in left)
+    assert np.linalg.norm(residual, 2) <= 1e-8
 
-    def recorded(gram):
-        seen.append((gram, *_inverse_sqrt_on_support(gram)))
-        return seen[-1][1:]
 
-    with mock.patch.object(povm_module, "_inverse_sqrt_on_support", recorded):
-        povm = build_ptp_povm(code, enc, states, 0.0625)
-    [(gram, norm, completion)] = seen
-    assert _completion_tolerance(gram) > 1e-6
-    np.testing.assert_array_equal(completion, np.eye(len(gram)) - norm @ gram @ norm)
-    assert povm.elements.completion is completion
-    _assert_valid(povm)
+@st.composite
+def near_diagonal_states(draw):
+    """A qubit density operator diag(p, 1 - p) with an off-diagonal entry of
+    modulus 1e-9 to 1e-1 times min(p, 1 - p) and random phase: letter
+    eigenbases this close to one another leave S ill-conditioned."""
+    p = draw(st.floats(0.05, 0.95))
+    off = 10.0 ** -draw(st.floats(1.0, 9.0)) * min(p, 1.0 - p) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    return np.array([[p, np.conj(off)], [off, 1.0 - p]])
 
 
-@pytest.mark.xfail(strict=True, raises=ConsistencyError,
-                   reason="absolute support cutoff: S has a kept eigenvalue just above 1e-10")
+ZERO_CODE = NestedCosetCode(F2, 4, 1, 1, [[0, 0, 0, 0]], [[0, 0, 0, 0]], [0, 0, 1, 1])
+
+
+@PROPERTY
+@given(code=binary_codes(), s0=near_diagonal_states(), s1=near_diagonal_states(), delta=deltas,
+       seed=st.integers(0, 2**16))
+@example(  # S has kappa = 4e8: I - N S N was kept for it, as V_off V_off^dagger missed it by 7e-8
+    code=ZERO_CODE, s0=np.diag([0.38095238, 0.61904762]).astype(complex),
+    s1=np.array([[0.53623188, -5.79710145e-06j], [5.79710145e-06j, 0.46376812]]),
+    delta=0.0625, seed=0,
+)
+@example(  # S has a kept eigenvalue just above 1e-10, kappa about 1e9
+    code=ZERO_CODE, s0=np.array([[42, -30 - 20j], [-30 + 20j, 47]]) / 89,
+    s1=np.array([[357, -70 - 40j], [-70 + 40j, 372]]) / 729, delta=0.25, seed=0,
+)
+def test_decoder_on_near_diagonal_letters_builds_with_a_positive_completion(code, s0, s1, delta,
+                                                                            seed):
+    """Decoders from letters with nearly shared eigenbases: the build passes
+    its own checks, the completion block has no eigenvalue below -1e-12, and
+    the completeness residual of the generated factors is at most 1e-8."""
+    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(seed))
+    els = build_ptp_povm(code, enc, [s0, s1], delta).elements
+    block = els.completion
+    if block.size:
+        assert np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min() >= -1e-12
+        residual = block - np.eye(len(block)) + sum(b @ b.conj().T for b in _factors(els))
+        assert np.linalg.norm(residual, 2) <= 1e-8
+
+
 def test_decoder_with_a_kept_eigenvalue_near_the_cutoff_builds():
-    """Valid letters whose S has a kept eigenvalue just above the absolute
-    cutoff ``_SUPPORT_CUTOFF`` (kappa about 1e9): today the completion block
-    then has an eigenvalue near -1.3e-6 and the build raises
-    ``ConsistencyError``.  A cutoff relative to S's largest eigenvalue would
-    let it build, and this test would then pass."""
-    code = NestedCosetCode(F2, 4, 1, 1, [[0, 0, 0, 0]], [[0, 0, 0, 0]], [0, 0, 1, 1])
+    """Valid letters whose S has an eigenvalue just above the absolute
+    cutoff ``_SUPPORT_CUTOFF`` (kappa about 1e9 over it): kept, it gave the
+    completion block I - N S N an eigenvalue near -1.3e-6, and the build
+    raised ``ConsistencyError``.  The relative cutoff puts it off the
+    support, in the completion, and the decoder builds."""
     states = [np.array([[42, -30 - 20j], [-30 + 20j, 47]]) / 89,
               np.array([[357, -70 - 40j], [-70 + 40j, 372]]) / 729]
-    enc = select_typical(code, UNIFORM, 0.5, np.random.default_rng(0))
-    _assert_valid(build_ptp_povm(code, enc, states, 0.25))
+    enc = select_typical(ZERO_CODE, UNIFORM, 0.5, np.random.default_rng(0))
+    povm = build_ptp_povm(ZERO_CODE, enc, states, 0.25)
+    assert np.trace(povm.elements.completion).real >= 1.0 - 1e-12
+    _assert_valid(povm)
 
 
 def test_rank_deficient_decoder_completion_is_the_kernel_projector():

@@ -409,6 +409,17 @@ def test_separation_witness_tau_override():
         example_separation_witness(3, 0.01, 0.1)
 
 
+def test_separation_witness_checks_the_biases_first():
+    """delta1 = 0.5 divided by 1 - 2 delta1 = 0 for the default tau, and a NaN
+    delta1 was reported as a bad tau; both now get the channels' message."""
+    for delta1, delta in ((0.5, 0.1), (float("nan"), 0.1), (0.01, 0.0), (0.01, float("nan"))):
+        for example in (1, 2):
+            with pytest.raises(ValueError, match=r"must lie strictly inside \(0, 0\.5\)"):
+                example_separation_witness(example, delta1, delta)
+    with pytest.raises(ValueError, match="delta1 must lie"):
+        example_separation_witness(1, 0.5, 0.1, tau=0.2)
+
+
 def test_simplex_grid_counts():
     pmfs = list(simplex_grid(2, 5))
     assert len(pmfs) == 5
