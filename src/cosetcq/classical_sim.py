@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
+from .channels import _check_biases
 from .errors import ConsistencyError, check_memory
 from .field_codes import NestedCosetCode, coset_sum, field_vectors, select_typical
 from .regions import _example1_closed_forms, _structured_feasible, conv
@@ -390,6 +391,9 @@ def capacity_report(delta1: float, delta: float, tau: float) -> dict:
     structured feasibility asks that sender 1's effective bias stays below
     the side receivers' bias, conv(tau, delta1) < delta < 1/2.
     """
+    _check_biases(delta1, delta)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     cap1, capj, rhs = _example1_closed_forms(delta1, delta, tau)
     lhs = cap1 + 2.0 * capj
     return {

@@ -232,6 +232,15 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
     return points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
 
 
+def _byte_groups(rows: np.ndarray) -> tuple:
+    """Rows grouped by their bytes as ``(first, inverse)``: ``rows[first]``
+    holds one row per group, ``rows[first][inverse]`` is ``rows`` byte for
+    byte.  Bytes, not values: -0.0 never joins +0.0, nor NaNs of other bits."""
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _best_vertices(points: np.ndarray, rows: np.ndarray, w: np.ndarray) -> tuple:
     """Per polytope, the maximum of w . r over its vertices and the first
     vertex in sorted order attaining it: ``max_weighted_sum`` for every
@@ -528,9 +537,9 @@ def grid_search(
     evaluates the coset-code region at each, and maximizes
     ``objective . corner`` over region corners; the first pmf in scan order
     attaining the maximum wins.  The grid is evaluated in chunks of at most
-    ``GRID_CHUNK`` pmfs, each chunk as one batch, and as many as fit in the
-    memory cap beside the grids (``_grid_bytes``); the chunking does not
-    change the result.
+    ``GRID_CHUNK`` pmfs, each chunk as one batch with one corner search per
+    distinct polytope, and as many as fit in the memory cap beside the grids
+    (``_grid_bytes``); the chunking does not change the result.
 
     Raises
     ------
@@ -559,9 +568,13 @@ def grid_search(
         p_x1, p22, p33 = (g[i] for g, i in zip(grids, picks))
         p22, p33 = p22.reshape(-1, q, n_x2), p33.reshape(-1, q, n_x3)
         rhs = _theorem1_rhs(channel, p_x1, p22, p33)
+        rhs = np.where(rhs < 0.0, 0.0, rhs)
+        # Rows of equal bytes are one polytope: its corners are searched once.
+        first, inverse = _byte_groups(rhs)
         # Clamped right-hand sides are >= 0, so the origin is a vertex of each.
-        points, feasible = _vertices(tuple(_LINES.values()), np.where(rhs < 0.0, 0.0, rhs))
+        points, feasible = _vertices(tuple(_LINES.values()), rhs[first])
         values, corners = _best_vertices(points, np.nonzero(feasible)[0], w)
+        values, corners = values[inverse], corners[inverse]
         k = int(np.argmax(values))
         if best is None or values[k] > best[0]:
             dist = InputDistribution(q=q, p_x1=p_x1[k], p_v2x2=p22[k], p_v3x3=p33[k])

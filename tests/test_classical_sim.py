@@ -332,6 +332,19 @@ def test_capacity_report_closed_forms():
     assert not capacity_report(0.01, 0.1, 0.4)["structured_feasible"]
 
 
+def test_capacity_report_checks_its_inputs():
+    """delta1 = 0.7 gave unstructured_impossible: True for a channel that
+    example1_channel refuses; a NaN delta1 or a tau outside [0, 1] was caught
+    only by conv, as a bad "convolution argument"."""
+    for delta1, delta in ((0.7, 0.1), (float("nan"), 0.1), (0.01, 0.5), (0.01, float("nan"))):
+        with pytest.raises(ValueError, match=r"must lie strictly inside \(0, 0\.5\)"):
+            capacity_report(delta1, delta, 0.1)
+    for tau in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            capacity_report(0.01, 0.1, tau)
+    assert capacity_report(0.01, 0.1, 1.0)["effective_bias"] == pytest.approx(0.99, abs=1e-15)
+
+
 def test_wilson_interval_bounds():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.1

@@ -25,6 +25,7 @@ from cosetcq.regions import (
     NccRateParams,
     RatePoint,
     RegionSpec,
+    _byte_groups,
     _unique_rows,
     conv,
     example_separation_witness,
@@ -199,6 +200,21 @@ def test_unique_rows_equal_np_unique(seed, n_rows, with_nan):
     got = _unique_rows(points)
     want = np.unique(points, axis=0)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 7))
+def test_byte_groups_keep_every_row_and_join_only_equal_bytes(seed, n_rows, width):
+    """``grid_search``'s polytope groups, on rows where -0.0 ties with +0.0
+    and NaNs of both signs tie with each other in a sort."""
+    rng = np.random.default_rng(seed)
+    rows = ENTRIES[rng.integers(0, len(ENTRIES), size=(n_rows, width))]
+    rows = rows[rng.integers(0, n_rows, size=n_rows)]  # repeats, in any order
+    first, inverse = _byte_groups(rows)
+    assert rows[first][inverse].tobytes() == rows.tobytes()
+    keys = [row.tobytes() for row in rows]
+    assert sorted(keys[i] for i in first) == sorted(set(keys))  # one group per byte string
+    assert all(i == min(np.flatnonzero(inverse == inverse[i])) for i in first)
 
 
 def test_region_spec_cost_budgets():
@@ -490,9 +506,19 @@ def _reference_grid_search(chan, w, resolution, q):
     return best
 
 
+def _assert_grid_search_equals_reference(chan, weights, resolution, q=2):
+    got = grid_search(chan, weights, resolution, q=q)
+    value, corner, dist = _reference_grid_search(chan, np.asarray(weights), resolution, q)
+    assert repr(got.best_value) == repr(value)
+    assert got.best_corner.tobytes() == corner.tobytes()
+    for name in ("p_x1", "p_v2x2", "p_v3x3"):
+        assert getattr(got.best_dist, name).tobytes() == getattr(dist, name).tobytes()
+
+
 # Tied objectives (zero and equal weights) exercise the first-maximiser rule.
+TIED_OBJECTIVES = [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
 objectives = st.one_of(
-    st.sampled_from([(1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]),
+    st.sampled_from(TIED_OBJECTIVES),
     st.tuples(*[st.floats(0.0, 1.0, allow_nan=False)] * 3),
 )
 
@@ -503,13 +529,39 @@ def test_grid_search_equals_per_pmf_loop(seed, weights, q):
     """On random ternary 3-to-1 channels, over point-mass pmfs (108 or 243
     of them, many regions tied), the batched scan keeps every bit of the
     loop."""
-    chan = _random_channel(np.random.default_rng(seed))
-    got = grid_search(chan, weights, 2, q=q)
-    value, corner, dist = _reference_grid_search(chan, np.asarray(weights), 2, q)
-    assert repr(got.best_value) == repr(value)
-    assert got.best_corner.tobytes() == corner.tobytes()
-    for name in ("p_x1", "p_v2x2", "p_v3x3"):
-        assert getattr(got.best_dist, name).tobytes() == getattr(dist, name).tobytes()
+    _assert_grid_search_equals_reference(_random_channel(np.random.default_rng(seed)), weights, 2, q)
+
+
+@pytest.mark.parametrize("weights", sorted({w for _, w in GRID_GOLDEN} | set(TIED_OBJECTIVES)))
+def test_grid_search_equals_per_pmf_loop_where_polytopes_differ(weights):
+    """At resolution 3 the 300 pmfs of example 2 give 14 + 3 distinct
+    polytopes in two chunks, so corners searched once go back to many pmfs."""
+    _assert_grid_search_equals_reference(example2_channel(0.05, 0.2), weights, 3)
+
+
+@pytest.mark.parametrize("example", [example1_channel, example2_channel])
+def test_grid_search_searches_each_distinct_polytope_once(monkeypatch, example):
+    """One corner search per distinct clamped row of a chunk: at resolution 2
+    every pmf is a point mass and every region is {0}; at resolution 3 the
+    256 + 44 pmfs of example 1 (2) give 13 + 5 (17 + 7) polytopes."""
+    import cosetcq.regions as regions
+
+    chan = example(0.01, 0.1)
+    chunks, searched = [], []
+    rhs, vertices = regions._theorem1_rhs, regions._vertices
+    monkeypatch.setattr(regions, "_theorem1_rhs", lambda *a: chunks.append(rhs(*a)) or chunks[-1])
+    monkeypatch.setattr(regions, "_vertices", lambda c, r, *a: searched.append(r) or vertices(c, r, *a))
+    grid_search(chan, (1.0, 1.0, 1.0), 2)
+    assert [len(r) for r in searched] == [1]
+    assert not searched[0].any()
+    chunks.clear(), searched.clear()
+    grid_search(chan, (1.0, 1.0, 1.0), 3)
+    assert [len(r) for r in chunks] == [256, 44]
+    for rows, distinct in zip(chunks, searched):
+        keys = [row.tobytes() for row in distinct]
+        clamped = np.where(rows < 0.0, 0.0, rows)
+        assert len(set(keys)) == len(keys) and set(keys) == {row.tobytes() for row in clamped}
+    assert [len(r) for r in searched] == ([13, 5] if example is example1_channel else [17, 7])
 
 
 def test_grid_search_chunks_do_not_change_the_result(monkeypatch):
