@@ -210,14 +210,15 @@ class CqState:
         return self
 
     def _check(self) -> "CqState":
-        """Every pmf's weights sum to 1 within 1e-9; none is below -1e-12."""
+        """No weight is below -1e-12 and every pmf's weights sum to 1 within
+        1e-9, tested as in ``check_pmf``: negated, so a NaN fails."""
+        if not self.weights.min() >= -1e-12:
+            label = np.argwhere(~(self.weights >= -1e-12))[0][1:]
+            raise ValueError(f"negative or NaN weight for label {tuple(label.tolist())}")
         totals = self.weights.reshape(len(self.weights), -1).sum(axis=1)
-        off = totals[np.abs(totals - 1.0) > 1e-9]
+        off = totals[~(np.abs(totals - 1.0) <= 1e-9)]
         if len(off):
             raise ValueError(f"block weights sum to {float(off[0])!r}, expected 1")
-        if self.weights.min() < -1e-12:
-            label = np.argwhere(self.weights < -1e-12)[0][1:]
-            raise ValueError(f"negative weight for label {tuple(label.tolist())}")
         return self
 
     @property
@@ -240,15 +241,17 @@ class CqState:
         """Marginalize classical registers not named in ``keep``: the blocks
         of one kept label give (p_1 rho_1 + p_2 rho_2 + ...) / (p_1 + p_2 + ...),
         a ``_fold`` in label order; a zero weight's term is -0.0, which the
-        fold from -0.0 skips exactly, so a label's first block is taken as it is."""
-        keep = tuple(keep)
-        w = _regroup(self.weights, self.registers, keep)
-        mats = _regroup(self.mats, self.registers, keep, 2)
+        fold from -0.0 skips exactly, so a label's first block is taken as it is.
+        Keeping every register in order leaves one term per label: no fold."""
+        keep, zero = tuple(keep), complex(-0.0, -0.0)
+        every = keep == self.registers
+        w = self.weights if every else _regroup(self.weights, self.registers, keep)
+        mats = self.mats if every else _regroup(self.mats, self.registers, keep, 2)
         pos = w > 0.0
-        weights = _fold(np.where(pos, w, 0.0), -1)
-        zero = complex(-0.0, -0.0)
-        terms = np.where(pos[..., None, None], w[..., None, None] * mats, zero)
-        acc = _fold(terms, -3, zero)
+        weights = np.where(pos, w, 0.0)
+        acc = np.where(pos[..., None, None], w[..., None, None] * mats, zero)
+        if not every:
+            weights, acc = _fold(weights, -1), _fold(acc, -3, zero)
         acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
         return CqState._of(keep, self.quantum_dims, weights, acc)
 
@@ -392,6 +395,21 @@ def _entropy_plan(*requests) -> list:
         inner = _fold(cond * ents(members).transpose(axes).reshape(cond.shape), 2)
         out.append(_per_pmf(_fold(p_c * (ents(group) - inner), 1), float))
     return out
+
+
+def _receiver_plan(a: CqState, b: CqState, asks, *requests) -> list:
+    """``_entropy_plan`` of ``requests`` and of the Holevo ``asks`` ((classical,
+    given) pairs) on two receivers' states of the same registers: the answers of
+    ``requests``, then per ask the pair (on ``a``, on ``b``).  States of one shape
+    are asked once, stacked along the pmf axis: each step is per row and matrix."""
+    n, batch = len(requests), len(a.weights)
+    if a.mats.shape != b.mats.shape:
+        out = _entropy_plan(*requests, *(("I", s, *ask) for s in (a, b) for ask in asks))
+        return out[:n] + list(zip(out[n : n + len(asks)], out[n + len(asks) :]))
+    both = CqState._of(a.registers, a.quantum_dims, np.concatenate([a.weights, b.weights]),
+                       np.concatenate([a.mats, b.mats]))
+    out = _entropy_plan(*requests, *(("I", both, *ask) for ask in asks))
+    return out[:n] + [(_per_pmf(v[:batch], float), _per_pmf(v[batch:], float)) for v in out[n:]]
 
 
 def classical_conditional_entropy(state: CqState, registers: tuple):

@@ -12,13 +12,14 @@ import numpy as np
 from ._record import Record
 from .channels import (
     CqChannel,
+    CqState,
     InputDistribution,
     SplitInputDistribution,
     _aux_sums,
     _check_biases,
     _cyclic_sum_pmf,
-    _entropy_plan,
     _joint_state,
+    _receiver_plan,
     _shannon_bits,
     _side_states,
     _sum_state,
@@ -257,17 +258,21 @@ def _best_vertices(points: np.ndarray, rows: np.ndarray, w: np.ndarray) -> tuple
 
 def _theorem1_rhs(channel: CqChannel, p_x1, p_v2x2, p_v3x3) -> np.ndarray:
     """Right-hand sides (B, 7) of Theorem 1's lines, before clamping, for
-    B pmfs given as arrays (B, |X1|), (B, q, |X2|), (B, q, |X3|)."""
+    B pmfs given as arrays (B, |X1|), (B, q, |X2|), (B, q, |X3|).  With
+    receiver 3's register axes swapped, ``_receiver_plan`` asks I(v2; Y2) and
+    I(v3; Y3) as one request when d2 = d3, each fold over the other letter."""
     p_v2, p_v3 = p_v2x2.sum(axis=-1), p_v3x3.sum(axis=-1)
     p_u = _cyclic_sum_pmf(p_v2, p_v3)
     s1 = _sum_state(channel, p_x1, p_v2x2, p_v3x3, p_u, ("x1", "u"))
     s2 = _joint_state(channel, p_x1, p_v2x2, p_v3x3)
-    i_x1_given_u, i_u_given_x1, i_x1u, *direct = _entropy_plan(
+    y2, y3 = s2.reduce_quantum([1]), s2.reduce_quantum([2])
+    y3 = CqState._of(y2.registers, y3.quantum_dims,  # own v3 first, in receiver 2's names
+                     y3.weights.swapaxes(1, 2), y3.mats.swapaxes(1, 2))
+    i_x1_given_u, i_u_given_x1, i_x1u, direct = _receiver_plan(
+        y2, y3, [(("v2",), ())],
         ("I", s1, ("x1",), ("u",)),
         ("I", s1, ("u",), ("x1",)),
         ("I", s1, ("x1", "u"), ()),
-        ("I", s2.reduce_quantum([1]), ("v2",), ()),
-        ("I", s2.reduce_quantum([2]), ("v3",), ()),
     )
     h_u = _shannon_bits(p_u)
     h_v2, h_v3 = _shannon_bits(p_v2), _shannon_bits(p_v3)
@@ -350,18 +355,17 @@ def theorem3_region(channel: CqChannel, dist: SplitInputDistribution) -> RegionS
     """Message-splitting inner bound with structured letters u2, u3.
 
     Receiver 1 decodes w = u2 + u3 alongside its own message; choosing
-    degenerate u_j (w empty) recovers the unstructured baseline.
+    degenerate u_j (w empty) recovers the unstructured baseline.  Receivers
+    2 and 3's states, both over (u, x), are asked I(u, x; Y) and I(x; Y | u)
+    once, stacked, when |X2| = |X3| and d2 = d3 (``_receiver_plan``).
     """
     s1 = split_sigma1(channel, dist)
     s2, s3 = (split_sigma_receiver(channel, dist, j) for j in (2, 3))
-    h_w, h_y1, h_x1w, direct2, cond2, direct3, cond3 = _entropy_plan(
+    h_w, h_y1, h_x1w, (direct2, direct3), (cond2, cond3) = _receiver_plan(
+        s2, s3, [(("u", "x"), ()), (("x",), ("u",))],
         ("S", s1, ("w",)),
         ("S", s1, ()),
         ("S", s1, ("x1", "w")),
-        ("I", s2, ("u", "x"), ()),
-        ("I", s2, ("x",), ("u",)),
-        ("I", s3, ("u", "x"), ()),
-        ("I", s3, ("x",), ("u",)),
     )
     # H(W | Y1) and I(X1 ; W, Y1), combined as classical_conditional_entropy
     # and classical_quantum_mi combine them.

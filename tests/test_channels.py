@@ -209,6 +209,20 @@ def test_marginal_registers_and_reduce_quantum():
 def test_cq_state_weight_validation():
     with pytest.raises(ValueError, match="sum"):
         CqState(("a",), (2,), {(0,): (0.5, np.eye(2) / 2)})
+    rho = np.eye(2) / 2
+    with pytest.raises(ValueError, match=r"negative or NaN weight for label \(1, 0\)"):
+        CqState(("a", "b"), (2,), {(0, 0): (1.0 + 1e-6, rho), (1, 0): (-1e-6, rho)})
+
+
+@pytest.mark.parametrize("other", [1.0, 0.0, np.nan])
+def test_cq_state_refuses_a_nan_weight(other):
+    """NaN compares False either way, so ``_check``'s tests are negated; the
+    error names the label, whatever the other weight and the sum."""
+    rho = np.eye(2) / 2
+    with pytest.raises(ValueError, match=r"negative or NaN weight for label \(0,\)"):
+        CqState(("a",), (2,), {(0,): (np.nan, rho), (1,): (other, rho)})
+    with pytest.raises(ValueError, match=r"label \(0, 1\)"):
+        CqState(("a", "b"), (2,), {(0, 0): (1.0, rho), (0, 1): (np.nan, rho)})
 
 
 def test_split_distribution_padding():

@@ -22,6 +22,7 @@ from cosetcq.channels import (
     _cyclic_sum_pmf,
     _fold,
     _joint_state,
+    _regroup,
     _sum_products,
     _sum_state,
     cq_entropy,
@@ -445,6 +446,44 @@ def test_marginal_of_signed_zero_blocks_matches_reference(seed, sparse):
         want = _reference_marginal(state, keep)
         _assert_same_blocks(state.marginal_registers(keep).blocks, want)
     assert any(np.signbit(mat.imag).any() for _, mat in want.values())
+
+
+def _regroup_and_fold(state, keep):
+    """``marginal_registers`` with its regroup and folds run for every ``keep``,
+    the keep-all one included: (weights, blocks) of every label."""
+    w = _regroup(state.weights, state.registers, keep)
+    mats = _regroup(state.mats, state.registers, keep, 2)
+    pos = w > 0.0
+    weights = _fold(np.where(pos, w, 0.0), -1)
+    zero = complex(-0.0, -0.0)
+    acc = _fold(np.where(pos[..., None, None], w[..., None, None] * mats, zero), -3, zero)
+    acc /= np.where(weights > 0.0, weights, 1.0)[..., None, None]
+    return weights, acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(2, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.booleans())
+def test_keep_all_marginal_equals_regroup_and_fold(seed, batch, label_sizes, signed):
+    """Weights of 0.0, -0.0 and -1e-12 among positive ones, blocks with
+    -0.0 entries; every label's weight and block compared byte for byte."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, *label_sizes)
+    choice = rng.integers(0, 4, size=shape)
+    specials = [choice == 0, choice == 1, choice == 2]
+    weights = np.select(specials, [0.0, -0.0, -1e-12], rng.random(shape))
+    mats = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    if signed:
+        mats[rng.random(mats.shape) < 0.4] = complex(-0.0, -0.0)
+        mats.imag[rng.random(mats.shape) < 0.3] = -0.0
+    registers = tuple("abc"[: len(label_sizes)])
+    state = CqState._of(registers, (2,), weights, mats)
+    for keep in itertools.permutations(registers):
+        got = state.marginal_registers(keep)
+        want_w, want_m = _regroup_and_fold(state, keep)
+        assert got.registers == keep
+        assert got.weights.shape == want_w.shape and got.weights.tobytes() == want_w.tobytes()
+        assert got.mats.shape == want_m.shape and got.mats.tobytes() == want_m.tobytes()
 
 
 @PROPERTY

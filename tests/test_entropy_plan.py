@@ -6,9 +6,11 @@ sides it gives are compared, bit for bit, with the same formulas evaluated
 one quantity at a time by copies of ``cq_mutual_information`` and
 ``cq_entropy`` as they were before the plan (each with its own marginal and
 entropy call).  Channels are random 3-to-1
-product channels with a qubit or qutrit receiver 1, input alphabets of one
-to three letters and auxiliary fields of order 2 or 3; sparse pmfs give
-labels of zero weight.
+product channels with a qubit or qutrit receiver 1, a qubit receiver 2, a
+qubit or qutrit receiver 3, input alphabets of one to three letters and
+auxiliary fields of order 2 or 3; sparse pmfs give labels of zero weight.
+Receivers 2 and 3 are asked once, stacked, when their states have one
+shape, and each on its own otherwise: both branches are checked.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetcq import channels
 from cosetcq.channels import (
     CqChannel,
     InputDistribution,
@@ -48,16 +51,17 @@ seeds = st.integers(0, 2**32 - 1)
 sizes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
 
-def _random_channel(rng, input_sizes, d1: int) -> CqChannel:
-    """rho(x1, x2, x3) = A(x1, x2, x3) (x) B(x2) (x) C(x3), A on C^d1."""
+def _random_channel(rng, input_sizes, d1: int, d3: int = 2) -> CqChannel:
+    """rho(x1, x2, x3) = A(x1, x2, x3) (x) B(x2) (x) C(x3), A on C^d1, B on
+    C^2 and C on C^d3."""
     rx1 = {x: random_density(d1, rng).matrix for x in itertools.product(*map(range, input_sizes))}
     rx2 = [random_density(2, rng).matrix for _ in range(input_sizes[1])]
-    rx3 = [random_density(2, rng).matrix for _ in range(input_sizes[2])]
+    rx3 = [random_density(d3, rng).matrix for _ in range(input_sizes[2])]
     states = {
         x: DensityOperator(np.kron(np.kron(rx1[x], rx2[x[1]]), rx3[x[2]])) for x in rx1
     }
     costs = tuple(rng.random(n) for n in input_sizes)
-    return CqChannel(input_sizes, (d1, 2, 2), states, costs)
+    return CqChannel(input_sizes, (d1, 2, d3), states, costs)
 
 
 def _random_pmf(rng, shape, sparse: bool) -> np.ndarray:
@@ -143,11 +147,11 @@ def _clamped(rhs) -> bytes:
 
 
 @PROPERTY
-@given(seeds, sizes, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(1, 4),
-       st.booleans())
-def test_theorem1_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, batch, sparse):
+@given(seeds, sizes, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([2, 3]),
+       st.integers(1, 4), st.booleans())
+def test_theorem1_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, d3, batch, sparse):
     rng = np.random.default_rng(seed)
-    chan = _random_channel(rng, input_sizes, d1)
+    chan = _random_channel(rng, input_sizes, d1, d3)
     n1, n2, n3 = input_sizes
     p_x1 = np.stack([_random_pmf(rng, n1, sparse) for _ in range(batch)])
     p_v2x2 = np.stack([_random_pmf(rng, (q, n2), sparse) for _ in range(batch)])
@@ -161,11 +165,11 @@ def test_theorem1_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, ba
 
 
 @PROPERTY
-@given(seeds, sizes, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(1, 3),
-       st.booleans())
-def test_theorem3_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, n_v, sparse):
+@given(seeds, sizes, st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([2, 3]),
+       st.integers(1, 3), st.booleans())
+def test_theorem3_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, d3, n_v, sparse):
     rng = np.random.default_rng(seed)
-    chan = _random_channel(rng, input_sizes, d1)
+    chan = _random_channel(rng, input_sizes, d1, d3)
     n1, n2, n3 = input_sizes
     dist = SplitInputDistribution(
         q,
@@ -176,6 +180,55 @@ def test_theorem3_rhs_equals_per_quantity_reference(seed, input_sizes, q, d1, n_
     region = theorem3_region(chan, dist)
     want = _reference_theorem3_rhs(chan, dist)
     assert _clamped(c.rhs for c in region.constraints) == _clamped(want)
+
+
+def _plan_batches(monkeypatch) -> list:
+    """The pmf counts of the states that each ``_entropy_plan`` request names."""
+    batches = []
+    plan = channels._entropy_plan
+
+    def spied(*requests):
+        batches.extend(len(request[1].weights) for request in requests)
+        return plan(*requests)
+
+    monkeypatch.setattr(channels, "_entropy_plan", spied)
+    return batches
+
+
+# (input sizes, d3, Theorem 1 stacks receivers 2 and 3, Theorem 3 stacks them);
+# receiver 2 is a qubit.  Theorem 1's receiver states are (v2, v3) labelled,
+# so only d2 = d3 matters there; Theorem 3's are (u, x) labelled.
+BRANCHES = [
+    ((2, 2, 2), 2, True, True),
+    ((3, 1, 1), 2, True, True),
+    ((2, 2, 2), 3, False, False),
+    ((2, 2, 3), 2, True, False),
+    ((1, 3, 2), 3, False, False),
+]
+
+
+@pytest.mark.parametrize("input_sizes, d3, stack1, stack3", BRANCHES)
+def test_receiver_requests_stack_exactly_when_shapes_match(
+    monkeypatch, input_sizes, d3, stack1, stack3
+):
+    """Both branches of ``_receiver_plan`` give the per-quantity bytes."""
+    rng = np.random.default_rng(sum(input_sizes) + 10 * d3)
+    chan = _random_channel(rng, input_sizes, 2, d3)
+    n1, n2, n3 = input_sizes
+    batches = _plan_batches(monkeypatch)
+    pmfs = [np.stack([_random_pmf(rng, shape, True) for _ in range(3)])
+            for shape in (n1, (3, n2), (3, n3))]
+    got = _theorem1_rhs(chan, *pmfs)
+    assert got.tobytes() == _reference_theorem1_rhs(chan, *pmfs).tobytes()
+    assert sorted(set(batches)) == ([3, 6] if stack1 else [3])
+    batches.clear()
+    dist = SplitInputDistribution(
+        2, _random_pmf(rng, n1, True), _random_pmf(rng, (2, 2, n2), True),
+        _random_pmf(rng, (2, 2, n3), True),
+    )
+    rhs = [c.rhs for c in theorem3_region(chan, dist).constraints]
+    assert _clamped(rhs) == _clamped(_reference_theorem3_rhs(chan, dist))
+    assert sorted(set(batches)) == ([1, 2] if stack3 else [1])
 
 
 def _counting_eigvalsh(monkeypatch) -> list:
